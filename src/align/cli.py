@@ -1,8 +1,7 @@
 """Command-line interface: ingest, routines, annotate, measures, analyze, all.
 
-Exit status is 0 on success and 2 on input validation failure. The ALIGN_SEED
-environment variable is reserved for future use; every analysis here is
-deterministic.
+Exit status is 0 on success and 2 on input validation failure. Every
+analysis here is deterministic.
 """
 
 from __future__ import annotations
@@ -22,18 +21,19 @@ from .corpus import (
     save_corpus,
 )
 from .report import (
-    HYPOTHESES,
+    RUNNER_OPTIONS,
     RUNNERS,
     Pipeline,
     emit,
     emit_annotated_corpus,
     emit_measures,
     emit_routine_table,
-    run_h12,
-    run_h21,
-    run_h22,
     summary_lines,
 )
+
+
+def _markers(text: str) -> frozenset[str]:
+    return frozenset(m.strip() for m in text.split(",") if m.strip())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,13 +69,13 @@ def _build_parser() -> argparse.ArgumentParser:
     measures.add_argument("--out")
 
     analyze = sub.add_parser("analyze", help="run one hypothesis analysis")
-    analyze.add_argument("--hypothesis", required=True, choices=HYPOTHESES)
+    analyze.add_argument("--hypothesis", required=True, choices=RUNNERS)
     analyze.add_argument("--corpus", required=True)
     analyze.add_argument("--format", choices=["csv", "json"], default="csv")
     analyze.add_argument("--out")
     analyze.add_argument("--window", type=float,
                          help="common analysis window in seconds (default: quickest team)")
-    analyze.add_argument("--markers", default="uh,um",
+    analyze.add_argument("--markers", type=_markers, default="uh,um",
                          help="comma-separated marker tokens for h1.2")
     analyze.add_argument("--grouped", action="store_true",
                          help="h2.1: one event per instructing utterance instead of per action")
@@ -96,17 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _out_dir(args) -> Path:
     return Path(args.out) if args.out else Path(args.corpus)
-
-
-def _run_analysis(pipeline: Pipeline, hypothesis: str, args) -> "HypothesisReport":
-    if hypothesis == "h1.1":
-        return RUNNERS[hypothesis](pipeline, window=args.window)
-    if hypothesis == "h1.2":
-        markers = frozenset(m.strip() for m in args.markers.split(",") if m.strip())
-        return run_h12(pipeline, markers=markers)
-    if hypothesis == "h2.1":
-        return run_h21(pipeline, window=args.window, grouped=args.grouped)
-    return run_h22(pipeline, oh_events=args.oh_events, mm_events=args.mm_events)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -141,7 +130,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {path}")
         elif args.command == "analyze":
             pipeline = Pipeline(corpus, clear_on_verdict=args.clear_on_verdict)
-            report = _run_analysis(pipeline, args.hypothesis, args)
+            options = {name: getattr(args, name) for name in RUNNER_OPTIONS[args.hypothesis]}
+            report = RUNNERS[args.hypothesis](pipeline, **options)
             for path in emit(report, args.format, _out_dir(args)):
                 print(f"wrote {path}")
             print("\n".join(summary_lines(report)))
@@ -151,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
             emit_routine_table(pipeline, out / "routines.csv")
             emit_annotated_corpus(pipeline, out / "annotated_corpus.csv")
             emit_measures(pipeline, out / "task_features.csv")
-            for hypothesis in HYPOTHESES:
+            for hypothesis in RUNNERS:
                 report = RUNNERS[hypothesis](pipeline)
                 emit(report, args.format, out)
                 print("\n".join(summary_lines(report)))

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 
 HUMAN_SPEAKERS = ("A", "B")
@@ -230,28 +232,34 @@ def load_transcript(path: str | Path) -> list[Utterance]:
 
     rows.sort(key=lambda r: (r[0], r[2], r[3]))
     utterances = []
-    offsets: dict[int, int] = {}
-    for team, speaker, start, end, text in rows:
+    for team, team_rows in groupby(rows, key=lambda r: r[0]):
+        utterances += number_utterances(team, [r[1:] for r in team_rows])
+    return utterances
+
+
+def number_utterances(team: int, rows: list[tuple[str, float, float, str]]) -> list[Utterance]:
+    """Tokenize one team's (speaker, start, end, text) rows, already in start order.
+
+    Each utterance's global token offset is the number of tokens before it,
+    which numbers every token of the team uniquely.
+    """
+    utterances = []
+    offset = 0
+    for speaker, start, end, text in rows:
         tokens = tuple(tokenize(text))
-        offset = offsets.get(team, 0)
-        utterances.append(
-            Utterance(team=team, speaker=speaker, start=start, end=end, text=text,
-                      tokens=tokens, global_token_offset=offset)
-        )
-        offsets[team] = offset + len(tokens)
+        utterances.append(Utterance(team=team, speaker=speaker, start=start, end=end, text=text,
+                                    tokens=tokens, global_token_offset=offset))
+        offset += len(tokens)
     return utterances
 
 
 @dataclass(frozen=True)
 class EventLog:
-    """Parsed event log; unpacks as (edits, submits) for convenience."""
+    """Parsed event log, each kind sorted by (team, time)."""
 
     edits: tuple[EditEvent, ...]
     submits: tuple[SubmitEvent, ...]
     stops: tuple[tuple[int, float], ...] = ()  # (team, time) experimenter stop records
-
-    def __iter__(self):
-        return iter((list(self.edits), list(self.submits)))
 
 
 def load_event_log(path: str | Path, network: Network) -> EventLog:
@@ -433,10 +441,6 @@ class TeamCorpus:
         return 0.0
 
     @property
-    def human_utterances(self) -> tuple[Utterance, ...]:
-        return tuple(u for u in self.utterances if u.is_human)
-
-    @property
     def n_turns(self) -> int:
         return 1 + len(self.edits) // 2
 
@@ -471,26 +475,21 @@ def assemble_corpus(
     scores: list[TestScores],
     first_visual: str = "B",
 ) -> Corpus:
-    """Group loaded rows by team into a Corpus."""
-    team_ids = sorted(
-        {u.team for u in utterances}
-        | {e.team for e in event_log.edits}
-        | {s.team for s in event_log.submits}
-        | {t for t, _ in event_log.stops}
-        | {s.team for s in scores}
+    """Group loaded rows by team into a Corpus, keeping each team's row order."""
+    by_team: dict[int, dict[str, list]] = defaultdict(
+        lambda: {"utterances": [], "edits": [], "submits": [], "stops": [], "scores": []})
+    for name, rows in (("utterances", utterances), ("edits", event_log.edits),
+                       ("submits", event_log.submits), ("scores", scores)):
+        for row in rows:
+            by_team[row.team][name].append(row)
+    for team_id, time in event_log.stops:
+        by_team[team_id]["stops"].append(time)
+    teams = tuple(
+        TeamCorpus(team=team_id, first_visual=first_visual,
+                   **{name: tuple(rows) for name, rows in fields.items()})
+        for team_id, fields in sorted(by_team.items())
     )
-    teams = []
-    for team_id in team_ids:
-        teams.append(TeamCorpus(
-            team=team_id,
-            utterances=tuple(u for u in utterances if u.team == team_id),
-            edits=tuple(e for e in event_log.edits if e.team == team_id),
-            submits=tuple(s for s in event_log.submits if s.team == team_id),
-            stops=tuple(t for tid, t in event_log.stops if tid == team_id),
-            scores=tuple(s for s in scores if s.team == team_id),
-            first_visual=first_visual,
-        ))
-    return Corpus(network=network, teams=tuple(teams))
+    return Corpus(network=network, teams=teams)
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +546,8 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
     teams = []
     for t in data["teams"]:
         rows = sorted(t["utterances"], key=lambda u: (u["start"], u["end"]))
-        utterances = []
-        offset = 0
-        for u in rows:
-            tokens = tuple(tokenize(u["text"]))
-            utterances.append(Utterance(team=t["team"], speaker=u["speaker"], start=u["start"],
-                                        end=u["end"], text=u["text"], tokens=tokens,
-                                        global_token_offset=offset))
-            offset += len(tokens)
+        utterances = number_utterances(
+            t["team"], [(u["speaker"], u["start"], u["end"], u["text"]) for u in rows])
         teams.append(TeamCorpus(
             team=t["team"],
             utterances=tuple(utterances),

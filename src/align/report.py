@@ -5,12 +5,21 @@ Four analyses mirror the measurement pipeline end to end:
 - h1.2: filler (uh/um) positions vs routine priming/establishment positions;
 - h2.1: when instructions are matched/mismatched by actions, vs task success;
 - h2.2: "oh" marker times vs match/mismatch action times.
+
+They come in two shapes, each written once as a recipe:
+- the timing recipe (h1.1, h2.1) turns per-team event times into absolute,
+  common-window and normalized medians, then tests those medians against
+  task error (Spearman) and across learning groups (Kruskal-Wallis);
+- the contrast recipe (h1.2, h2.2) tests a per-team marker sample against
+  comparison samples (Mann-Whitney U, Cliff's delta), then tests the deltas
+  against task error and across learning groups.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -21,6 +30,7 @@ from .corpus import Corpus, TeamCorpus, relative_time
 from .instructions import (
     MATCH,
     MISMATCH,
+    AnnotatedAction,
     MatchRecord,
     grouped_records,
     match_instructions_to_actions,
@@ -39,8 +49,6 @@ from .stats import cliffs_delta, interpret_rho, kruskal_wallis, mann_whitney_u, 
 
 FILLERS = frozenset({"uh", "um"})
 OH = "oh"
-
-HYPOTHESES = ("h1.1", "h1.2", "h2.1", "h2.2")
 
 _COLUMNS = {
     "h1.1": ["team", "n_routine", "n_common", "median_abs", "median_common",
@@ -114,16 +122,29 @@ class TeamPipeline:
         return filter_task_routines(self.routines, self.network)
 
     @cached_property
+    def matched(self) -> tuple[list[MatchRecord], list[AnnotatedAction]]:
+        """(records, annotated) from the team's one matcher run."""
+        return match_instructions_to_actions(self.corpus.stream, self.network,
+                                             self.clear_on_verdict)
+
+    @property
     def records(self) -> list[MatchRecord]:
-        records, _ = match_instructions_to_actions(self.corpus.stream, self.network,
-                                                   self.clear_on_verdict)
-        return records
+        return self.matched[0]
+
+    @property
+    def annotated(self) -> list[AnnotatedAction]:
+        return self.matched[1]
 
     @cached_property
-    def annotated(self):
-        _, annotated = match_instructions_to_actions(self.corpus.stream, self.network,
-                                                     self.clear_on_verdict)
-        return annotated
+    def grouped(self) -> dict[str, list[MatchRecord]]:
+        """First Match and first Mismatch record per instructing utterance."""
+        return {verdict: grouped_records(self.records, verdict) for verdict in (MATCH, MISMATCH)}
+
+    def verdict_times(self, verdict: str, per_utterance: bool) -> list[float]:
+        """Times of the verdict's records, or of its first record per utterance."""
+        if per_utterance:
+            return [r.time for r in self.grouped[verdict]]
+        return match_mismatch_times(self.records, verdict)
 
     @cached_property
     def total_tokens(self) -> int:
@@ -159,31 +180,29 @@ def _median(values: list[float]) -> float | None:
     return float(np.median(values)) if values else None
 
 
-def _paired(teams: list[TeamSuccess], values: dict[int, float | None]) -> tuple[list, list, list]:
-    """Listwise-complete (value, error) pairs plus the teams kept."""
-    xs, ys, kept = [], [], []
-    for s in teams:
-        v = values.get(s.team)
-        if v is None:
-            continue
-        xs.append(v)
-        ys.append(s.error)
-        kept.append(s.team)
-    return xs, ys, kept
+def _mean(values: list[float]) -> float | None:
+    return float(np.mean(values)) if values else None
 
 
-def _safe_spearman(x: list[float], y: list[float]) -> dict | None:
-    if len(x) < 3:
+def _spearman_vs_error(teams: list[TeamSuccess], values: dict[int, float | None]) -> dict | None:
+    """Spearman of the teams' values against error, over teams with a value."""
+    pairs = [(values[s.team], s.error) for s in teams if values.get(s.team) is not None]
+    if len(pairs) < 3:
         return None
     try:
-        result = spearman(x, y)
+        result = spearman([x for x, _ in pairs], [y for _, y in pairs])
     except ValueError:
         return None
-    return {"rho": result.statistic, "p": result.p_value, "n": len(x),
+    return {"rho": result.statistic, "p": result.p_value, "n": len(pairs),
             "magnitude": interpret_rho(result.statistic)}
 
 
-def _safe_kruskal(groups: list[list[float]]) -> dict | None:
+def _kruskal_by_learning(teams: list[TeamSuccess], values: dict[int, float | None]) -> dict | None:
+    """Kruskal-Wallis of the values of positive- vs non-positive-learning teams."""
+    groups = [
+        [values[s.team] for s in teams if s.team in group and values.get(s.team) is not None]
+        for group in learning_groups(teams)
+    ]
     groups = [g for g in groups if g]
     if len(groups) < 2 or sum(len(g) for g in groups) < 3:
         return None
@@ -194,79 +213,111 @@ def _safe_kruskal(groups: list[list[float]]) -> dict | None:
     return {"H": result.statistic, "p": result.p_value, "n": list(result.n)}
 
 
-def _learning_medians(successes: list[TeamSuccess], values: dict[int, float | None]) -> list[list[float]]:
-    positive, other = learning_groups(successes)
-    return [
-        [values[s.team] for s in successes if s.team in group and values.get(s.team) is not None]
-        for group in (positive, other)
-    ]
+def _timing(hypothesis: str, pipeline: Pipeline, window: float | None, team_times, team_row,
+            spearman_keys: tuple[str, ...], kruskal_keys: tuple[str, ...],
+            mean_keys: tuple[str, ...], distributions: dict[str, str],
+            summary: dict) -> HypothesisReport:
+    """Timing recipe: event-time medians vs error and across learning groups.
+
+    `team_times(tp)` maps each label prefix to the team's absolute event
+    times. Each label gives three views, `{label}abs`, `{label}common` (times
+    within the common window) and `{label}norm` (percent of the team's
+    duration), whose medians become the row's `median_{view}` cells.
+    `team_row(tp, views)` adds the hypothesis's other cells. Only the views
+    named by `spearman_keys`, `kruskal_keys` and `mean_keys` are tested or
+    averaged; `distributions` maps each output series to the view it holds.
+    """
+    window = pipeline.window if window is None else window
+    medians: dict[str, dict[int, float | None]] = defaultdict(dict)
+    series: dict[str, dict[int, tuple[float, ...]]] = {name: {} for name in distributions}
+    rows = []
+    for tp in pipeline.ordered:
+        team, duration = tp.corpus.team, tp.corpus.duration
+        views = {}
+        for label, times in team_times(tp).items():
+            views[f"{label}abs"] = times
+            views[f"{label}common"] = [t for t in times if t <= window]
+            views[f"{label}norm"] = [relative_time(t, duration) for t in times]
+        row = {"team": team, **team_row(tp, views)}
+        for view, values in views.items():
+            row[f"median_{view}"] = medians[view][team] = _median(values)
+        rows.append(row)
+        for name, view in distributions.items():
+            series[name][team] = tuple(views[view])
+
+    successes = pipeline.successes
+    summary = {"common_window_sec": window, **summary}
+    for view in spearman_keys:
+        summary[f"spearman_median_{view}_vs_error"] = _spearman_vs_error(successes, medians[view])
+    for view in kruskal_keys:
+        summary[f"kruskal_learning_median_{view}"] = _kruskal_by_learning(successes, medians[view])
+    for view in mean_keys:
+        summary[f"mean_of_medians_{view}"] = _mean(
+            [v for v in medians[view].values() if v is not None])
+    return HypothesisReport(hypothesis, tuple(rows), summary, series)
 
 
-def _mean(values: list[float]) -> float | None:
-    return float(np.mean(values)) if values else None
+def _contrast(hypothesis: str, pipeline: Pipeline, team_samples,
+              comparisons: dict[str, str], distributions: tuple[str, ...],
+              summary: dict) -> HypothesisReport:
+    """Contrast recipe: marker-vs-event effect sizes vs error and across learning groups.
+
+    `team_samples(tp)` returns the team's marker sample, its comparison
+    samples keyed by row suffix, its other row cells, and its distribution
+    series. Each comparison fills the row's `U{suffix}`, `p{suffix}` and
+    `delta{suffix}` cells when both samples are non-empty; `comparisons` maps
+    each suffix to the label of its summary statistics over the deltas.
+    """
+    deltas: dict[str, dict[int, float | None]] = {suffix: {} for suffix in comparisons}
+    series: dict[str, dict[int, tuple[float, ...]]] = {name: {} for name in distributions}
+    rows = []
+    for tp in pipeline.ordered:
+        team = tp.corpus.team
+        marker, samples, cells, team_series = team_samples(tp)
+        row = {"team": team, **cells}
+        for suffix, sample in samples.items():
+            u = p = delta = None
+            if marker and sample:
+                result = mann_whitney_u(marker, sample)
+                u, p, delta = result.statistic, result.p_value, cliffs_delta(marker, sample)
+            row[f"U{suffix}"], row[f"p{suffix}"], row[f"delta{suffix}"] = u, p, delta
+            deltas[suffix][team] = delta
+        rows.append(row)
+        for name in distributions:
+            series[name][team] = tuple(team_series[name])
+
+    successes = pipeline.successes
+    summary = dict(summary)
+    for suffix, label in comparisons.items():
+        summary[f"spearman_delta{label}_vs_error"] = _spearman_vs_error(successes, deltas[suffix])
+        summary[f"kruskal_learning_delta{label}"] = _kruskal_by_learning(successes, deltas[suffix])
+    return HypothesisReport(hypothesis, tuple(rows), summary, series)
 
 
 def run_h11(corpus, window: float | None = None) -> HypothesisReport:
     """Establishment-time analysis: medians vs error, learning-group split."""
-    pipeline = _as_pipeline(corpus)
-    window = pipeline.window if window is None else window
 
-    rows = []
-    med_abs: dict[int, float | None] = {}
-    med_common: dict[int, float | None] = {}
-    med_norm: dict[int, float | None] = {}
-    dist_abs, dist_common, dist_norm = {}, {}, {}
-    for tp in pipeline.ordered:
-        team = tp.corpus.team
-        abs_times = establishment_times(tp.task_routines, "absolute")
-        common = establishment_times(tp.task_routines, "common_window", window=window)
-        norm = establishment_times(tp.task_routines, "normalized", duration=tp.corpus.duration)
-        med_abs[team] = _median(abs_times)
-        med_common[team] = _median(common)
-        med_norm[team] = _median(norm)
+    def row(tp: TeamPipeline, views: dict[str, list[float]]) -> dict:
+        norm = views["norm"]
         q1, q3 = collaborative_period(norm) if norm else (None, None)
-        rows.append({
-            "team": team,
-            "n_routine": len(abs_times),
-            "n_common": len(common),
-            "median_abs": med_abs[team],
-            "median_common": med_common[team],
-            "median_norm": med_norm[team],
-            "q1_norm": q1,
-            "q3_norm": q3,
-        })
-        dist_abs[team] = tuple(abs_times)
-        dist_common[team] = tuple(common)
-        dist_norm[team] = tuple(norm)
+        return {"n_routine": len(views["abs"]), "n_common": len(views["common"]),
+                "q1_norm": q1, "q3_norm": q3}
 
-    successes = pipeline.successes
-    summary = {"common_window_sec": window}
-    for label, medians in (("abs", med_abs), ("common", med_common), ("norm", med_norm)):
-        xs, ys, _ = _paired(successes, medians)
-        summary[f"spearman_median_{label}_vs_error"] = _safe_spearman(xs, ys)
-    summary["kruskal_learning_median_abs"] = _safe_kruskal(_learning_medians(successes, med_abs))
-    summary["kruskal_learning_median_norm"] = _safe_kruskal(_learning_medians(successes, med_norm))
-    summary["mean_of_medians_norm"] = _mean([v for v in med_norm.values() if v is not None])
-
-    return HypothesisReport(
-        hypothesis="h1.1",
-        per_team_rows=tuple(rows),
-        summary=summary,
-        distributions={"establishment_abs": dist_abs, "establishment_common": dist_common,
-                       "establishment_norm": dist_norm},
+    return _timing(
+        "h1.1", _as_pipeline(corpus), window,
+        lambda tp: {"": establishment_times(tp.task_routines)}, row,
+        spearman_keys=("abs", "common", "norm"), kruskal_keys=("abs", "norm"),
+        mean_keys=("norm",),
+        distributions={"establishment_abs": "abs", "establishment_common": "common",
+                       "establishment_norm": "norm"},
+        summary={},
     )
 
 
 def run_h12(corpus, markers: frozenset[str] = FILLERS) -> HypothesisReport:
     """Filler-position analysis against priming and establishment positions."""
-    pipeline = _as_pipeline(corpus)
 
-    rows = []
-    delta_priming: dict[int, float | None] = {}
-    delta_estab: dict[int, float | None] = {}
-    dist_filler, dist_priming, dist_estab = {}, {}, {}
-    for tp in pipeline.ordered:
-        team = tp.corpus.team
+    def samples(tp: TeamPipeline):
         events = token_events(list(tp.corpus.utterances), tp.task_routines, markers)
         fillers = [float(p) for p in events.marker_positions]
         priming = [float(p) for p in events.priming_positions]
@@ -276,45 +327,19 @@ def run_h12(corpus, markers: frozenset[str] = FILLERS) -> HypothesisReport:
         def pct(values: list[float]) -> list[float]:
             return [100.0 * v / total for v in values] if total else []
 
-        row = {
-            "team": team,
-            "n_filler": len(fillers),
-            "n_routine": len(tp.task_routines),
-            "median_filler": _median(pct(fillers)),
-            "median_priming": _median(pct(priming)),
-            "median_establishment": _median(pct(estab)),
-            "U_priming": None, "p_priming": None, "delta_priming": None,
-            "U_estab": None, "p_estab": None, "delta_estab": None,
-        }
-        if fillers and priming:
-            u = mann_whitney_u(fillers, priming)
-            row["U_priming"], row["p_priming"] = u.statistic, u.p_value
-            row["delta_priming"] = cliffs_delta(fillers, priming)
-        if fillers and estab:
-            u = mann_whitney_u(fillers, estab)
-            row["U_estab"], row["p_estab"] = u.statistic, u.p_value
-            row["delta_estab"] = cliffs_delta(fillers, estab)
-        delta_priming[team] = row["delta_priming"]
-        delta_estab[team] = row["delta_estab"]
-        rows.append(row)
-        dist_filler[team] = tuple(fillers)
-        dist_priming[team] = tuple(priming)
-        dist_estab[team] = tuple(estab)
+        cells = {"n_filler": len(fillers), "n_routine": len(tp.task_routines),
+                 "median_filler": _median(pct(fillers)),
+                 "median_priming": _median(pct(priming)),
+                 "median_establishment": _median(pct(estab))}
+        return fillers, {"_priming": priming, "_estab": estab}, cells, {
+            "filler_positions": fillers, "priming_positions": priming,
+            "establishment_positions": estab}
 
-    successes = pipeline.successes
-    summary = {}
-    for label, deltas in (("priming", delta_priming), ("establishment", delta_estab)):
-        xs, ys, _ = _paired(successes, deltas)
-        summary[f"spearman_delta_{label}_vs_error"] = _safe_spearman(xs, ys)
-        summary[f"kruskal_learning_delta_{label}"] = _safe_kruskal(
-            _learning_medians(successes, deltas))
-
-    return HypothesisReport(
-        hypothesis="h1.2",
-        per_team_rows=tuple(rows),
-        summary=summary,
-        distributions={"filler_positions": dist_filler, "priming_positions": dist_priming,
-                       "establishment_positions": dist_estab},
+    return _contrast(
+        "h1.2", _as_pipeline(corpus), samples,
+        comparisons={"_priming": "_priming", "_estab": "_establishment"},
+        distributions=("filler_positions", "priming_positions", "establishment_positions"),
+        summary={},
     )
 
 
@@ -324,66 +349,27 @@ def run_h21(corpus, window: float | None = None, grouped: bool = False) -> Hypot
     `grouped` switches the time series from per-action records to one event
     per instructing utterance.
     """
-    pipeline = _as_pipeline(corpus)
-    window = pipeline.window if window is None else window
 
-    rows = []
-    med: dict[str, dict[int, float | None]] = {
-        "match_abs": {}, "match_common": {}, "match_norm": {},
-        "mismatch_abs": {}, "mismatch_common": {}, "mismatch_norm": {},
-    }
-    distributions: dict[str, dict[int, tuple[float, ...]]] = {
-        "match_abs": {}, "match_norm": {}, "mismatch_abs": {}, "mismatch_norm": {},
-    }
-    for tp in pipeline.ordered:
-        team = tp.corpus.team
-        duration = tp.corpus.duration
-        grouped_match = grouped_records(tp.records, MATCH)
-        grouped_mismatch = grouped_records(tp.records, MISMATCH)
-        if grouped:
-            times = {MATCH: [r.time for r in grouped_match],
-                     MISMATCH: [r.time for r in grouped_mismatch]}
-        else:
-            times = {MATCH: match_mismatch_times(tp.records, MATCH),
-                     MISMATCH: match_mismatch_times(tp.records, MISMATCH)}
+    def times(tp: TeamPipeline) -> dict[str, list[float]]:
+        return {"match_": tp.verdict_times(MATCH, grouped),
+                "mismatch_": tp.verdict_times(MISMATCH, grouped)}
 
-        row: dict = {
-            "team": team,
-            "n_match_actions": len(match_mismatch_times(tp.records, MATCH)),
-            "n_mismatch_actions": len(match_mismatch_times(tp.records, MISMATCH)),
-            "n_match": len(grouped_match),
-            "n_mismatch": len(grouped_mismatch),
-            "ratio": (len(grouped_match) / len(grouped_mismatch)) if grouped_mismatch else None,
-        }
-        for verdict, label in ((MATCH, "match"), (MISMATCH, "mismatch")):
-            abs_times = times[verdict]
-            norm = [relative_time(t, duration) for t in abs_times]
-            med[f"{label}_abs"][team] = _median(abs_times)
-            med[f"{label}_common"][team] = _median([t for t in abs_times if t <= window])
-            med[f"{label}_norm"][team] = _median(norm)
-            row[f"median_{label}_abs"] = med[f"{label}_abs"][team]
-            row[f"median_{label}_common"] = med[f"{label}_common"][team]
-            row[f"median_{label}_norm"] = med[f"{label}_norm"][team]
-            distributions[f"{label}_abs"][team] = tuple(abs_times)
-            distributions[f"{label}_norm"][team] = tuple(norm)
-        rows.append(row)
+    def row(tp: TeamPipeline, views: dict[str, list[float]]) -> dict:
+        n_match, n_mismatch = len(tp.grouped[MATCH]), len(tp.grouped[MISMATCH])
+        return {"n_match_actions": len(match_mismatch_times(tp.records, MATCH)),
+                "n_mismatch_actions": len(match_mismatch_times(tp.records, MISMATCH)),
+                "n_match": n_match, "n_mismatch": n_mismatch,
+                "ratio": n_match / n_mismatch if n_mismatch else None}
 
-    successes = pipeline.successes
-    summary = {"common_window_sec": window, "grouped_times": grouped}
-    for key in ("match_abs", "match_common", "match_norm", "mismatch_abs"):
-        xs, ys, _ = _paired(successes, med[key])
-        summary[f"spearman_median_{key}_vs_error"] = _safe_spearman(xs, ys)
-    summary["kruskal_learning_median_match_abs"] = _safe_kruskal(
-        _learning_medians(successes, med["match_abs"]))
-    summary["kruskal_learning_median_match_norm"] = _safe_kruskal(
-        _learning_medians(successes, med["match_norm"]))
-    summary["mean_of_medians_match_norm"] = _mean(
-        [v for v in med["match_norm"].values() if v is not None])
-    summary["mean_of_medians_mismatch_norm"] = _mean(
-        [v for v in med["mismatch_norm"].values() if v is not None])
-
-    return HypothesisReport(hypothesis="h2.1", per_team_rows=tuple(rows), summary=summary,
-                            distributions=distributions)
+    return _timing(
+        "h2.1", _as_pipeline(corpus), window, times, row,
+        spearman_keys=("match_abs", "match_common", "match_norm", "mismatch_abs"),
+        kruskal_keys=("match_abs", "match_norm"),
+        mean_keys=("match_norm", "mismatch_norm"),
+        distributions={key: key for key in ("match_abs", "match_norm",
+                                            "mismatch_abs", "mismatch_norm")},
+        summary={"grouped_times": grouped},
+    )
 
 
 def run_h22(corpus, oh_events: str = "token", mm_events: str = "action") -> HypothesisReport:
@@ -398,75 +384,36 @@ def run_h22(corpus, oh_events: str = "token", mm_events: str = "action") -> Hypo
         raise ValueError(f"oh_events must be 'token' or 'utterance', got {oh_events!r}")
     if mm_events not in ("action", "utterance"):
         raise ValueError(f"mm_events must be 'action' or 'utterance', got {mm_events!r}")
-    pipeline = _as_pipeline(corpus)
 
-    rows = []
-    deltas: dict[int, float | None] = {}
-    dist_oh, dist_match, dist_mismatch = {}, {}, {}
-    for tp in pipeline.ordered:
-        team = tp.corpus.team
+    def samples(tp: TeamPipeline):
         duration = tp.corpus.duration
+        oh_counts = [(utt.end, utt.tokens.count(OH)) for utt in tp.corpus.utterances
+                     if utt.is_human and OH in utt.tokens]
+        oh_times = [end for end, count in oh_counts
+                    for _ in range(count if oh_events == "token" else 1)]
+        match_times = tp.verdict_times(MATCH, mm_events == "utterance")
+        mismatch_times = tp.verdict_times(MISMATCH, mm_events == "utterance")
+        norm = {name: [relative_time(t, duration) for t in times] for name, times in
+                (("oh_norm", oh_times), ("match_norm", match_times),
+                 ("mismatch_norm", mismatch_times))}
+        cells = {"n_oh": len(oh_counts), "n_oh_tokens": sum(count for _, count in oh_counts),
+                 "n_match": len(tp.grouped[MATCH]), "n_mismatch": len(tp.grouped[MISMATCH]),
+                 "median_oh": _median(norm["oh_norm"]),
+                 "median_match": _median(norm["match_norm"]),
+                 "median_mismatch": _median(norm["mismatch_norm"])}
+        return oh_times, {"": match_times + mismatch_times}, cells, norm
 
-        oh_times = []
-        n_oh_utterances = 0
-        n_oh_tokens = 0
-        for utt in tp.corpus.utterances:
-            if not utt.is_human:
-                continue
-            count = sum(1 for tok in utt.tokens if tok == OH)
-            if count == 0:
-                continue
-            n_oh_utterances += 1
-            n_oh_tokens += count
-            oh_times.extend([utt.end] * (count if oh_events == "token" else 1))
-
-        if mm_events == "utterance":
-            match_times = [r.time for r in grouped_records(tp.records, MATCH)]
-            mismatch_times = [r.time for r in grouped_records(tp.records, MISMATCH)]
-        else:
-            match_times = match_mismatch_times(tp.records, MATCH)
-            mismatch_times = match_mismatch_times(tp.records, MISMATCH)
-        pooled = match_times + mismatch_times
-
-        row: dict = {
-            "team": team,
-            "n_oh": n_oh_utterances,
-            "n_oh_tokens": n_oh_tokens,
-            "n_match": len(grouped_records(tp.records, MATCH)),
-            "n_mismatch": len(grouped_records(tp.records, MISMATCH)),
-            "median_oh": _median([relative_time(t, duration) for t in oh_times]),
-            "median_match": _median([relative_time(t, duration) for t in match_times]),
-            "median_mismatch": _median([relative_time(t, duration) for t in mismatch_times]),
-            "U": None, "p": None, "delta": None,
-        }
-        if oh_times and pooled:
-            u = mann_whitney_u(oh_times, pooled)
-            row["U"], row["p"] = u.statistic, u.p_value
-            row["delta"] = cliffs_delta(oh_times, pooled)
-        deltas[team] = row["delta"]
-        rows.append(row)
-        dist_oh[team] = tuple(relative_time(t, duration) for t in oh_times)
-        dist_match[team] = tuple(relative_time(t, duration) for t in match_times)
-        dist_mismatch[team] = tuple(relative_time(t, duration) for t in mismatch_times)
-
-    successes = pipeline.successes
-    xs, ys, _ = _paired(successes, deltas)
-    summary = {
-        "oh_events": oh_events,
-        "mm_events": mm_events,
-        "spearman_delta_vs_error": _safe_spearman(xs, ys),
-        "kruskal_learning_delta": _safe_kruskal(_learning_medians(successes, deltas)),
-    }
-    return HypothesisReport(
-        hypothesis="h2.2",
-        per_team_rows=tuple(rows),
-        summary=summary,
-        distributions={"oh_norm": dist_oh, "match_norm": dist_match,
-                       "mismatch_norm": dist_mismatch},
+    return _contrast(
+        "h2.2", _as_pipeline(corpus), samples, comparisons={"": ""},
+        distributions=("oh_norm", "match_norm", "mismatch_norm"),
+        summary={"oh_events": oh_events, "mm_events": mm_events},
     )
 
 
 RUNNERS = {"h1.1": run_h11, "h1.2": run_h12, "h2.1": run_h21, "h2.2": run_h22}
+# the `align analyze` options each runner takes, as keyword arguments
+RUNNER_OPTIONS = {"h1.1": ("window",), "h1.2": ("markers",), "h2.1": ("window", "grouped"),
+                  "h2.2": ("oh_events", "mm_events")}
 
 
 # ---------------------------------------------------------------------------

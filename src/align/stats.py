@@ -27,9 +27,6 @@ class TestResult:
     p_value: float
     n: tuple[int, ...]
 
-    def __iter__(self):
-        return iter((self.statistic, self.p_value))
-
 
 def spearman(x: list[float], y: list[float], method: str = "approx") -> TestResult:
     """Spearman rank correlation with a two-sided p-value.
@@ -71,6 +68,19 @@ def spearman(x: list[float], y: list[float], method: str = "approx") -> TestResu
     return TestResult(statistic=rho, p_value=p, n=(n,))
 
 
+def _twice_u(x: list[float], y: list[float]) -> int:
+    """2U for `x` as an exact integer: 2 #{x_i > y_j} + #{x_i = y_j}.
+
+    That is twice R_x - m(m+1)/2 on pooled average ranks, counted by binary
+    searches for each x_i in the sorted y sample.
+    """
+    if len(x) == 0 or len(y) == 0:
+        raise ValueError("both samples must be non-empty")
+    xs = np.asarray(x, dtype=float)
+    ys = np.sort(np.asarray(y, dtype=float))
+    return int(np.searchsorted(ys, xs, "left").sum() + np.searchsorted(ys, xs, "right").sum())
+
+
 def mann_whitney_u(x: list[float], y: list[float]) -> TestResult:
     """Mann-Whitney U test reporting U for `x`, without continuity correction.
 
@@ -79,13 +89,8 @@ def mann_whitney_u(x: list[float], y: list[float]) -> TestResult:
     variance vanishes and p is 1 by convention.
     """
     m, n = len(x), len(y)
-    if m == 0 or n == 0:
-        raise ValueError("mann_whitney_u needs non-empty samples")
+    u = _twice_u(x, y) / 2
     pooled = np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
-    ranks = rankdata(pooled)
-    r_x = float(np.sum(ranks[:m]))
-    u = r_x - m * (m + 1) / 2.0
-
     big_n = m + n
     _, counts = np.unique(pooled, return_counts=True)
     tie_term = float(np.sum(counts**3 - counts))
@@ -99,14 +104,13 @@ def mann_whitney_u(x: list[float], y: list[float]) -> TestResult:
 
 
 def cliffs_delta(x: list[float], y: list[float]) -> float:
-    """Dominance effect size: (#{x_i > y_j} - #{x_i < y_j}) / (|x| * |y|)."""
-    if len(x) == 0 or len(y) == 0:
-        raise ValueError("cliffs_delta needs non-empty samples")
-    xa = np.asarray(x, dtype=float)[:, None]
-    ya = np.asarray(y, dtype=float)[None, :]
-    greater = int(np.count_nonzero(xa > ya))
-    less = int(np.count_nonzero(xa < ya))
-    return (greater - less) / (len(x) * len(y))
+    """Dominance effect size: (#{x_i > y_j} - #{x_i < y_j}) / (|x| * |y|).
+
+    The numerator equals 2U - mn, so delta comes from U without an |x| x |y|
+    comparison matrix.
+    """
+    pairs = len(x) * len(y)
+    return (_twice_u(x, y) - pairs) / pairs
 
 
 def kruskal_wallis(groups: list[list[float]]) -> TestResult:

@@ -9,10 +9,8 @@ from align.corpus import (
     Network,
     SubmitEvent,
     TeamCorpus,
-    Utterance,
-    build_action_stream,
     load_network,
-    tokenize,
+    number_utterances,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -20,21 +18,6 @@ DATA = Path(__file__).parent / "data"
 
 def network() -> Network:
     return load_network(DATA / "network.json")
-
-
-def make_utterances(team: int, rows: list[tuple[str, float, float, str]]) -> list[Utterance]:
-    """Build utterances with cumulative global token offsets.
-
-    rows: (speaker, start, end, text), already in start-time order.
-    """
-    utterances = []
-    offset = 0
-    for speaker, start, end, text in rows:
-        tokens = tuple(tokenize(text))
-        utterances.append(Utterance(team=team, speaker=speaker, start=start, end=end,
-                                    text=text, tokens=tokens, global_token_offset=offset))
-        offset += len(tokens)
-    return utterances
 
 
 def make_edits(team: int, net: Network, rows: list[tuple[float, str, str, str]]) -> list[EditEvent]:
@@ -64,7 +47,7 @@ def make_team(
 
     return TeamCorpus(
         team=team,
-        utterances=tuple(make_utterances(team, list(utterance_rows))),
+        utterances=tuple(number_utterances(team, list(utterance_rows))),
         edits=tuple(make_edits(team, net, list(edit_rows))),
         submits=tuple(make_submits(team, list(submit_rows))),
         stops=tuple(stops),
@@ -72,16 +55,6 @@ def make_team(
                      for s, pre, post in scores),
         first_visual=first_visual,
     )
-
-
-def stream_for(team_corpus: TeamCorpus):
-    return build_action_stream(list(team_corpus.utterances), list(team_corpus.edits),
-                               list(team_corpus.submits), team_corpus.first_visual)
-
-
-def tiny_network(path: Path | None = None) -> Network:
-    """The shared 10-node, 20-edge fixture network."""
-    return network()
 
 
 MICRO_VOCAB = ("bern", "zurich", "mount", "to", "uh", "oh")
@@ -97,7 +70,7 @@ def random_micro_dialogue(rng, team: int = 1, max_utterances: int = 8,
         k = rng.randrange(1, max_tokens + 1)
         text = " ".join(rng.choice(vocab) for _ in range(k))
         rows.append((speaker, float(i), i + 0.5, text))
-    return make_utterances(team, rows)
+    return number_utterances(team, rows)
 
 
 def write_fixture_inputs(tmp: Path) -> dict[str, Path]:

@@ -16,14 +16,13 @@ from pathlib import Path
 import pytest
 
 from align.corpus import assemble_corpus, build_action_stream, load_event_log, \
-    load_network, load_test_scores, load_transcript
+    load_network, load_test_scores, load_transcript, number_utterances
 from align.instructions import MATCH, MISMATCH, NONMATCH, match_instructions_to_actions
 from align.measures import relative_learning_gain, submission_error
 from align.report import Pipeline, run_h11, run_h12, run_h21, run_h22
 from align.routines import extract_routines
 from align.stats import cliffs_delta, kruskal_wallis, mann_whitney_u, spearman
-from _builders import make_edits, make_submits, make_utterances, network, \
-    random_micro_dialogue
+from _builders import make_edits, make_submits, network, random_micro_dialogue
 from _oracles import delta_direct, exact_kw_p, exact_mwu_p, exact_spearman_p, \
     h_direct, oracle_routines, oracle_verdicts, rho_direct, u_direct
 
@@ -77,7 +76,7 @@ def _random_stream(rng):
         else:
             submit_rows.append((t, 12 + rng.randrange(4)))
     return build_action_stream(
-        make_utterances(1, utterance_rows), make_edits(1, NET, edit_rows),
+        number_utterances(1, utterance_rows), make_edits(1, NET, edit_rows),
         make_submits(1, submit_rows), rng.choice("AB"))
 
 
@@ -202,7 +201,7 @@ def test_criterion_3_properties_on_random_inputs():
 
 def test_criterion_4_team10_excerpt():
     stream = build_action_stream(
-        make_utterances(10, [
+        number_utterances(10, [
             ("A", 1.0, 2.0, "Maybe we start from, Mount Zermatt?"),
             ("B", 3.0, 4.0, "No lets do Mount Davos to, where do you wanna go?"),
             ("A", 5.0, 6.0, "to Mount, St Gallen."),
@@ -221,7 +220,7 @@ def test_criterion_4_team10_excerpt():
 
 def test_criterion_4_team17_excerpt():
     stream = build_action_stream(
-        make_utterances(17, [
+        number_utterances(17, [
             ("A", 1.0, 2.0, "go to Mount Basel."),
             ("A", 4.0, 5.0, "Yeah, and then go to Mount Zurich."),
             ("A", 10.0, 11.0, "Then do Mount Bern to Mount Zermatt."),
@@ -246,7 +245,7 @@ def test_criterion_4_team17_excerpt():
 
 def test_criterion_4_team20_excerpt():
     stream = build_action_stream(
-        make_utterances(20, [
+        number_utterances(20, [
             ("B", 1.0, 2.0, "I'm just gonna ..."),
             ("A", 5.0, 6.0, "what about Mount Gallen?"),
             ("B", 7.0, 8.0, "Oh I think we have to connect all of them."),

@@ -15,11 +15,12 @@ from align.corpus import (
     load_network,
     load_test_scores,
     load_transcript,
+    number_utterances,
     relative_time,
     save_corpus,
     tokenize,
 )
-from _builders import DATA, make_edits, make_submits, make_utterances, network
+from _builders import DATA, make_edits, make_submits, network
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -141,7 +142,8 @@ def test_global_offsets_cumulative(tmp_path):
 # --- event log --------------------------------------------------------------
 
 def test_load_event_log_parses_and_canonicalizes():
-    edits, submits = load_event_log(DATA / "events.csv", network())
+    log = load_event_log(DATA / "events.csv", network())
+    edits, submits = log.edits, log.submits
     team10 = [e for e in edits if e.team == 10]
     assert team10[0].edge == (4, 7)  # Gallen,Davos written in either order
     assert all(e.edge[0] < e.edge[1] for e in edits)
@@ -219,7 +221,7 @@ def test_submit_bumps_attempt():
 
 def test_utterance_between_second_and_third_edit_gets_turn_two():
     net = network()
-    utterances = make_utterances(1, [("A", 25, 26, "hello there")])
+    utterances = number_utterances(1, [("A", 25, 26, "hello there")])
     edits = make_edits(1, net, [(10, "add", "Gallen", "Davos"), (20, "add", "Zurich", "Bern"),
                                 (30, "add", "Basel", "Bern")])
     stream = build_action_stream(utterances, edits, [])
@@ -271,7 +273,7 @@ def test_edit_actors_alternate_by_turn():
 
 
 def test_robot_says_has_no_subject():
-    utterances = make_utterances(1, [("I", 0, 1, "hello children")])
+    utterances = number_utterances(1, [("I", 0, 1, "hello children")])
     stream = build_action_stream(utterances, [], [])
     assert stream[0].subject is None
 

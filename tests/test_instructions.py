@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from align.corpus import build_action_stream, tokenize
+from align.corpus import build_action_stream, number_utterances, tokenize
 from align.instructions import (
     MATCH,
     MISMATCH,
@@ -19,7 +19,7 @@ from align.instructions import (
     recognise_entities,
     recognise_instructions,
 )
-from _builders import make_edits, make_submits, make_utterances, network
+from _builders import make_edits, make_submits, network
 from _oracles import oracle_verdicts
 
 NET = network()
@@ -139,7 +139,7 @@ def test_check_match_symmetric_in_edge_orientation():
 # --- matcher golden traces ---------------------------------------------------------
 
 def _stream(team, utterance_rows, edit_rows, submit_rows=(), first_visual="B"):
-    utterances = make_utterances(team, utterance_rows)
+    utterances = number_utterances(team, utterance_rows)
     edits = make_edits(team, NET, list(edit_rows))
     submits = make_submits(team, list(submit_rows))
     return build_action_stream(utterances, edits, submits, first_visual)
@@ -316,7 +316,7 @@ def test_instruction_cached_after_simultaneous_swap_and_submit_survives():
 
 
 def test_robot_speech_is_a_no_op():
-    utterances = make_utterances(5, [("I", 1.0, 2.0, "go to mount basel")])
+    utterances = number_utterances(5, [("I", 1.0, 2.0, "go to mount basel")])
     edits = make_edits(5, NET, [(3.0, "add", "Basel", "Bern")])
     stream = build_action_stream(utterances, edits, [])
     records, annotated = match_instructions_to_actions(stream, NET)
@@ -374,7 +374,7 @@ def _random_stream(rng):
             edit_rows.append((t, rng.choice(["add", "remove"]), names[u], names[v]))
         else:
             submit_rows.append((t, 12 + rng.randrange(4)))
-    utterances = make_utterances(team, utterance_rows)
+    utterances = number_utterances(team, utterance_rows)
     edits = make_edits(team, NET, edit_rows)
     submits = make_submits(team, submit_rows)
     return build_action_stream(utterances, edits, submits, rng.choice("AB"))

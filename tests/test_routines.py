@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from align.corpus import number_utterances
 from align.routines import (
     collaborative_period,
     establishment_times,
@@ -13,12 +14,12 @@ from align.routines import (
     filter_task_routines,
     token_events,
 )
-from _builders import make_utterances, network, random_micro_dialogue
+from _builders import network, random_micro_dialogue
 from _oracles import oracle_routines
 
 
 def _dialogue(rows):
-    return make_utterances(1, rows)
+    return number_utterances(1, rows)
 
 
 # --- examples -----------------------------------------------------------------

@@ -192,6 +192,18 @@ def test_delta_pair_count_definition_and_antisymmetry():
         assert -1.0 <= d <= 1.0
 
 
+def test_u_and_delta_equal_pair_counts_exactly():
+    # delta comes from U; both must equal the pair-count values exactly, ties included
+    rng = random.Random(23)
+    for _ in range(400):
+        m, n = rng.randrange(1, 61), rng.randrange(1, 61)
+        levels = rng.choice([2, 5, 20, 1000])
+        x = [rng.randrange(levels) / 4 for _ in range(m)]
+        y = [rng.randrange(levels) / 4 for _ in range(n)]
+        assert mann_whitney_u(x, y).statistic == u_direct(x, y)
+        assert cliffs_delta(x, y) == delta_direct(x, y)
+
+
 def test_delta_u_relation_without_ties():
     # with no ties, U = mn(1+delta)/2 ties U and delta together
     x, y = [1, 4, 6], [2, 3, 5]
