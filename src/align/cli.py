@@ -13,6 +13,7 @@ from pathlib import Path
 from .corpus import (
     InputError,
     assemble_corpus,
+    check_teams,
     load_corpus,
     load_event_log,
     load_network,
@@ -110,6 +111,8 @@ def main(argv: list[str] | None = None) -> int:
                 scores=load_test_scores(args.tests),
                 first_visual=args.first_visual,
             )
+            check_teams(corpus, teams_file=args.transcripts, scores_file=args.tests,
+                        events_file=args.events)
             path = save_corpus(corpus, args.out)
             print(f"wrote {path} ({len(corpus.teams)} teams)")
             return 0

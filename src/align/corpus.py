@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -183,11 +184,23 @@ class ActionEvent:
     edge: tuple[int, int] | None = None
 
 
+def _finite(value: object) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite number {value!r}")
+    return number
+
+
 def _parse_float(value: str, line_no: int, column: str) -> float:
     try:
-        return float(value)
+        return _finite(value)
     except ValueError:
         raise InputError(f"line {line_no}: bad {column} value {value!r}") from None
+
+
+def _reject_constant(token: str) -> float:
+    """json.loads hook: NaN and Infinity are not JSON numbers."""
+    raise ValueError(f"{token} is not a JSON number")
 
 
 def _parse_int(value: str, line_no: int, column: str) -> int:
@@ -312,7 +325,7 @@ def load_network(path: str | Path) -> Network:
     try:
         nodes = tuple(
             NetworkNode(id=int(n["id"]), name=str(n["name"]), label=str(n["label"]),
-                        x=float(n["x"]), y=float(n["y"]))
+                        x=_finite(n["x"]), y=_finite(n["y"]))
             for n in data["nodes"]
         )
         edges = []
@@ -492,6 +505,24 @@ def assemble_corpus(
     return Corpus(network=network, teams=teams)
 
 
+def check_teams(corpus: Corpus, *, teams_file: str | Path, scores_file: str | Path,
+                events_file: str | Path) -> None:
+    """Reject a corpus without teams, or a team the success measures cannot score.
+
+    Every team needs a test-score row for each interlocutor and at least one
+    submitted solution. Each message names the file that lacks the rows.
+    """
+    if not corpus.teams:
+        raise InputError(f"{teams_file}: no teams")
+    for tc in corpus.teams:
+        for speaker in HUMAN_SPEAKERS:
+            if tc.score_for(speaker) is None:
+                raise InputError(f"{scores_file}: team {tc.team} has no test scores "
+                                 f"for speaker {speaker}")
+        if not tc.submits:
+            raise InputError(f"{events_file}: team {tc.team} submitted no solution")
+
+
 # ---------------------------------------------------------------------------
 # Corpus (de)serialization. Tokens, offsets, and counters are recomputed on
 # load from the stored raw rows; both derivations are deterministic, so a
@@ -525,7 +556,8 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
         ],
     }
     path = out / "corpus.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
+                    encoding="utf-8")
     return path
 
 
@@ -534,8 +566,8 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
     if not path.exists():
         raise InputError(f"{path}: corpus file not found (run `align ingest` first)")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        data = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    except ValueError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from None
 
     network = Network(
@@ -560,4 +592,6 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
                                     post=s["post"]) for s in t["scores"]),
             first_visual=t.get("first_visual", "B"),
         ))
-    return Corpus(network=network, teams=tuple(teams))
+    corpus = Corpus(network=network, teams=tuple(teams))
+    check_teams(corpus, teams_file=path, scores_file=path, events_file=path)
+    return corpus

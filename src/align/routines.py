@@ -52,64 +52,72 @@ def extract_routines(utterances: list[Utterance]) -> list[Routine]:
     Occurrence enumeration allows overlapping matches, and an expression
     qualifies if any single occurrence is free. Output is sorted by
     establishment time.
+
+    Mining is level-wise (Apriori): an (n+1)-gram can be shared only if the
+    n-grams starting at its first and second token are both shared, so
+    level n+1 extends only those positions. The work grows with the number
+    of shared-gram occurrences, not with all O(L^2) spans of an utterance.
     """
-    speakers = {u.speaker for u in utterances if u.is_human and u.tokens}
-    if len(speakers) < 2:
-        return []
-
-    # ngram -> ordered occurrences (utterance index, start within utterance)
-    occurrences: dict[tuple[str, ...], list[tuple[int, int]]] = {}
-    producers: dict[tuple[str, ...], set[str]] = {}
+    # Every human token in one sequence, in document order; the None after
+    # each utterance is never shared, so no gram spans two utterances.
+    tokens: list[str | None] = []
+    owner: list[int] = []  # utterance index of each sequence position
+    position: list[int | None] = []  # global token position
     for ui, utt in enumerate(utterances):
-        if not utt.is_human:
-            continue
-        tokens = utt.tokens
-        length = len(tokens)
-        for start in range(length):
-            for stop in range(start + 1, length + 1):
-                gram = tokens[start:stop]
-                occurrences.setdefault(gram, []).append((ui, start))
-                producers.setdefault(gram, set()).add(utt.speaker)
+        if utt.is_human and utt.tokens:
+            tokens += utt.tokens
+            tokens.append(None)
+            owner += [ui] * (len(utt.tokens) + 1)
+            position += range(utt.global_token_offset, utt.global_token_offset + len(utt.tokens))
+            position.append(None)
+    sequence = tuple(tokens)
+    speaker = [utterances[ui].speaker for ui in owner]
 
-    shared = {gram for gram, who in producers.items() if len(who) >= 2}
+    def shared_grams(frontier: list[int], size: int) -> dict[tuple[str, ...], list[int]]:
+        """Group the frontier's start positions by gram; keep grams both speakers produce."""
+        grams: dict[tuple[str, ...], list[int]] = {}
+        for p in frontier:
+            grams.setdefault(sequence[p:p + size], []).append(p)
+        return {gram: starts for gram, starts in grams.items()
+                if len(starts) > 1 and any(speaker[p] != speaker[starts[0]] for p in starts)}
 
     routines = []
-    for gram in shared:
-        size = len(gram)
-        occs = []
-        any_free = False
-        for ui, start in occurrences[gram]:
-            tokens = utterances[ui].tokens
-            # contained in a longer shared occurrence iff a one-token
-            # extension is itself shared (sharedness is closed under
-            # taking contiguous subsequences)
-            blocked = (
-                (start > 0 and tokens[start - 1:start + size] in shared)
-                or (start + size < len(tokens) and tokens[start:start + size + 1] in shared)
-            )
-            free = not blocked
-            any_free = any_free or free
-            occs.append(Occurrence(
-                utterance_index=ui,
-                token_position=utterances[ui].global_token_offset + start,
-                speaker=utterances[ui].speaker,
-                free=free,
+    size = 1
+    frontier = [p for p, tok in enumerate(sequence) if tok is not None]
+    level = shared_grams(frontier, size)
+    starts = {p for found in level.values() for p in found}
+    while level:
+        frontier = [p for p in frontier if p in starts and p + 1 in starts]
+        longer = shared_grams(frontier, size + 1)
+        longer_starts = {p for found in longer.values() for p in found}
+        for gram, found in level.items():
+            # an occurrence is inside a longer shared occurrence iff a
+            # one-token extension of it is shared
+            occs = [
+                Occurrence(
+                    utterance_index=owner[p],
+                    token_position=position[p],
+                    speaker=speaker[p],
+                    free=p - 1 not in longer_starts and p not in longer_starts,
+                )
+                for p in found
+            ]
+            if not any(o.free for o in occs):
+                continue
+            first = occs[0]
+            initiator = first.speaker
+            established = next(o for o in occs if o.speaker != initiator)
+            routines.append(Routine(
+                expression=gram,
+                initiator=initiator,
+                priming=RoutineEvent(first.utterance_index, first.token_position,
+                                     utterances[first.utterance_index].end),
+                establishment=RoutineEvent(established.utterance_index, established.token_position,
+                                           utterances[established.utterance_index].end),
+                all_occurrences=tuple(occs),
             ))
-        if not any_free:
-            continue
-
-        first = occs[0]
-        initiator = first.speaker
-        established = next(o for o in occs if o.speaker != initiator)
-        routines.append(Routine(
-            expression=gram,
-            initiator=initiator,
-            priming=RoutineEvent(first.utterance_index, first.token_position,
-                                 utterances[first.utterance_index].end),
-            establishment=RoutineEvent(established.utterance_index, established.token_position,
-                                       utterances[established.utterance_index].end),
-            all_occurrences=tuple(occs),
-        ))
+        size += 1
+        level, starts = longer, longer_starts
 
     routines.sort(key=lambda r: (r.establishment.time, r.establishment.utterance_index,
                                  r.establishment.token_position, r.expression))

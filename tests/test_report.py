@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from align.cli import main
-from align.corpus import Corpus
+from align.corpus import Corpus, save_corpus
 from align.report import (
     HypothesisReport,
     Pipeline,
@@ -351,13 +352,15 @@ def test_h11_medians_agree_with_routine_table(tmp_path):
 
 # --- CLI ------------------------------------------------------------------------
 
+def _ingest_rc(paths, out):
+    return main(["ingest", "--transcripts", str(paths["transcripts"]),
+                 "--events", str(paths["events"]), "--network", str(paths["network"]),
+                 "--tests", str(paths["tests"]), "--out", str(out)])
+
+
 def _ingest(tmp_path, out_name="corpus"):
-    paths = write_fixture_inputs(tmp_path)
     corpus_dir = tmp_path / out_name
-    rc = main(["ingest", "--transcripts", str(paths["transcripts"]),
-               "--events", str(paths["events"]), "--network", str(paths["network"]),
-               "--tests", str(paths["tests"]), "--out", str(corpus_dir)])
-    assert rc == 0
+    assert _ingest_rc(write_fixture_inputs(tmp_path), corpus_dir) == 0
     return corpus_dir
 
 
@@ -402,6 +405,92 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path):
                "--network", str(paths["network"]), "--tests", str(paths["tests"]),
                "--out", str(tmp_path / "c")])
     assert rc == 2
+
+
+def _drop_lines(path, predicate):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + "".join(line for line in lines[1:] if not predicate(line)))
+
+
+@pytest.mark.parametrize("file, predicate, message", [
+    ("tests", lambda line: line.startswith("20,B"), "team 20 has no test scores for speaker B"),
+    ("tests", lambda line: True, "team 10 has no test scores for speaker A"),
+    ("events", lambda line: "submit" in line and line.startswith("20,"),
+     "team 20 submitted no solution"),
+])
+def test_cli_ingest_rejects_incomplete_team_with_exit_2(tmp_path, capsys, file, predicate, message):
+    paths = write_fixture_inputs(tmp_path)
+    _drop_lines(paths[file], predicate)
+    assert _ingest_rc(paths, tmp_path / "c") == 2
+    err = capsys.readouterr().err
+    assert f"{paths[file]}: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "c" / "corpus.json").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda team: team["scores"].pop(), "team 10 has no test scores for speaker B"),
+    (lambda team: team["submits"].clear(), "team 10 submitted no solution"),
+])
+def test_cli_all_rejects_incomplete_team_in_corpus_with_exit_2(tmp_path, capsys, edit, message):
+    corpus_dir = _ingest(tmp_path)
+    path = corpus_dir / "corpus.json"
+    data = json.loads(path.read_text())
+    edit(data["teams"][0])
+    path.write_text(json.dumps(data))
+    assert main(["all", "--corpus", str(corpus_dir)]) == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
+def test_cli_rejects_empty_corpus_with_exit_2(tmp_path, capsys):
+    paths = write_fixture_inputs(tmp_path)
+    for name in ("transcripts", "events", "tests"):
+        _drop_lines(paths[name], lambda line: True)
+    assert _ingest_rc(paths, tmp_path / "c") == 2
+    assert f"{paths['transcripts']}: no teams" in capsys.readouterr().err
+
+    corpus_dir = _ingest(tmp_path, "edited")
+    path = corpus_dir / "corpus.json"
+    data = json.loads(path.read_text())
+    data["teams"] = []
+    path.write_text(json.dumps(data))
+    assert main(["all", "--corpus", str(corpus_dir)]) == 2
+    assert f"{path}: no teams" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("file, old, new, message", [
+    ("transcripts", "10,A,10.0,13.0", "10,A,nan,13.0", "line 3: bad start_sec value 'nan'"),
+    ("transcripts", "10,A,10.0,13.0", "10,A,10.0,inf", "line 3: bad end_sec value 'inf'"),
+    ("events", "10,25.0,add", "10,-Infinity,add", "line 2: bad time_sec value '-Infinity'"),
+    ("network", '"x": 90.0', '"x": NaN', "non-finite number nan"),
+    ("network", '"y": 344.0', '"y": "inf"', "non-finite number 'inf'"),
+])
+def test_cli_ingest_rejects_non_finite_numbers_with_exit_2(tmp_path, capsys, file, old, new,
+                                                           message):
+    paths = write_fixture_inputs(tmp_path)
+    text = paths[file].read_text()
+    assert old in text
+    paths[file].write_text(text.replace(old, new, 1))
+    assert _ingest_rc(paths, tmp_path / "c") == 2
+    err = capsys.readouterr().err
+    assert message in err
+    if file == "network":
+        assert str(paths["network"]) in err
+
+
+def test_cli_rejects_non_finite_numbers_in_corpus_with_exit_2(tmp_path, capsys):
+    corpus_dir = _ingest(tmp_path)
+    path = corpus_dir / "corpus.json"
+    text = path.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    path.write_text(text.replace('"start": 10.0', '"start": NaN', 1))
+    assert main(["all", "--corpus", str(corpus_dir)]) == 2
+    assert f"{path}: invalid JSON (NaN is not a JSON number)" in capsys.readouterr().err
+
+
+def test_save_corpus_refuses_non_finite_numbers(tmp_path):
+    team = make_team(1, NET, [("A", math.nan, 1.0, "mount bern")])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_corpus(_corpus([team]), tmp_path)
 
 
 def test_cli_missing_corpus_exits_2(tmp_path):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from align.corpus import number_utterances
 from align.routines import (
@@ -14,7 +16,7 @@ from align.routines import (
     filter_task_routines,
     token_events,
 )
-from _builders import network, random_micro_dialogue
+from _builders import MICRO_VOCAB, network, random_micro_dialogue
 from _oracles import oracle_routines
 
 
@@ -100,17 +102,80 @@ def _as_comparable(utterances, routines):
     }
 
 
+def _oracle_comparable(utterances):
+    return {
+        gram: (initiator, priming, establishment, tuple(occs))
+        for gram, (initiator, priming, establishment, occs) in oracle_routines(utterances).items()
+    }
+
+
 def test_matches_brute_force_oracle_on_random_micro_dialogues():
     rng = random.Random(101)
     for _ in range(200):
         utterances = random_micro_dialogue(rng)
         got = _as_comparable(utterances, extract_routines(utterances))
-        expected = {
-            gram: (initiator, priming, establishment, tuple(occs))
-            for gram, (initiator, priming, establishment, occs) in
-            oracle_routines(utterances).items()
-        }
-        assert got == expected
+        assert got == _oracle_comparable(utterances)
+
+
+def _phrase_dialogue(rng, utterances=12):
+    """Dialogue that reuses long phrases and self-overlapping runs like "a a a a"."""
+    phrases = [tuple(rng.choice(MICRO_VOCAB) for _ in range(rng.randrange(4, 9)))
+               for _ in range(3)]
+    rows = []
+    for i in range(utterances):
+        tokens = []
+        for _ in range(rng.randrange(1, 4)):
+            piece = rng.random()
+            if piece < 0.5:
+                tokens += rng.choice(phrases)
+            elif piece < 0.7:
+                tokens += [rng.choice(MICRO_VOCAB)] * rng.randrange(3, 7)
+            else:
+                tokens.append(rng.choice(MICRO_VOCAB))
+        rows.append((rng.choice("AAB" if i % 2 else "ABB"), float(i), i + 0.5, " ".join(tokens)))
+    return _dialogue(rows)
+
+
+def test_matches_brute_force_oracle_on_long_phrase_dialogues():
+    rng = random.Random(404)
+    longest = 0
+    overlapping = False
+    for _ in range(40):
+        utterances = _phrase_dialogue(rng, utterances=16)
+        routines = extract_routines(utterances)
+        assert _as_comparable(utterances, routines) == _oracle_comparable(utterances)
+        for r in routines:
+            longest = max(longest, len(r.expression))
+            starts = [(o.utterance_index, o.token_position) for o in r.all_occurrences]
+            overlapping = overlapping or any(
+                a[0] == b[0] and b[1] - a[1] < len(r.expression)
+                for a, b in zip(starts, starts[1:]))
+    # the batch reaches deep levels and overlapping occurrences
+    assert longest >= 6
+    assert overlapping
+
+
+_rows = st.lists(
+    st.tuples(st.sampled_from("AABBI"),
+              st.lists(st.sampled_from(MICRO_VOCAB[:4]), max_size=6).map(" ".join)),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_rows)
+def test_property_matches_oracle_on_small_dialogues(rows):
+    utterances = _dialogue([(speaker, float(i), i + 0.5, text)
+                            for i, (speaker, text) in enumerate(rows)])
+    routines = extract_routines(utterances)
+    assert _as_comparable(utterances, routines) == _oracle_comparable(utterances)
+    keys = [(r.establishment.time, r.establishment.utterance_index,
+             r.establishment.token_position, r.expression) for r in routines]
+    assert keys == sorted(keys)
+    for r in routines:
+        assert [(o.utterance_index, o.token_position) for o in r.all_occurrences] == sorted(
+            (o.utterance_index, o.token_position) for o in r.all_occurrences)
+        assert any(o.free for o in r.all_occurrences)
 
 
 # --- invariants ------------------------------------------------------------------
