@@ -10,7 +10,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import reprlib
+import sys
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -18,6 +21,8 @@ from pathlib import Path
 
 HUMAN_SPEAKERS = ("A", "B")
 ROBOT_SPEAKER = "I"
+SPEAKERS = (*HUMAN_SPEAKERS, ROBOT_SPEAKER)
+MAX_SCORE = 10  # top mark of the pre- and post-tests
 
 ADD = "add"
 REMOVE = "remove"
@@ -94,8 +99,22 @@ class Network:
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, v, _ in self.edges)
 
+    @cached_property
+    def id_to_name(self) -> dict[int, str]:
+        return {n.id: n.name for n in self.nodes}
+
     def canonical_edge(self, u: int, v: int) -> tuple[int, int]:
         return (u, v) if u < v else (v, u)
+
+    def edge(self, u: int, v: int) -> tuple[int, int]:
+        """The canonical edge joining nodes u and v; InputError if there is none."""
+        for node in (u, v):
+            if node not in self.id_to_name:
+                raise InputError(f"unknown node id {node}")
+        edge = self.canonical_edge(u, v)
+        if edge not in self.edge_set:
+            raise InputError(f"({self.id_to_name[u]},{self.id_to_name[v]}) is not a network edge")
+        return edge
 
     def resolve_node(self, name: str) -> int:
         node_id = self.name_to_id.get(name.lower())
@@ -191,11 +210,11 @@ def _finite(value: object) -> float:
     return number
 
 
-def _parse_float(value: str, line_no: int, column: str) -> float:
+def _parse_float(value: str, column: str) -> float:
     try:
         return _finite(value)
     except ValueError:
-        raise InputError(f"line {line_no}: bad {column} value {value!r}") from None
+        raise InputError(f"bad {column} value {value!r}") from None
 
 
 def _reject_constant(token: str) -> float:
@@ -203,23 +222,68 @@ def _reject_constant(token: str) -> float:
     raise ValueError(f"{token} is not a JSON number")
 
 
-def _parse_int(value: str, line_no: int, column: str) -> int:
+def _parse_int(value: str, column: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise InputError(f"line {line_no}: bad {column} value {value!r}") from None
+        raise InputError(f"bad {column} value {value!r}") from None
 
 
-def _open_csv(path: str | Path, required: list[str]) -> tuple[csv.DictReader, object]:
-    handle = open(path, newline="", encoding="utf-8")
-    reader = csv.DictReader(handle)
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != required:
-        handle.close()
-        raise InputError(
-            f"{path}: expected header {','.join(required)}, "
-            f"got {','.join(reader.fieldnames or [])}"
-        )
-    return reader, handle
+@contextmanager
+def _csv_rows(path: str | Path, columns: list[str]):
+    """Open a CSV file whose header is `columns` and yield its rows as dicts.
+
+    Every row must have one field per column; blank lines are skipped. An
+    InputError raised while the with-block reads or handles a row is raised
+    again with the file name and the row's line number in front.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or [f.strip() for f in header] != columns:
+            raise InputError(
+                f"{path}: expected header {','.join(columns)}, got {','.join(header or [])}")
+
+        def rows():
+            for fields in reader:
+                if not fields:
+                    continue
+                if len(fields) != len(columns):
+                    raise InputError(f"expected {len(columns)} fields, got {len(fields)}")
+                yield dict(zip(columns, fields))
+
+        try:
+            yield rows()
+        except InputError as exc:
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+# Row checks shared by the raw loaders and load_corpus. Each raises an
+# InputError without a location; the caller puts the file and line or team
+# in front.
+
+def _check_speaker(speaker: str, allowed: tuple[str, ...]) -> str:
+    if speaker not in allowed:
+        raise InputError(f"speaker must be one of {', '.join(allowed)}, got {speaker!r}")
+    return speaker
+
+
+def _check_interval(start: float, end: float) -> None:
+    if start > end:
+        raise InputError(f"start {start} after end {end}")
+
+
+def _check_cost(cost: int, network: Network) -> int:
+    if cost < network.optimal_cost:
+        raise InputError(f"submitted cost {cost} below optimal {network.optimal_cost} "
+                         "(a solution spans all nodes)")
+    return cost
+
+
+def _check_score(name: str, value: int, max_score: int) -> int:
+    if not 0 <= value <= max_score:
+        raise InputError(f"{name} score {value} outside 0..{max_score}")
+    return value
 
 
 def load_transcript(path: str | Path) -> list[Utterance]:
@@ -228,24 +292,18 @@ def load_transcript(path: str | Path) -> list[Utterance]:
     Utterances are sorted by start time within each team and numbered with
     cumulative global token offsets (unique token numbering per team).
     """
-    reader, handle = _open_csv(path, ["team", "speaker", "start_sec", "end_sec", "utterance"])
-    rows = []
-    with handle:
-        for line_no, row in enumerate(reader, start=2):
-            if any(row.get(k) is None for k in ("team", "speaker", "start_sec", "end_sec", "utterance")):
-                raise InputError(f"line {line_no}: malformed row")
-            speaker = row["speaker"].strip()
-            if speaker not in HUMAN_SPEAKERS and speaker != ROBOT_SPEAKER:
-                raise InputError(f"line {line_no}: speaker must be A, B, or I, got {speaker!r}")
-            start = _parse_float(row["start_sec"], line_no, "start_sec")
-            end = _parse_float(row["end_sec"], line_no, "end_sec")
-            if start > end:
-                raise InputError(f"line {line_no}: start {start} after end {end}")
-            rows.append((_parse_int(row["team"], line_no, "team"), speaker, start, end, row["utterance"]))
+    loaded = []
+    with _csv_rows(path, ["team", "speaker", "start_sec", "end_sec", "utterance"]) as rows:
+        for row in rows:
+            speaker = _check_speaker(row["speaker"].strip(), SPEAKERS)
+            start = _parse_float(row["start_sec"], "start_sec")
+            end = _parse_float(row["end_sec"], "end_sec")
+            _check_interval(start, end)
+            loaded.append((_parse_int(row["team"], "team"), speaker, start, end, row["utterance"]))
 
-    rows.sort(key=lambda r: (r[0], r[2], r[3]))
+    loaded.sort(key=lambda r: (r[0], r[2], r[3]))
     utterances = []
-    for team, team_rows in groupby(rows, key=lambda r: r[0]):
+    for team, team_rows in groupby(loaded, key=lambda r: r[0]):
         utterances += number_utterances(team, [r[1:] for r in team_rows])
     return utterances
 
@@ -281,34 +339,25 @@ def load_event_log(path: str | Path, network: Network) -> EventLog:
     Edges are resolved against the network's node names and canonicalized
     u < v. An optional `stop` event marks the experimenter ending the task.
     """
-    reader, handle = _open_csv(path, ["team", "time_sec", "event", "u", "v", "cost"])
     edits, submits, stops = [], [], []
-    with handle:
-        for line_no, row in enumerate(reader, start=2):
-            team = _parse_int(row["team"], line_no, "team")
-            time = _parse_float(row["time_sec"], line_no, "time_sec")
+    with _csv_rows(path, ["team", "time_sec", "event", "u", "v", "cost"]) as rows:
+        for row in rows:
+            team = _parse_int(row["team"], "team")
+            time = _parse_float(row["time_sec"], "time_sec")
             kind = row["event"].strip().lower()
             if kind in (ADD, REMOVE):
-                u = network.resolve_node(row["u"].strip())
-                v = network.resolve_node(row["v"].strip())
-                edge = network.canonical_edge(u, v)
-                if edge not in network.edge_set:
-                    raise InputError(f"line {line_no}: ({row['u']},{row['v']}) is not a network edge")
+                edge = network.edge(network.resolve_node(row["u"].strip()),
+                                    network.resolve_node(row["v"].strip()))
                 edits.append(EditEvent(team=team, time=time, kind=kind, edge=edge))
             elif kind == "submit":
                 if not row["cost"].strip():
-                    raise InputError(f"line {line_no}: submit without cost")
-                cost = _parse_int(row["cost"].strip(), line_no, "cost")
-                if cost < network.optimal_cost:
-                    raise InputError(
-                        f"line {line_no}: submitted cost {cost} below optimal "
-                        f"{network.optimal_cost} (a solution spans all nodes)"
-                    )
+                    raise InputError("submit without cost")
+                cost = _check_cost(_parse_int(row["cost"].strip(), "cost"), network)
                 submits.append(SubmitEvent(team=team, time=time, cost=cost))
             elif kind == "stop":
                 stops.append((team, time))
             else:
-                raise InputError(f"line {line_no}: unknown event kind {kind!r}")
+                raise InputError(f"unknown event kind {kind!r}")
 
     edits.sort(key=lambda e: (e.team, e.time))
     submits.sort(key=lambda s: (s.team, s.time))
@@ -316,12 +365,8 @@ def load_event_log(path: str | Path, network: Network) -> EventLog:
     return EventLog(edits=tuple(edits), submits=tuple(submits), stops=tuple(stops))
 
 
-def load_network(path: str | Path) -> Network:
-    """Load the network JSON: {nodes:[{id,name,label,x,y}], edges:[{u,v,cost}]}."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from None
+def _network_from_json(data: object) -> Network:
+    """Network from its JSON form {nodes:[{id,name,label,x,y}], edges:[{u,v,cost}]}."""
     try:
         nodes = tuple(
             NetworkNode(id=int(n["id"]), name=str(n["name"]), label=str(n["label"]),
@@ -329,34 +374,33 @@ def load_network(path: str | Path) -> Network:
             for n in data["nodes"]
         )
         edges = []
-        ids = {n.id for n in nodes}
         for e in data["edges"]:
             u, v, cost = int(e["u"]), int(e["v"]), int(e["cost"])
-            if u not in ids or v not in ids:
-                raise InputError(f"{path}: edge ({u},{v}) references undeclared node")
             edges.append((min(u, v), max(u, v), cost))
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"{path}: malformed network description ({exc})") from None
+        raise InputError(f"malformed network description ({exc})") from None
     return Network(nodes=nodes, edges=tuple(sorted(edges)))
 
 
-def load_test_scores(path: str | Path, max_score: int = 10) -> list[TestScores]:
+def load_network(path: str | Path) -> Network:
+    """Load the network JSON: {nodes:[{id,name,label,x,y}], edges:[{u,v,cost}]}."""
+    try:
+        return _network_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def load_test_scores(path: str | Path, max_score: int = MAX_SCORE) -> list[TestScores]:
     """Load the tests CSV (team,speaker,pre,post) with 0..max_score validation."""
-    reader, handle = _open_csv(path, ["team", "speaker", "pre", "post"])
     scores = []
-    with handle:
-        for line_no, row in enumerate(reader, start=2):
-            speaker = row["speaker"].strip()
-            if speaker not in HUMAN_SPEAKERS:
-                raise InputError(f"line {line_no}: speaker must be A or B, got {speaker!r}")
-            pre = _parse_int(row["pre"], line_no, "pre")
-            post = _parse_int(row["post"], line_no, "post")
-            for name, value in (("pre", pre), ("post", post)):
-                if not 0 <= value <= max_score:
-                    raise InputError(f"line {line_no}: {name} score {value} outside 0..{max_score}")
-            scores.append(TestScores(team=_parse_int(row["team"], line_no, "team"),
+    with _csv_rows(path, ["team", "speaker", "pre", "post"]) as rows:
+        for row in rows:
+            speaker = _check_speaker(row["speaker"].strip(), HUMAN_SPEAKERS)
+            pre = _check_score("pre", _parse_int(row["pre"], "pre"), max_score)
+            post = _check_score("post", _parse_int(row["post"], "post"), max_score)
+            scores.append(TestScores(team=_parse_int(row["team"], "team"),
                                      speaker=speaker, pre=pre, post=post))
     scores.sort(key=lambda s: (s.team, s.speaker))
     return scores
@@ -561,7 +605,79 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
     return path
 
 
+_JSON_TYPES = {int: "an integer", float: "a finite number", str: "a string", list: "a list",
+               dict: "an object"}
+
+
+def _typed(value: object, kind: type, what: str):
+    """`value` if its JSON type is `kind`. A float may be any number a float
+    holds finitely, integers included; a boolean is never a number."""
+    if kind is float:
+        valid = type(value) in (float, int) and abs(value) <= sys.float_info.max
+    else:
+        valid = type(value) is kind
+    if not valid:
+        raise InputError(f"{what} must be {_JSON_TYPES[kind]}, got {reprlib.repr(value)}")
+    return value
+
+
+def _field(entry: dict, key: str, kind: type):
+    try:
+        value = entry[key]
+    except KeyError:
+        raise InputError(f"missing key {key!r}") from None
+    return _typed(value, kind, key)
+
+
+def _records(entry: dict, key: str) -> list[dict]:
+    items = _field(entry, key, list)
+    for item in items:
+        _typed(item, dict, f"each of {key}")
+    return items
+
+
+def _team_from_json(entry: dict, network: Network) -> TeamCorpus:
+    """One team of corpus.json, checked like the raw rows it was saved from."""
+    team = _field(entry, "team", int)
+    rows = []
+    for u in _records(entry, "utterances"):
+        start, end = _field(u, "start", float), _field(u, "end", float)
+        _check_interval(start, end)
+        rows.append((_check_speaker(_field(u, "speaker", str), SPEAKERS), start, end,
+                     _field(u, "text", str)))
+    rows.sort(key=lambda r: (r[1], r[2]))
+    edits = []
+    for e in _records(entry, "edits"):
+        kind = _field(e, "kind", str)
+        if kind not in (ADD, REMOVE):
+            raise InputError(f"unknown edit kind {kind!r}")
+        edits.append(EditEvent(team=team, time=_field(e, "time", float), kind=kind,
+                               edge=network.edge(_field(e, "u", int), _field(e, "v", int))))
+    first_visual = "B"
+    if "first_visual" in entry:
+        first_visual = _check_speaker(_field(entry, "first_visual", str), HUMAN_SPEAKERS)
+    return TeamCorpus(
+        team=team,
+        utterances=tuple(number_utterances(team, rows)),
+        edits=tuple(edits),
+        submits=tuple(SubmitEvent(team=team, time=_field(s, "time", float),
+                                  cost=_check_cost(_field(s, "cost", int), network))
+                      for s in _records(entry, "submits")),
+        stops=tuple(_typed(time, float, "each of stops") for time in _field(entry, "stops", list)),
+        scores=tuple(TestScores(team=team,
+                                speaker=_check_speaker(_field(s, "speaker", str), HUMAN_SPEAKERS),
+                                pre=_check_score("pre", _field(s, "pre", int), MAX_SCORE),
+                                post=_check_score("post", _field(s, "post", int), MAX_SCORE))
+                     for s in _records(entry, "scores")),
+        first_visual=first_visual,
+    )
+
+
 def load_corpus(corpus_dir: str | Path) -> Corpus:
+    """Load a corpus directory written by save_corpus, with the raw loaders' checks.
+
+    Every malformed entry raises an InputError naming corpus.json and the team.
+    """
     path = Path(corpus_dir) / "corpus.json"
     if not path.exists():
         raise InputError(f"{path}: corpus file not found (run `align ingest` first)")
@@ -569,29 +685,21 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
         data = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except ValueError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from None
+    try:
+        _typed(data, dict, "the corpus")
+        network = _network_from_json(_field(data, "network", dict))
+        entries = _records(data, "teams")
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
-    network = Network(
-        nodes=tuple(NetworkNode(id=n["id"], name=n["name"], label=n["label"], x=n["x"], y=n["y"])
-                    for n in data["network"]["nodes"]),
-        edges=tuple((e["u"], e["v"], e["cost"]) for e in data["network"]["edges"]),
-    )
     teams = []
-    for t in data["teams"]:
-        rows = sorted(t["utterances"], key=lambda u: (u["start"], u["end"]))
-        utterances = number_utterances(
-            t["team"], [(u["speaker"], u["start"], u["end"], u["text"]) for u in rows])
-        teams.append(TeamCorpus(
-            team=t["team"],
-            utterances=tuple(utterances),
-            edits=tuple(EditEvent(team=t["team"], time=e["time"], kind=e["kind"],
-                                  edge=(e["u"], e["v"])) for e in t["edits"]),
-            submits=tuple(SubmitEvent(team=t["team"], time=s["time"], cost=s["cost"])
-                          for s in t["submits"]),
-            stops=tuple(t["stops"]),
-            scores=tuple(TestScores(team=t["team"], speaker=s["speaker"], pre=s["pre"],
-                                    post=s["post"]) for s in t["scores"]),
-            first_visual=t.get("first_visual", "B"),
-        ))
+    for index, entry in enumerate(entries):
+        try:
+            teams.append(_team_from_json(entry, network))
+        except InputError as exc:
+            team = entry.get("team")
+            where = f"team {team}" if type(team) is int else f"teams[{index}]"
+            raise InputError(f"{path}: {where}: {exc}") from None
     corpus = Corpus(network=network, teams=tuple(teams))
     check_teams(corpus, teams_file=path, scores_file=path, events_file=path)
     return corpus

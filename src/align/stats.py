@@ -3,20 +3,22 @@
 Conventions, fixed once for every analysis:
 - Mann-Whitney reports U for the first sample (the phenomenon sample), with
   average ranks on ties, tie-corrected variance, and no continuity correction.
-- Spearman p-values come from the t-approximation; an exact permutation
-  p-value is available for small samples via method="exact".
+- Spearman p-values come from the t-approximation.
 - Kruskal-Wallis applies the standard tie correction and a chi-square tail.
+
+The normal, Student t and chi-square tails come from the `scipy.special`
+ufuncs that `scipy.stats` calls in its survival functions, so p-values carry
+the same bits without importing `scipy.stats`, whose import would take most
+of the start-up time of every `align` command.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
-from scipy.stats import chi2, norm, rankdata
-from scipy.stats import t as t_dist
+from scipy.special import chdtrc, ndtr, stdtr
 
 
 @dataclass(frozen=True)
@@ -28,43 +30,44 @@ class TestResult:
     n: tuple[int, ...]
 
 
-def spearman(x: list[float], y: list[float], method: str = "approx") -> TestResult:
+def _average_ranks(values: list[float] | np.ndarray) -> np.ndarray:
+    """1-based ranks of `values`, ties sharing the mean of their positions.
+
+    A tie group filling sorted positions i..j-1 gets (i + j + 1) / 2, an exact
+    half-integer, so the ranks equal `scipy.stats.rankdata`'s bit for bit.
+    """
+    a = np.asarray(values, dtype=float)
+    order = np.argsort(a, kind="mergesort")
+    ordered = a[order]
+    bounds = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
+    ranks = np.empty(len(a))
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
+    return ranks
+
+
+def spearman(x: list[float], y: list[float]) -> TestResult:
     """Spearman rank correlation with a two-sided p-value.
 
-    method="approx" uses t = rho*sqrt((n-2)/(1-rho^2)) with n-2 degrees of
-    freedom (p = 0 when |rho| = 1); method="exact" enumerates all rank
-    permutations (n <= 9 only).
+    The p-value uses t = rho*sqrt((n-2)/(1-rho^2)) with n-2 degrees of
+    freedom (p = 0 when |rho| = 1).
     """
     if len(x) != len(y):
         raise ValueError("samples must have equal length")
     n = len(x)
     if n < 3:
         raise ValueError("spearman needs at least 3 pairs")
-    rx = rankdata(x)
-    ry = rankdata(y)
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     if np.all(rx == rx[0]) or np.all(ry == ry[0]):
         raise ValueError("constant input: rank correlation undefined")
     rho = float(np.corrcoef(rx, ry)[0, 1])
     rho = max(-1.0, min(1.0, rho))
 
-    if method == "exact":
-        if n > 9:
-            raise ValueError("exact permutation p-value limited to n <= 9")
-        hits = 0
-        total = 0
-        for perm in permutations(range(n)):
-            r = float(np.corrcoef(rx, ry[list(perm)])[0, 1])
-            hits += abs(r) >= abs(rho) - 1e-12
-            total += 1
-        return TestResult(statistic=rho, p_value=hits / total, n=(n,))
-    if method != "approx":
-        raise ValueError(f"unknown method {method!r}")
-
     if abs(rho) == 1.0:
         p = 0.0
     else:
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = 2.0 * float(t_dist.sf(abs(t), n - 2))
+        p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return TestResult(statistic=rho, p_value=p, n=(n,))
 
 
@@ -99,7 +102,7 @@ def mann_whitney_u(x: list[float], y: list[float]) -> TestResult:
     if sigma_sq == 0.0:
         return TestResult(statistic=u, p_value=1.0, n=(m, n))
     z = (u - m * n / 2.0) / math.sqrt(sigma_sq)
-    p = 2.0 * float(norm.sf(abs(z)))
+    p = 2.0 * float(ndtr(-abs(z)))
     return TestResult(statistic=u, p_value=p, n=(m, n))
 
 
@@ -129,7 +132,7 @@ def kruskal_wallis(groups: list[list[float]]) -> TestResult:
         raise ValueError("kruskal_wallis needs at least 3 observations in total")
 
     pooled = np.concatenate([np.asarray(g, dtype=float) for g in groups])
-    ranks = rankdata(pooled)
+    ranks = _average_ranks(pooled)
     h = 0.0
     start = 0
     for size in sizes:
@@ -147,7 +150,7 @@ def kruskal_wallis(groups: list[list[float]]) -> TestResult:
         h /= correction
     h = max(h, 0.0)  # guard tiny negative rounding
     df = len(groups) - 1
-    p = float(chi2.sf(h, df))
+    p = float(chdtrc(df, h))
     return TestResult(statistic=h, p_value=p, n=tuple(sizes))
 
 

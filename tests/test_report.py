@@ -441,6 +441,56 @@ def test_cli_all_rejects_incomplete_team_in_corpus_with_exit_2(tmp_path, capsys,
     assert f"{path}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("file, old, new, message", [
+    ("events", "10,34.0,add,Zurich,Bern,", "10,34.0,add", "line 3: expected 6 fields, got 3"),
+    ("transcripts", "10,I,0.0,3.0,Hello I", "10,I,0.0,3.0,Hello, I",
+     "line 2: expected 5 fields, got 6"),
+    ("tests", "20,A,5,10", "20,A,5", "line 4: expected 4 fields, got 3"),
+])
+def test_cli_ingest_rejects_incomplete_rows_with_exit_2(tmp_path, capsys, file, old, new, message):
+    paths = write_fixture_inputs(tmp_path)
+    text = paths[file].read_text()
+    assert old in text
+    paths[file].write_text(text.replace(old, new, 1))
+    assert _ingest_rc(paths, tmp_path / "c") == 2
+    assert f"error: {paths[file]}: {message}" in capsys.readouterr().err
+
+
+def _set(entry, key, value):
+    entry[key] = value
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data["teams"][0].pop("submits"), "team 10: missing key 'submits'"),
+    (lambda data: data["teams"][0].pop("team"), "teams[0]: missing key 'team'"),
+    (lambda data: data.pop("network"), "missing key 'network'"),
+    (lambda data: _set(data["teams"][0]["utterances"][1], "start", "ten"),
+     "team 10: start must be a finite number, got 'ten'"),
+    (lambda data: _set(data["teams"][0]["utterances"][1], "text", None),
+     "team 10: text must be a string, got None"),
+    (lambda data: _set(data["teams"][1], "edits", {}), "team 20: edits must be a list, got {}"),
+    (lambda data: _set(data["teams"][1]["scores"][0], "pre", True),
+     "team 20: pre must be an integer, got True"),
+    (lambda data: _set(data["teams"][1]["scores"][0], "pre", 11),
+     "team 20: pre score 11 outside 0..10"),
+    (lambda data: _set(data["teams"][0]["utterances"][1], "speaker", "C"),
+     "team 10: speaker must be one of A, B, I, got 'C'"),
+    (lambda data: _set(data["teams"][0]["submits"][0], "cost", 5),
+     "team 10: submitted cost 5 below optimal 12"),
+    (lambda data: _set(data["teams"][0]["edits"][0], "v", 99), "team 10: unknown node id 99"),
+    (lambda data: data["teams"][0]["edits"][0].update(u=1, v=3),
+     "team 10: (Luzern,Montreux) is not a network edge"),
+])
+def test_cli_all_rejects_malformed_corpus_with_exit_2(tmp_path, capsys, edit, message):
+    corpus_dir = _ingest(tmp_path)
+    path = corpus_dir / "corpus.json"
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    assert main(["all", "--corpus", str(corpus_dir)]) == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
 def test_cli_rejects_empty_corpus_with_exit_2(tmp_path, capsys):
     paths = write_fixture_inputs(tmp_path)
     for name in ("transcripts", "events", "tests"):

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.stats
 
 from align.stats import (
+    _average_ranks,
     cliffs_delta,
     interpret_delta,
     interpret_rho,
@@ -57,11 +64,6 @@ def test_spearman_five_point_examples():
 def test_spearman_constant_input_errors():
     with pytest.raises(ValueError):
         spearman([1, 1, 1], [1, 2, 3])
-
-
-def test_spearman_exact_flag():
-    result = spearman([1, 2, 3, 4, 5], [2, 1, 4, 3, 5], method="exact")
-    assert result.p_value == pytest.approx(exact_spearman_p([1, 2, 3, 4, 5], [2, 1, 4, 3, 5]))
 
 
 def test_spearman_matches_scipy():
@@ -266,6 +268,95 @@ def test_kw_p_close_to_exact_permutation():
         gap = abs(kruskal_wallis(groups).p_value - exact_kw_p(groups, convention="mid"))
         worst = max(worst, gap)
     assert worst <= 0.072
+
+
+# --- exact agreement with scipy.stats -----------------------------------------
+# The tails come from the scipy.special ufuncs that scipy.stats evaluates in
+# its survival functions, so every p-value must equal scipy.stats' bit for bit.
+
+def _random_samples(rng, count):
+    """`count` values, tie-heavy (a few levels) or tie-free (continuous)."""
+    levels = rng.choice([2, 3, 6, None])
+    if levels is None:
+        return [rng.uniform(-50, 50) for _ in range(count)]
+    return [rng.randrange(levels) / 2 for _ in range(count)]
+
+
+def _spearman_p(rho, n):
+    if abs(rho) == 1.0:
+        return 0.0
+    t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+    return 2.0 * float(scipy.stats.t.sf(abs(t), n - 2))
+
+
+def _mwu_p(u, x, y):
+    m, n = len(x), len(y)
+    big_n = m + n
+    tie_term = sum(c**3 - c for c in Counter(x + y).values())
+    sigma_sq = m * n * (big_n + 1) / 12.0 * (1.0 - tie_term / (big_n**3 - big_n))
+    if sigma_sq == 0.0:
+        return 1.0
+    return 2.0 * float(scipy.stats.norm.sf(abs((u - m * n / 2.0) / math.sqrt(sigma_sq))))
+
+
+def test_average_ranks_equal_scipy_rankdata():
+    rng = random.Random(31)
+    for _ in range(300):
+        values = _random_samples(rng, rng.randrange(1, 31))
+        ranks = _average_ranks(values)
+        assert ranks.dtype == np.float64
+        assert np.array_equal(ranks, scipy.stats.rankdata(values))
+
+
+def test_p_values_equal_scipy_stats_tails():
+    rng = random.Random(37)
+    for _ in range(300):
+        n = rng.randrange(3, 31)
+        x, y = _random_samples(rng, n), _random_samples(rng, n)
+        if len(set(x)) > 1 and len(set(y)) > 1:
+            result = spearman(x, y)
+            assert result.p_value == _spearman_p(result.statistic, n)
+
+        x, y = _random_samples(rng, rng.randrange(1, 31)), _random_samples(rng, rng.randrange(1, 31))
+        result = mann_whitney_u(x, y)
+        assert result.p_value == _mwu_p(result.statistic, x, y)
+
+        groups = [_random_samples(rng, rng.randrange(1, 11)) for _ in range(rng.randrange(2, 5))]
+        if sum(len(g) for g in groups) >= 3:
+            result = kruskal_wallis(groups)
+            assert result.p_value == float(scipy.stats.chi2.sf(result.statistic, len(groups) - 1))
+
+
+def test_p_values_equal_scipy_stats_tails_at_the_edges():
+    # h == 0 without ties, and with every value tied (correction == 0)
+    for groups in ([[1, 2, 3], [1, 2, 3]], [[5, 5], [5, 5], [5]]):
+        result = kruskal_wallis(groups)
+        assert result.statistic == 0.0
+        assert result.p_value == float(scipy.stats.chi2.sf(0.0, len(groups) - 1)) == 1.0
+    # z == 0
+    result = mann_whitney_u([1, 4], [2, 3])
+    assert result.statistic == 2.0
+    assert result.p_value == 2.0 * float(scipy.stats.norm.sf(0.0)) == 1.0
+    # every pooled value tied: sigma_sq == 0 and p is 1 by convention
+    assert mann_whitney_u([5, 5], [5]).p_value == 1.0
+    # |t| large: one adjacent swap in a long ranking leaves |rho| just below 1
+    for n in (12, 50, 400):
+        x = list(range(n))
+        y = x[:]
+        y[0], y[1] = y[1], y[0]
+        for sign in (1, -1):
+            result = spearman(x, [sign * v for v in y])
+            assert abs(result.statistic) < 1.0
+            assert result.p_value == _spearman_p(result.statistic, n)
+
+
+# --- start-up -------------------------------------------------------------------
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, align.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 # --- invariances ----------------------------------------------------------------
