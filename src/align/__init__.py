@@ -56,7 +56,6 @@ from .routines import (
     Routine,
     TokenEvents,
     collaborative_period,
-    establishment_times,
     extract_routines,
     filter_task_routines,
     token_events,

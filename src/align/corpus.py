@@ -14,7 +14,7 @@ import reprlib
 import sys
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from pathlib import Path
@@ -70,6 +70,8 @@ class Network:
     edges: tuple[tuple[int, int, int], ...]  # (u, v, cost)
 
     def __post_init__(self) -> None:
+        if len(self.nodes) < 2:
+            raise InputError(f"a network needs at least two nodes, got {len(self.nodes)}")
         names = [n.name.lower() for n in self.nodes]
         if len(set(names)) != len(names):
             raise InputError("duplicate node names after case-folding")
@@ -203,23 +205,26 @@ class ActionEvent:
     edge: tuple[int, int] | None = None
 
 
-def _finite(value: object) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"non-finite number {value!r}")
-    return number
-
-
 def _parse_float(value: str, column: str) -> float:
     try:
-        return _finite(value)
+        number = float(value)
     except ValueError:
-        raise InputError(f"bad {column} value {value!r}") from None
+        number = math.nan
+    if not math.isfinite(number):
+        raise InputError(f"bad {column} value {value!r}")
+    return number
 
 
 def _reject_constant(token: str) -> float:
     """json.loads hook: NaN and Infinity are not JSON numbers."""
     raise ValueError(f"{token} is not a JSON number")
+
+
+def _read_json(path: Path) -> object:
+    try:
+        return json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    except ValueError as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})") from None
 
 
 def _parse_int(value: str, column: str) -> int:
@@ -280,9 +285,9 @@ def _check_cost(cost: int, network: Network) -> int:
     return cost
 
 
-def _check_score(name: str, value: int, max_score: int) -> int:
-    if not 0 <= value <= max_score:
-        raise InputError(f"{name} score {value} outside 0..{max_score}")
+def _check_score(name: str, value: int) -> int:
+    if not 0 <= value <= MAX_SCORE:
+        raise InputError(f"{name} score {value} outside 0..{MAX_SCORE}")
     return value
 
 
@@ -365,41 +370,23 @@ def load_event_log(path: str | Path, network: Network) -> EventLog:
     return EventLog(edits=tuple(edits), submits=tuple(submits), stops=tuple(stops))
 
 
-def _network_from_json(data: object) -> Network:
-    """Network from its JSON form {nodes:[{id,name,label,x,y}], edges:[{u,v,cost}]}."""
-    try:
-        nodes = tuple(
-            NetworkNode(id=int(n["id"]), name=str(n["name"]), label=str(n["label"]),
-                        x=_finite(n["x"]), y=_finite(n["y"]))
-            for n in data["nodes"]
-        )
-        edges = []
-        for e in data["edges"]:
-            u, v, cost = int(e["u"]), int(e["v"]), int(e["cost"])
-            edges.append((min(u, v), max(u, v), cost))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed network description ({exc})") from None
-    return Network(nodes=nodes, edges=tuple(sorted(edges)))
-
-
 def load_network(path: str | Path) -> Network:
     """Load the network JSON: {nodes:[{id,name,label,x,y}], edges:[{u,v,cost}]}."""
+    data = _read_json(Path(path))
     try:
-        return _network_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from None
+        return _network_from_json(_typed(data, dict, "the network"))
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
-def load_test_scores(path: str | Path, max_score: int = MAX_SCORE) -> list[TestScores]:
-    """Load the tests CSV (team,speaker,pre,post) with 0..max_score validation."""
+def load_test_scores(path: str | Path) -> list[TestScores]:
+    """Load the tests CSV (team,speaker,pre,post) with 0..MAX_SCORE validation."""
     scores = []
     with _csv_rows(path, ["team", "speaker", "pre", "post"]) as rows:
         for row in rows:
             speaker = _check_speaker(row["speaker"].strip(), HUMAN_SPEAKERS)
-            pre = _check_score("pre", _parse_int(row["pre"], "pre"), max_score)
-            post = _check_score("post", _parse_int(row["post"], "post"), max_score)
+            pre = _check_score("pre", _parse_int(row["pre"], "pre"))
+            post = _check_score("post", _parse_int(row["post"], "post"))
             scores.append(TestScores(team=_parse_int(row["team"], "team"),
                                      speaker=speaker, pre=pre, post=post))
     scores.sort(key=lambda s: (s.team, s.speaker))
@@ -513,16 +500,7 @@ class Corpus:
     """A network plus per-team corpora, keyed by team id."""
 
     network: Network
-    teams: tuple[TeamCorpus, ...] = field(default_factory=tuple)
-
-    def __iter__(self):
-        return iter(self.teams)
-
-    def team(self, team_id: int) -> TeamCorpus:
-        for tc in self.teams:
-            if tc.team == team_id:
-                return tc
-        raise KeyError(f"no team {team_id} in corpus")
+    teams: tuple[TeamCorpus, ...] = ()
 
 
 def assemble_corpus(
@@ -553,8 +531,9 @@ def check_teams(corpus: Corpus, *, teams_file: str | Path, scores_file: str | Pa
                 events_file: str | Path) -> None:
     """Reject a corpus without teams, or a team the success measures cannot score.
 
-    Every team needs a test-score row for each interlocutor and at least one
-    submitted solution. Each message names the file that lacks the rows.
+    Every team needs a test-score row for each interlocutor, at least one
+    submitted solution and a positive duration (its last event's time). Each
+    message names the file that lacks the rows or holds the times.
     """
     if not corpus.teams:
         raise InputError(f"{teams_file}: no teams")
@@ -565,6 +544,9 @@ def check_teams(corpus: Corpus, *, teams_file: str | Path, scores_file: str | Pa
                                  f"for speaker {speaker}")
         if not tc.submits:
             raise InputError(f"{events_file}: team {tc.team} submitted no solution")
+        if not tc.duration > 0:
+            raise InputError(f"{events_file}: team {tc.team} has duration {tc.duration}; "
+                             "its last event must come after time 0")
 
 
 # ---------------------------------------------------------------------------
@@ -611,14 +593,14 @@ _JSON_TYPES = {int: "an integer", float: "a finite number", str: "a string", lis
 
 def _typed(value: object, kind: type, what: str):
     """`value` if its JSON type is `kind`. A float may be any number a float
-    holds finitely, integers included; a boolean is never a number."""
+    holds finitely, integers included, and is returned as a float; a boolean
+    is never a number."""
     if kind is float:
-        valid = type(value) in (float, int) and abs(value) <= sys.float_info.max
-    else:
-        valid = type(value) is kind
-    if not valid:
-        raise InputError(f"{what} must be {_JSON_TYPES[kind]}, got {reprlib.repr(value)}")
-    return value
+        if type(value) in (float, int) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is kind:
+        return value
+    raise InputError(f"{what} must be {_JSON_TYPES[kind]}, got {reprlib.repr(value)}")
 
 
 def _field(entry: dict, key: str, kind: type):
@@ -634,6 +616,19 @@ def _records(entry: dict, key: str) -> list[dict]:
     for item in items:
         _typed(item, dict, f"each of {key}")
     return items
+
+
+def _network_from_json(data: dict) -> Network:
+    """Network from its JSON form, with exact JSON types."""
+    nodes = tuple(NetworkNode(id=_field(n, "id", int), name=_field(n, "name", str),
+                              label=_field(n, "label", str), x=_field(n, "x", float),
+                              y=_field(n, "y", float))
+                  for n in _records(data, "nodes"))
+    edges = []
+    for e in _records(data, "edges"):
+        u, v = _field(e, "u", int), _field(e, "v", int)
+        edges.append((min(u, v), max(u, v), _field(e, "cost", int)))
+    return Network(nodes=nodes, edges=tuple(sorted(edges)))
 
 
 def _team_from_json(entry: dict, network: Network) -> TeamCorpus:
@@ -666,8 +661,8 @@ def _team_from_json(entry: dict, network: Network) -> TeamCorpus:
         stops=tuple(_typed(time, float, "each of stops") for time in _field(entry, "stops", list)),
         scores=tuple(TestScores(team=team,
                                 speaker=_check_speaker(_field(s, "speaker", str), HUMAN_SPEAKERS),
-                                pre=_check_score("pre", _field(s, "pre", int), MAX_SCORE),
-                                post=_check_score("post", _field(s, "post", int), MAX_SCORE))
+                                pre=_check_score("pre", _field(s, "pre", int)),
+                                post=_check_score("post", _field(s, "post", int)))
                      for s in _records(entry, "scores")),
         first_visual=first_visual,
     )
@@ -681,10 +676,7 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
     path = Path(corpus_dir) / "corpus.json"
     if not path.exists():
         raise InputError(f"{path}: corpus file not found (run `align ingest` first)")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
-    except ValueError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from None
+    data = _read_json(path)
     try:
         _typed(data, dict, "the corpus")
         network = _network_from_json(_field(data, "network", dict))

@@ -190,18 +190,16 @@ def match_instructions_to_actions(
         if not others:
             record = MatchRecord(NONMATCH, actor, action, None, action.time)
         else:
-            matched = None
-            for candidate in others:
-                if check_match(candidate, action, network):
-                    matched = candidate  # later matches win
-            if matched is not None:
-                record = MatchRecord(MATCH, actor, action, matched, action.time)
+            satisfied = [check_match(p, action, network) for p in pending]
+            matched = [p for p, hit in zip(pending, satisfied) if hit and p.agent != actor]
+            if matched:  # later matches win
+                record = MatchRecord(MATCH, actor, action, matched[-1], action.time)
             else:
                 record = MatchRecord(MISMATCH, actor, action, others[-1], action.time)
             if clear_on_verdict:
                 pending = []
             else:
-                pending = [p for p in pending if not check_match(p, action, network)]
+                pending = [p for p, hit in zip(pending, satisfied) if not hit]
         records.append(record)
         annotated.append(AnnotatedAction(action, (), record, tuple(pending)))
 

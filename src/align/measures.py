@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import TeamCorpus
+from .corpus import MAX_SCORE, TeamCorpus
 
 
 def submission_error(cost: float, optimal_cost: float) -> float:
@@ -23,18 +23,18 @@ def team_error(submission_errors: list[float]) -> float:
     return min(submission_errors)
 
 
-def relative_learning_gain(pre: float, post: float, max_score: float = 10) -> float:
+def relative_learning_gain(pre: float, post: float) -> float:
     """Test-score change normalised by the margin of improvement or decline.
 
-    (post-pre)/(max_score-pre) on improvement, (post-pre)/pre on decline.
+    (post-pre)/(MAX_SCORE-pre) on improvement, (post-pre)/pre on decline.
     A perfect pre-test with no change has no margin to improve: gain 0.
     """
-    if not 0 <= pre <= max_score or not 0 <= post <= max_score:
-        raise ValueError(f"scores must lie in 0..{max_score}")
+    if not 0 <= pre <= MAX_SCORE or not 0 <= post <= MAX_SCORE:
+        raise ValueError(f"scores must lie in 0..{MAX_SCORE}")
     if post >= pre:
-        if pre == max_score:
+        if pre == MAX_SCORE:
             return 0.0
-        return (post - pre) / (max_score - pre)
+        return (post - pre) / (MAX_SCORE - pre)
     return (post - pre) / pre
 
 
@@ -55,7 +55,7 @@ class TeamSuccess:
     n_turns: int
 
 
-def team_success(corpus: TeamCorpus, optimal_cost: float, max_score: float = 10) -> TeamSuccess:
+def team_success(corpus: TeamCorpus, optimal_cost: float) -> TeamSuccess:
     """Compute the dialogue-level success measures for one team."""
     errors = [submission_error(s.cost, optimal_cost) for s in corpus.submits]
     gains = {}
@@ -63,7 +63,7 @@ def team_success(corpus: TeamCorpus, optimal_cost: float, max_score: float = 10)
         scores = corpus.score_for(speaker)
         if scores is None:
             raise ValueError(f"team {corpus.team}: no test scores for speaker {speaker}")
-        gains[speaker] = relative_learning_gain(scores.pre, scores.post, max_score)
+        gains[speaker] = relative_learning_gain(scores.pre, scores.post)
     return TeamSuccess(
         team=corpus.team,
         error=team_error(errors),

@@ -40,7 +40,6 @@ from .measures import TeamSuccess, common_window, learning_groups, team_success
 from .routines import (
     Routine,
     collaborative_period,
-    establishment_times,
     extract_routines,
     filter_task_routines,
     token_events,
@@ -87,18 +86,6 @@ class HypothesisReport:
                 for series, by_team in self.distributions.items()
             },
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HypothesisReport":
-        return cls(
-            hypothesis=data["hypothesis"],
-            per_team_rows=tuple(dict(r) for r in data["per_team_rows"]),
-            summary=data["summary"],
-            distributions={
-                series: {int(team): tuple(values) for team, values in by_team.items()}
-                for series, by_team in data["distributions"].items()
-            },
-        )
 
 
 class TeamPipeline:
@@ -170,10 +157,6 @@ class Pipeline:
     @cached_property
     def window(self) -> float:
         return common_window([tp.corpus.duration for tp in self.teams])
-
-
-def _as_pipeline(corpus) -> Pipeline:
-    return corpus if isinstance(corpus, Pipeline) else Pipeline(corpus)
 
 
 def _median(values: list[float]) -> float | None:
@@ -294,7 +277,7 @@ def _contrast(hypothesis: str, pipeline: Pipeline, team_samples,
     return HypothesisReport(hypothesis, tuple(rows), summary, series)
 
 
-def run_h11(corpus, window: float | None = None) -> HypothesisReport:
+def run_h11(pipeline: Pipeline, window: float | None = None) -> HypothesisReport:
     """Establishment-time analysis: medians vs error, learning-group split."""
 
     def row(tp: TeamPipeline, views: dict[str, list[float]]) -> dict:
@@ -304,8 +287,8 @@ def run_h11(corpus, window: float | None = None) -> HypothesisReport:
                 "q1_norm": q1, "q3_norm": q3}
 
     return _timing(
-        "h1.1", _as_pipeline(corpus), window,
-        lambda tp: {"": establishment_times(tp.task_routines)}, row,
+        "h1.1", pipeline, window,
+        lambda tp: {"": [r.establishment.time for r in tp.task_routines]}, row,
         spearman_keys=("abs", "common", "norm"), kruskal_keys=("abs", "norm"),
         mean_keys=("norm",),
         distributions={"establishment_abs": "abs", "establishment_common": "common",
@@ -314,7 +297,7 @@ def run_h11(corpus, window: float | None = None) -> HypothesisReport:
     )
 
 
-def run_h12(corpus, markers: frozenset[str] = FILLERS) -> HypothesisReport:
+def run_h12(pipeline: Pipeline, markers: frozenset[str] = FILLERS) -> HypothesisReport:
     """Filler-position analysis against priming and establishment positions."""
 
     def samples(tp: TeamPipeline):
@@ -336,14 +319,14 @@ def run_h12(corpus, markers: frozenset[str] = FILLERS) -> HypothesisReport:
             "establishment_positions": estab}
 
     return _contrast(
-        "h1.2", _as_pipeline(corpus), samples,
+        "h1.2", pipeline, samples,
         comparisons={"_priming": "_priming", "_estab": "_establishment"},
         distributions=("filler_positions", "priming_positions", "establishment_positions"),
         summary={},
     )
 
 
-def run_h21(corpus, window: float | None = None, grouped: bool = False) -> HypothesisReport:
+def run_h21(pipeline: Pipeline, window: float | None = None, grouped: bool = False) -> HypothesisReport:
     """Match/mismatch timing analysis, following the establishment-time recipe.
 
     `grouped` switches the time series from per-action records to one event
@@ -362,7 +345,7 @@ def run_h21(corpus, window: float | None = None, grouped: bool = False) -> Hypot
                 "ratio": n_match / n_mismatch if n_mismatch else None}
 
     return _timing(
-        "h2.1", _as_pipeline(corpus), window, times, row,
+        "h2.1", pipeline, window, times, row,
         spearman_keys=("match_abs", "match_common", "match_norm", "mismatch_abs"),
         kruskal_keys=("match_abs", "match_norm"),
         mean_keys=("match_norm", "mismatch_norm"),
@@ -372,7 +355,7 @@ def run_h21(corpus, window: float | None = None, grouped: bool = False) -> Hypot
     )
 
 
-def run_h22(corpus, oh_events: str = "token", mm_events: str = "action") -> HypothesisReport:
+def run_h22(pipeline: Pipeline, oh_events: str = "token", mm_events: str = "action") -> HypothesisReport:
     """"oh" marker times vs pooled match+mismatch action times.
 
     An "oh" event takes the end time of its containing utterance;
@@ -404,7 +387,7 @@ def run_h22(corpus, oh_events: str = "token", mm_events: str = "action") -> Hypo
         return oh_times, {"": match_times + mismatch_times}, cells, norm
 
     return _contrast(
-        "h2.2", _as_pipeline(corpus), samples, comparisons={"": ""},
+        "h2.2", pipeline, samples, comparisons={"": ""},
         distributions=("oh_norm", "match_norm", "mismatch_norm"),
         summary={"oh_events": oh_events, "mm_events": mm_events},
     )
@@ -429,6 +412,7 @@ def _cell(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -477,7 +461,6 @@ def emit(report: HypothesisReport, fmt: str, out_dir: str | Path) -> list[Path]:
 def emit_routine_table(pipeline: Pipeline, path: str | Path, task_only: bool = False) -> Path:
     """Routine table CSV across all teams."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     names = pipeline.corpus.network.node_names
     rows = []
     for tp in sorted(pipeline.teams, key=lambda t: t.corpus.team):
@@ -494,18 +477,10 @@ def emit_routine_table(pipeline: Pipeline, path: str | Path, task_only: bool = F
     return path
 
 
-def _format_object(action, label_by_id: dict[int, str]) -> str:
-    if action.utterance is not None:
-        return action.utterance.text
-    u, v = action.edge
-    return f"{label_by_id[u]}-{label_by_id[v]}"
-
-
 def emit_annotated_corpus(pipeline: Pipeline, path: str | Path) -> Path:
     """Annotated corpus CSV: the stream with instructions and verdicts."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    label_by_id = {n.id: n.name for n in pipeline.corpus.network.nodes}
+    name = pipeline.corpus.network.id_to_name
     rows = []
     for tp in sorted(pipeline.teams, key=lambda t: t.corpus.team):
         for ann in tp.annotated:
@@ -518,7 +493,7 @@ def emit_annotated_corpus(pipeline: Pipeline, path: str | Path) -> Path:
                 tp.corpus.team,
                 subject,
                 action.verb,
-                _format_object(action, label_by_id),
+                action.utterance.text if action.utterance else "-".join(name[n] for n in action.edge),
                 action.time,
                 action.turn,
                 action.attempt,
@@ -535,7 +510,6 @@ def emit_annotated_corpus(pipeline: Pipeline, path: str | Path) -> Path:
 def emit_measures(pipeline: Pipeline, path: str | Path) -> Path:
     """Task-level features CSV, one row per team."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for s in sorted(pipeline.successes, key=lambda s: s.team):
         rows.append([s.team, s.error, s.learn, s.learn_a, s.learn_b,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Network, Utterance, relative_time
+from .corpus import Network, Utterance
 
 
 @dataclass(frozen=True)
@@ -128,32 +128,6 @@ def filter_task_routines(routines: list[Routine], network: Network) -> list[Rout
     """Keep routines whose expression contains at least one node-name token."""
     names = network.node_names
     return [r for r in routines if any(tok in names for tok in r.expression)]
-
-
-def establishment_times(
-    routines: list[Routine],
-    mode: str = "absolute",
-    *,
-    window: float | None = None,
-    duration: float | None = None,
-) -> list[float]:
-    """Establishment-time series for one team's routines.
-
-    mode="absolute" gives utterance end times; "common_window" keeps times
-    up to `window` seconds; "normalized" rescales by `duration` to percent.
-    """
-    absolute = [r.establishment.time for r in routines]
-    if mode == "absolute":
-        return absolute
-    if mode == "common_window":
-        if window is None:
-            raise ValueError("common_window mode needs window=")
-        return [t for t in absolute if t <= window]
-    if mode == "normalized":
-        if duration is None:
-            raise ValueError("normalized mode needs duration=")
-        return [relative_time(t, duration) for t in absolute]
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def collaborative_period(times: list[float]) -> tuple[float, float]:

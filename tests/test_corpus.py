@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from align.corpus import (
+    SPEAKERS,
+    Corpus,
+    EditEvent,
     InputError,
+    Network,
+    NetworkNode,
+    SubmitEvent,
+    TeamCorpus,
     assemble_corpus,
     build_action_stream,
     load_corpus,
@@ -316,15 +327,67 @@ def test_corpus_round_trip(tmp_path):
         assert restored.duration == original.duration
 
 
+_times = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def _valid_corpora(draw):
+    """A random corpus that passes every load_corpus check."""
+    from align.corpus import TestScores  # imported here so pytest does not collect it
+    size = draw(st.integers(2, 5))
+    nodes = tuple(NetworkNode(id=i, name=f"node{i}", label=draw(st.text(max_size=6)),
+                              x=draw(_times), y=draw(_times)) for i in range(1, size + 1))
+    # a chain keeps the network connected; any other pair may add an edge
+    ids = st.integers(1, size)
+    pairs = {(i, i + 1) for i in range(1, size)}
+    pairs |= {(u, v) for u, v in draw(st.sets(st.tuples(ids, ids), max_size=4)) if u < v}
+    network = Network(nodes=nodes, edges=tuple(sorted(
+        (u, v, draw(st.integers(1, 9))) for u, v in pairs)))
+    teams = []
+    for team in sorted(draw(st.sets(st.integers(0, 999), min_size=1, max_size=3))):
+        rows = [(speaker, start, start + length, text) for speaker, start, length, text in draw(
+            st.lists(st.tuples(st.sampled_from(SPEAKERS), _times, st.floats(0, 100),
+                               st.text(max_size=30)), max_size=6))]
+        rows.sort(key=lambda r: (r[1], r[2]))  # load_corpus's utterance order
+        teams.append(TeamCorpus(
+            team=team,
+            utterances=tuple(number_utterances(team, rows)),
+            edits=tuple(EditEvent(team, time, kind, (u, v)) for time, kind, (u, v, _) in draw(
+                st.lists(st.tuples(_times, st.sampled_from(["add", "remove"]),
+                                   st.sampled_from(network.edges)), max_size=4))),
+            submits=tuple(SubmitEvent(team, time, network.optimal_cost + extra)
+                          for time, extra in draw(st.lists(
+                              st.tuples(st.floats(1e-3, 1e6), st.integers(0, 5)),
+                              min_size=1, max_size=3))),
+            stops=tuple(draw(st.lists(_times, max_size=2))),
+            scores=tuple(TestScores(team, speaker, draw(st.integers(0, 10)),
+                                    draw(st.integers(0, 10))) for speaker in ("B", "A")),
+            first_visual=draw(st.sampled_from("AB")),
+        ))
+    return Corpus(network=network, teams=tuple(teams))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_valid_corpora())
+def test_property_valid_corpora_round_trip(corpus):
+    with tempfile.TemporaryDirectory() as tmp:
+        first = save_corpus(corpus, Path(tmp) / "first")
+        reloaded = load_corpus(first.parent)
+        assert reloaded.network == corpus.network
+        assert reloaded.teams == corpus.teams
+        second = save_corpus(reloaded, Path(tmp) / "second")
+        assert second.read_bytes() == first.read_bytes()
+
+
 def test_duration_prefers_events_and_stops():
-    corpus = _load_fixture_corpus()
-    assert corpus.team(10).duration == 55.0  # final submit
-    assert corpus.team(20).duration == 20.0  # stop record
+    duration = {tc.team: tc.duration for tc in _load_fixture_corpus().teams}
+    assert duration[10] == 55.0  # final submit
+    assert duration[20] == 20.0  # stop record
 
 
 def test_token_numbering_is_bijection():
     corpus = _load_fixture_corpus()
-    for team in corpus:
+    for team in corpus.teams:
         positions = []
         for u in team.utterances:
             positions.extend(range(u.global_token_offset, u.global_token_offset + len(u.tokens)))

@@ -89,10 +89,6 @@ def test_gain_bounded_for_all_score_pairs():
             assert -1.0 <= gain <= 1.0
 
 
-def test_gain_custom_max_score():
-    assert relative_learning_gain(3, 4, max_score=5) == 0.5
-
-
 def test_gain_rejects_out_of_range():
     with pytest.raises(ValueError):
         relative_learning_gain(11, 5)

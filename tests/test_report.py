@@ -27,6 +27,10 @@ def _corpus(teams):
     return Corpus(network=NET, teams=tuple(teams))
 
 
+def _pipeline(teams):
+    return Pipeline(_corpus(teams))
+
+
 def _team_with_establishments(team, error_cost, fractions, duration=100.0,
                               scores=(("A", 6, 8), ("B", 6, 8))):
     """A team whose task-routine establishments end at duration*fraction."""
@@ -44,8 +48,7 @@ def _team_with_establishments(team, error_cost, fractions, duration=100.0,
 # --- h1.1 -----------------------------------------------------------------------
 
 def test_h11_fixed_fraction_establishments():
-    corpus = _corpus([_team_with_establishments(1, 12, [0.25, 0.75])])
-    report = run_h11(corpus)
+    report = run_h11(_pipeline([_team_with_establishments(1, 12, [0.25, 0.75])]))
     row = report.per_team_rows[0]
     assert row["n_routine"] == 2
     assert row["median_norm"] == pytest.approx(50.0)
@@ -62,7 +65,7 @@ def test_h11_perfect_rank_correlation():
         _team_with_establishments(3, 18, [0.60], scores=(("A", 5, 5), ("B", 5, 5))),
         _team_with_establishments(4, 24, [0.80], scores=(("A", 5, 4), ("B", 5, 4))),
     ]
-    report = run_h11(_corpus(teams))
+    report = run_h11(_pipeline(teams))
     summary = report.summary["spearman_median_abs_vs_error"]
     assert summary["rho"] == pytest.approx(1.0)
     assert summary["n"] == 4
@@ -79,7 +82,7 @@ def test_h11_team_without_routines_excluded_from_correlation():
         _team_with_establishments(3, 18, [0.6]),
         silent,
     ]
-    report = run_h11(_corpus(teams))
+    report = run_h11(_pipeline(teams))
     row = next(r for r in report.per_team_rows if r["team"] == 5)
     assert row["n_routine"] == 0
     assert row["median_abs"] is None
@@ -92,7 +95,7 @@ def test_h11_common_window_is_quickest_team():
         _team_with_establishments(1, 12, [0.5], duration=50.0),
         _team_with_establishments(2, 15, [0.5], duration=100.0),
     ]
-    report = run_h11(_corpus(teams))
+    report = run_h11(_pipeline(teams))
     assert report.summary["common_window_sec"] == 50.0
     # team 2's establishment at t=50 is inside; anything later would drop
     assert report.per_team_rows[1]["n_common"] == 1
@@ -104,7 +107,7 @@ def test_h11_rows_sorted_by_error_then_duration():
         _team_with_establishments(2, 12, [0.5], duration=200.0),
         _team_with_establishments(3, 12, [0.5], duration=100.0),
     ]
-    report = run_h11(_corpus(teams))
+    report = run_h11(_pipeline(teams))
     assert [r["team"] for r in report.per_team_rows] == [3, 2, 1]
 
 
@@ -121,7 +124,7 @@ def test_h12_separation_gives_delta_one():
         ],
         submit_rows=[(10.0, 12)],
     )
-    report = run_h12(_corpus([team]))
+    report = run_h12(_pipeline([team]))
     row = report.per_team_rows[0]
     assert row["n_filler"] == 3
     assert row["n_routine"] == 1
@@ -136,7 +139,7 @@ def test_h12_no_fillers_gives_na_row():
         [("A", 1.0, 2.0, "mount bern"), ("B", 3.0, 4.0, "mount bern")],
         submit_rows=[(10.0, 12)],
     )
-    report = run_h12(_corpus([team]))
+    report = run_h12(_pipeline([team]))
     row = report.per_team_rows[0]
     assert row["n_filler"] == 0
     assert row["U_priming"] is None and row["delta_priming"] is None
@@ -148,7 +151,7 @@ def test_h12_custom_markers():
         [("A", 1.0, 2.0, "oh mount bern"), ("B", 3.0, 4.0, "mount bern")],
         submit_rows=[(10.0, 12)],
     )
-    report = run_h12(_corpus([team]), markers=frozenset({"oh"}))
+    report = run_h12(_pipeline([team]), markers=frozenset({"oh"}))
     assert report.per_team_rows[0]["n_filler"] == 1
 
 
@@ -172,8 +175,7 @@ def _matching_team(team, error_cost, match_fractions, duration=100.0,
 
 
 def test_h21_matches_at_quarter_and_three_quarters():
-    corpus = _corpus([_matching_team(1, 12, [0.25, 0.75])])
-    report = run_h21(corpus)
+    report = run_h21(_pipeline([_matching_team(1, 12, [0.25, 0.75])]))
     row = report.per_team_rows[0]
     assert row["n_match_actions"] == 2
     assert row["median_match_norm"] == pytest.approx(50.0)
@@ -194,20 +196,20 @@ def test_h21_grouped_counts_and_ratio():
         submit_rows=[(20.0, 12)],
         first_visual="B",
     )
-    report = run_h21(_corpus([team]))
+    report = run_h21(_pipeline([team]))
     row = report.per_team_rows[0]
     assert row["n_mismatch_actions"] == 2
     assert row["n_mismatch"] == 1  # both mismatches trace to one utterance
     assert row["n_match_actions"] == 1 and row["n_match"] == 1
     assert row["ratio"] == 1.0
-    grouped = run_h21(_corpus([team]), grouped=True)
+    grouped = run_h21(_pipeline([team]), grouped=True)
     assert grouped.per_team_rows[0]["median_mismatch_abs"] == 3.0  # first action time
 
 
 def test_h21_correlation_same_recipe_as_h11():
     teams = [_matching_team(k, cost, [0.1 * k + 0.2])
              for k, cost in ((1, 12), (2, 15), (3, 18))]
-    report = run_h21(_corpus(teams))
+    report = run_h21(_pipeline(teams))
     assert report.summary["spearman_median_match_abs_vs_error"]["rho"] == pytest.approx(1.0)
 
 
@@ -222,7 +224,7 @@ def test_h22_identical_times_give_zero_delta():
         submit_rows=[(100.0, 12)],
         first_visual="B",
     )
-    report = run_h22(_corpus([team]))
+    report = run_h22(_pipeline([team]))
     row = report.per_team_rows[0]
     assert row["n_oh"] == 1 and row["n_oh_tokens"] == 1
     assert row["delta"] == 0.0
@@ -239,8 +241,8 @@ def test_h22_oh_event_granularity():
         submit_rows=[(100.0, 12)],
         first_visual="B",
     )
-    per_token = run_h22(_corpus([team]), oh_events="token")
-    per_utterance = run_h22(_corpus([team]), oh_events="utterance")
+    per_token = run_h22(_pipeline([team]), oh_events="token")
+    per_utterance = run_h22(_pipeline([team]), oh_events="utterance")
     row_tok = per_token.per_team_rows[0]
     row_utt = per_utterance.per_team_rows[0]
     assert row_tok["n_oh_tokens"] == 3 and row_tok["n_oh"] == 2
@@ -262,7 +264,7 @@ def test_u_delta_relation_in_reports():
         ],
         submit_rows=[(10.0, 12)],
     )
-    report = run_h12(_corpus([team]))
+    report = run_h12(_pipeline([team]))
     row = report.per_team_rows[0]
     m, n = row["n_filler"], row["n_routine"]
     assert row["U_priming"] == pytest.approx(m * n * (1 + row["delta_priming"]) / 2)
@@ -285,7 +287,7 @@ def test_h22_counts_equal_matcher_records():
 def test_emit_h12_csv_schema(tmp_path):
     team = make_team(1, NET, [("A", 1.0, 2.0, "mount bern"), ("B", 3.0, 4.0, "mount bern")],
                      submit_rows=[(10.0, 12)])
-    report = run_h12(_corpus([team]))
+    report = run_h12(_pipeline([team]))
     files = emit(report, "csv", tmp_path)
     per_team = next(p for p in files if p.name == "h12_per_team.csv")
     header = per_team.read_text().splitlines()[0]
@@ -305,30 +307,26 @@ def test_emit_empty_report_headers_only(tmp_path):
 
 
 def test_emit_json_round_trips(tmp_path):
-    corpus = _corpus([_team_with_establishments(1, 12, [0.25, 0.75]),
-                      _team_with_establishments(2, 15, [0.5])])
-    report = run_h11(corpus)
+    report = run_h11(_pipeline([_team_with_establishments(1, 12, [0.25, 0.75]),
+                                _team_with_establishments(2, 15, [0.5])]))
     (path,) = emit(report, "json", tmp_path)
-    restored = HypothesisReport.from_dict(json.loads(path.read_text()))
-    assert restored == report
+    assert json.loads(path.read_text()) == report.to_dict()
 
 
 def test_emit_deterministic_bytes(tmp_path):
-    corpus = _corpus([_team_with_establishments(1, 12, [0.25, 0.75]),
-                      _matching_team(2, 15, [0.5])])
     first = tmp_path / "a"
     second = tmp_path / "b"
     for out in (first, second):
         for runner in (run_h11, run_h12, run_h21, run_h22):
-            emit(runner(_corpus([_team_with_establishments(1, 12, [0.25, 0.75]),
-                                 _matching_team(2, 15, [0.5])])), "csv", out)
+            emit(runner(_pipeline([_team_with_establishments(1, 12, [0.25, 0.75]),
+                                   _matching_team(2, 15, [0.5])])), "csv", out)
     for path in sorted(first.iterdir()):
         assert path.read_bytes() == (second / path.name).read_bytes(), path.name
 
 
 def test_report_determinism():
     corpus = _corpus([_team_with_establishments(1, 12, [0.25, 0.75])])
-    assert run_h11(corpus).to_dict() == run_h11(corpus).to_dict()
+    assert run_h11(Pipeline(corpus)).to_dict() == run_h11(Pipeline(corpus)).to_dict()
 
 
 def test_h11_medians_agree_with_routine_table(tmp_path):
@@ -407,20 +405,34 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path):
     assert rc == 2
 
 
+def _without_lines(text, predicate):
+    lines = text.splitlines(keepends=True)
+    return lines[0] + "".join(line for line in lines[1:] if not predicate(line))
+
+
 def _drop_lines(path, predicate):
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text(lines[0] + "".join(line for line in lines[1:] if not predicate(line)))
+    path.write_text(_without_lines(path.read_text(), predicate))
 
 
-@pytest.mark.parametrize("file, predicate, message", [
-    ("tests", lambda line: line.startswith("20,B"), "team 20 has no test scores for speaker B"),
-    ("tests", lambda line: True, "team 10 has no test scores for speaker A"),
-    ("events", lambda line: "submit" in line and line.startswith("20,"),
+def _only_submit_of_team_20_at(time):
+    return lambda text: (_without_lines(text, lambda line: line.startswith("20,"))
+                         + f"20,{time},submit,,,13\n")
+
+
+@pytest.mark.parametrize("file, edit, message", [
+    ("tests", lambda text: _without_lines(text, lambda line: line.startswith("20,B")),
+     "team 20 has no test scores for speaker B"),
+    ("tests", lambda text: _without_lines(text, lambda line: True),
+     "team 10 has no test scores for speaker A"),
+    ("events", lambda text: _without_lines(text, lambda line: "submit" in line
+                                           and line.startswith("20,")),
      "team 20 submitted no solution"),
+    ("events", _only_submit_of_team_20_at(0.0), "team 20 has duration 0.0"),
+    ("events", _only_submit_of_team_20_at(-5.0), "team 20 has duration -5.0"),
 ])
-def test_cli_ingest_rejects_incomplete_team_with_exit_2(tmp_path, capsys, file, predicate, message):
+def test_cli_ingest_rejects_incomplete_team_with_exit_2(tmp_path, capsys, file, edit, message):
     paths = write_fixture_inputs(tmp_path)
-    _drop_lines(paths[file], predicate)
+    paths[file].write_text(edit(paths[file].read_text()))
     assert _ingest_rc(paths, tmp_path / "c") == 2
     err = capsys.readouterr().err
     assert f"{paths[file]}: {message}" in err and "Traceback" not in err
@@ -460,6 +472,27 @@ def _set(entry, key, value):
     entry[key] = value
 
 
+# network.json edits that load_network and load_corpus reject, with the message
+_BAD_NETWORKS = [
+    (lambda net: net.update(nodes=net["nodes"][:1], edges=[]),
+     "a network needs at least two nodes, got 1"),
+    (lambda net: _set(net["edges"][0], "cost", 2.7), "cost must be an integer, got 2.7"),
+    (lambda net: _set(net["edges"][0], "cost", True), "cost must be an integer, got True"),
+    (lambda net: _set(net["nodes"][0], "id", "1"), "id must be an integer, got '1'"),
+]
+
+
+@pytest.mark.parametrize("edit, message", _BAD_NETWORKS)
+def test_cli_ingest_rejects_bad_network_with_exit_2(tmp_path, capsys, edit, message):
+    paths = write_fixture_inputs(tmp_path)
+    data = json.loads(paths["network"].read_text())
+    edit(data)
+    paths["network"].write_text(json.dumps(data))
+    assert _ingest_rc(paths, tmp_path / "c") == 2
+    err = capsys.readouterr().err
+    assert f"error: {paths['network']}: {message}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda data: data["teams"][0].pop("submits"), "team 10: missing key 'submits'"),
     (lambda data: data["teams"][0].pop("team"), "teams[0]: missing key 'team'"),
@@ -480,6 +513,12 @@ def _set(entry, key, value):
     (lambda data: _set(data["teams"][0]["edits"][0], "v", 99), "team 10: unknown node id 99"),
     (lambda data: data["teams"][0]["edits"][0].update(u=1, v=3),
      "team 10: (Luzern,Montreux) is not a network edge"),
+    (lambda data: data["teams"][1].update(edits=[], stops=[], submits=[{"time": 0.0, "cost": 13}]),
+     "team 20 has duration 0.0"),
+    (lambda data: data["teams"][1].update(edits=[], stops=[],
+                                          submits=[{"time": -5.0, "cost": 13}]),
+     "team 20 has duration -5.0"),
+    *[(lambda data, edit=edit: edit(data["network"]), message) for edit, message in _BAD_NETWORKS],
 ])
 def test_cli_all_rejects_malformed_corpus_with_exit_2(tmp_path, capsys, edit, message):
     corpus_dir = _ingest(tmp_path)
@@ -511,8 +550,8 @@ def test_cli_rejects_empty_corpus_with_exit_2(tmp_path, capsys):
     ("transcripts", "10,A,10.0,13.0", "10,A,nan,13.0", "line 3: bad start_sec value 'nan'"),
     ("transcripts", "10,A,10.0,13.0", "10,A,10.0,inf", "line 3: bad end_sec value 'inf'"),
     ("events", "10,25.0,add", "10,-Infinity,add", "line 2: bad time_sec value '-Infinity'"),
-    ("network", '"x": 90.0', '"x": NaN', "non-finite number nan"),
-    ("network", '"y": 344.0', '"y": "inf"', "non-finite number 'inf'"),
+    ("network", '"x": 90.0', '"x": NaN', "invalid JSON (NaN is not a JSON number)"),
+    ("network", '"y": 344.0', '"y": "inf"', "y must be a finite number, got 'inf'"),
 ])
 def test_cli_ingest_rejects_non_finite_numbers_with_exit_2(tmp_path, capsys, file, old, new,
                                                            message):

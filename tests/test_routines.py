@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from align.corpus import number_utterances
 from align.routines import (
     collaborative_period,
-    establishment_times,
     extract_routines,
     filter_task_routines,
     token_events,
@@ -261,28 +260,6 @@ def test_filter_keeps_referent_expressions():
 
 def test_filter_empty_input():
     assert filter_task_routines([], network()) == []
-
-
-# --- establishment times --------------------------------------------------------
-
-def _route_with_end(end):
-    utterances = _dialogue([
-        ("A", 0.0, end / 2, "mount bern"),
-        ("B", end - 1, end, "mount bern"),
-    ])
-    return extract_routines(utterances)
-
-
-def test_establishment_time_modes():
-    routines = _route_with_end(660.0)
-    assert establishment_times(routines, "absolute") == [660.0]
-    assert establishment_times(routines, "normalized", duration=1320.0) == [50.0]
-    assert establishment_times(routines, "common_window", window=660.0) == [660.0]
-    assert establishment_times(routines, "common_window", window=659.0) == []
-
-
-def test_establishment_times_empty():
-    assert establishment_times([], "absolute") == []
 
 
 # --- collaborative period -------------------------------------------------------
