@@ -1,73 +1,33 @@
-"""Automatic verbal and behavioural alignment measures for situated dialogues."""
+"""Automatic verbal and behavioural alignment measures for situated dialogues.
 
-from .corpus import (
-    ActionEvent,
-    Corpus,
-    EditEvent,
-    InputError,
-    Network,
-    NetworkNode,
-    SubmitEvent,
-    TeamCorpus,
-    TestScores,
-    Utterance,
-    assemble_corpus,
-    build_action_stream,
-    load_corpus,
-    load_event_log,
-    load_network,
-    load_test_scores,
-    load_transcript,
-    relative_time,
-    save_corpus,
-    tokenize,
-)
-from .instructions import (
-    Entity,
-    Instruction,
-    MatchRecord,
-    check_match,
-    grouped_records,
-    match_instructions_to_actions,
-    match_mismatch_times,
-    recognise_entities,
-    recognise_instructions,
-)
-from .measures import (
-    TeamSuccess,
-    common_window,
-    learning_groups,
-    relative_learning_gain,
-    submission_error,
-    team_error,
-    team_learning,
-    team_success,
-)
-from .report import (
-    HypothesisReport,
-    Pipeline,
-    emit,
-    run_h11,
-    run_h12,
-    run_h21,
-    run_h22,
-)
-from .routines import (
-    Routine,
-    TokenEvents,
-    collaborative_period,
-    extract_routines,
-    filter_task_routines,
-    token_events,
-)
-from .stats import (
-    TestResult,
-    cliffs_delta,
-    interpret_delta,
-    interpret_rho,
-    kruskal_wallis,
-    mann_whitney_u,
-    spearman,
-)
+`from align import X` imports only the submodule that owns X (PEP 562), so
+code that ingests a corpus never loads the statistics' numpy and scipy.
+"""
+
+import importlib
+
+_EXPORTS = {
+    "corpus": """ActionEvent Corpus EditEvent InputError Network NetworkNode SubmitEvent
+        TeamCorpus TestScores Utterance assemble_corpus build_action_stream load_corpus
+        load_event_log load_network load_test_scores load_transcript relative_time
+        save_corpus tokenize""",
+    "instructions": """Entity Instruction MatchRecord check_match grouped_records
+        match_instructions_to_actions match_mismatch_times recognise_entities
+        recognise_instructions""",
+    "measures": """TeamSuccess common_window learning_groups relative_learning_gain
+        submission_error team_error team_learning team_success""",
+    "report": "HypothesisReport Pipeline emit run_h11 run_h12 run_h21 run_h22",
+    "routines": """Routine TokenEvents collaborative_period extract_routines
+        filter_task_routines token_events""",
+    "stats": """TestResult cliffs_delta interpret_delta interpret_rho kruskal_wallis
+        mann_whitney_u spearman""",
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)

@@ -7,6 +7,7 @@ analysis here is deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -21,23 +22,36 @@ from .corpus import (
     load_transcript,
     save_corpus,
 )
-from .report import (
-    RUNNER_OPTIONS,
-    RUNNERS,
-    Pipeline,
-    emit,
-    emit_annotated_corpus,
-    emit_measures,
-    emit_routine_table,
-    summary_lines,
-)
+
+# Bound from .report once, on first use, so that `align ingest` never imports
+# the statistics (numpy, scipy). A name already set on this module, such as a
+# wrapper patched in by a tracer, wins over the one in .report; a name deleted
+# after the binding stays deleted.
+_REPORT_NAMES = ("RUNNER_OPTIONS", "RUNNERS", "Pipeline", "emit", "emit_annotated_corpus",
+                 "emit_measures", "emit_routine_table", "summary_lines")
+
+
+@functools.cache
+def _bind_report() -> None:
+    from . import report
+    for name in _REPORT_NAMES:
+        globals().setdefault(name, getattr(report, name))
+
+
+def __getattr__(name: str):
+    if name in _REPORT_NAMES:
+        _bind_report()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _markers(text: str) -> frozenset[str]:
     return frozenset(m.strip() for m in text.split(",") if m.strip())
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The parser and its `analyze` subparser, which checks --hypothesis."""
     parser = argparse.ArgumentParser(
         prog="align",
         description="Verbal and behavioural alignment measures for situated task dialogues.",
@@ -70,7 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     measures.add_argument("--out")
 
     analyze = sub.add_parser("analyze", help="run one hypothesis analysis")
-    analyze.add_argument("--hypothesis", required=True, choices=RUNNERS)
+    # checked against RUNNERS after parsing: `choices` would import .report
+    analyze.add_argument("--hypothesis", required=True,
+                         help="the analysis to run; an unknown name lists the valid ones")
     analyze.add_argument("--corpus", required=True)
     analyze.add_argument("--format", choices=["csv", "json"], default="csv")
     analyze.add_argument("--out")
@@ -92,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_all.add_argument("--out")
     run_all.add_argument("--clear-on-verdict", action="store_true")
 
-    return parser
+    return parser, analyze
 
 
 def _out_dir(args) -> Path:
@@ -100,7 +116,13 @@ def _out_dir(args) -> Path:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, analyze = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command != "ingest":
+        _bind_report()
+    if args.command == "analyze" and args.hypothesis not in RUNNERS:
+        analyze.error(f"argument --hypothesis: invalid choice: {args.hypothesis!r} "
+                      f"(choose from {', '.join(map(repr, RUNNERS))})")
     try:
         if args.command == "ingest":
             network = load_network(args.network)

@@ -273,7 +273,14 @@ def _check_speaker(speaker: str, allowed: tuple[str, ...]) -> str:
     return speaker
 
 
+def _check_time(time: float, name: str) -> float:
+    if time < 0:
+        raise InputError(f"{name} {time} is negative; times count from the task's start at 0")
+    return time
+
+
 def _check_interval(start: float, end: float) -> None:
+    _check_time(start, "start")
     if start > end:
         raise InputError(f"start {start} after end {end}")
 
@@ -348,7 +355,7 @@ def load_event_log(path: str | Path, network: Network) -> EventLog:
     with _csv_rows(path, ["team", "time_sec", "event", "u", "v", "cost"]) as rows:
         for row in rows:
             team = _parse_int(row["team"], "team")
-            time = _parse_float(row["time_sec"], "time_sec")
+            time = _check_time(_parse_float(row["time_sec"], "time_sec"), "time_sec")
             kind = row["event"].strip().lower()
             if kind in (ADD, REMOVE):
                 edge = network.edge(network.resolve_node(row["u"].strip()),
@@ -646,7 +653,8 @@ def _team_from_json(entry: dict, network: Network) -> TeamCorpus:
         kind = _field(e, "kind", str)
         if kind not in (ADD, REMOVE):
             raise InputError(f"unknown edit kind {kind!r}")
-        edits.append(EditEvent(team=team, time=_field(e, "time", float), kind=kind,
+        edits.append(EditEvent(team=team, time=_check_time(_field(e, "time", float), "time"),
+                               kind=kind,
                                edge=network.edge(_field(e, "u", int), _field(e, "v", int))))
     first_visual = "B"
     if "first_visual" in entry:
@@ -655,10 +663,11 @@ def _team_from_json(entry: dict, network: Network) -> TeamCorpus:
         team=team,
         utterances=tuple(number_utterances(team, rows)),
         edits=tuple(edits),
-        submits=tuple(SubmitEvent(team=team, time=_field(s, "time", float),
+        submits=tuple(SubmitEvent(team=team, time=_check_time(_field(s, "time", float), "time"),
                                   cost=_check_cost(_field(s, "cost", int), network))
                       for s in _records(entry, "submits")),
-        stops=tuple(_typed(time, float, "each of stops") for time in _field(entry, "stops", list)),
+        stops=tuple(_check_time(_typed(time, float, "each of stops"), "stop time")
+                    for time in _field(entry, "stops", list)),
         scores=tuple(TestScores(team=team,
                                 speaker=_check_speaker(_field(s, "speaker", str), HUMAN_SPEAKERS),
                                 pre=_check_score("pre", _field(s, "pre", int)),

@@ -327,7 +327,8 @@ def test_corpus_round_trip(tmp_path):
         assert restored.duration == original.duration
 
 
-_times = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_times = st.floats(min_value=0, max_value=1e6)
+_coordinates = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 @st.composite
@@ -336,7 +337,7 @@ def _valid_corpora(draw):
     from align.corpus import TestScores  # imported here so pytest does not collect it
     size = draw(st.integers(2, 5))
     nodes = tuple(NetworkNode(id=i, name=f"node{i}", label=draw(st.text(max_size=6)),
-                              x=draw(_times), y=draw(_times)) for i in range(1, size + 1))
+                              x=draw(_coordinates), y=draw(_coordinates)) for i in range(1, size + 1))
     # a chain keeps the network connected; any other pair may add an edge
     ids = st.integers(1, size)
     pairs = {(i, i + 1) for i in range(1, size)}

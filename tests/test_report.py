@@ -428,7 +428,6 @@ def _only_submit_of_team_20_at(time):
                                            and line.startswith("20,")),
      "team 20 submitted no solution"),
     ("events", _only_submit_of_team_20_at(0.0), "team 20 has duration 0.0"),
-    ("events", _only_submit_of_team_20_at(-5.0), "team 20 has duration -5.0"),
 ])
 def test_cli_ingest_rejects_incomplete_team_with_exit_2(tmp_path, capsys, file, edit, message):
     paths = write_fixture_inputs(tmp_path)
@@ -466,6 +465,23 @@ def test_cli_ingest_rejects_incomplete_rows_with_exit_2(tmp_path, capsys, file, 
     paths[file].write_text(text.replace(old, new, 1))
     assert _ingest_rc(paths, tmp_path / "c") == 2
     assert f"error: {paths[file]}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("file, old, new, message", [
+    ("transcripts", "10,A,10.0,13.0", "10,A,-13.0,-10.0", "line 3: start -13.0 is negative"),
+    ("events", "10,25.0,add", "10,-25.0,add", "line 2: time_sec -25.0 is negative"),
+    ("events", "20,18.0,submit", "20,-5.0,submit", "line 13: time_sec -5.0 is negative"),
+    ("events", "20,20.0,stop", "20,-1.0,stop", "line 14: time_sec -1.0 is negative"),
+])
+def test_cli_ingest_rejects_negative_times_with_exit_2(tmp_path, capsys, file, old, new, message):
+    paths = write_fixture_inputs(tmp_path)
+    text = paths[file].read_text()
+    assert old in text
+    paths[file].write_text(text.replace(old, new, 1))
+    assert _ingest_rc(paths, tmp_path / "c") == 2
+    err = capsys.readouterr().err
+    assert f"error: {paths[file]}: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "c" / "corpus.json").exists()
 
 
 def _set(entry, key, value):
@@ -517,7 +533,12 @@ def test_cli_ingest_rejects_bad_network_with_exit_2(tmp_path, capsys, edit, mess
      "team 20 has duration 0.0"),
     (lambda data: data["teams"][1].update(edits=[], stops=[],
                                           submits=[{"time": -5.0, "cost": 13}]),
-     "team 20 has duration -5.0"),
+     "team 20: time -5.0 is negative"),
+    (lambda data: data["teams"][0]["utterances"][1].update(start=-13.0, end=-10.0),
+     "team 10: start -13.0 is negative"),
+    (lambda data: _set(data["teams"][0]["edits"][0], "time", -25.0),
+     "team 10: time -25.0 is negative"),
+    (lambda data: _set(data["teams"][1], "stops", [-1.0]), "team 20: stop time -1.0 is negative"),
     *[(lambda data, edit=edit: edit(data["network"]), message) for edit, message in _BAD_NETWORKS],
 ])
 def test_cli_all_rejects_malformed_corpus_with_exit_2(tmp_path, capsys, edit, message):

@@ -3,13 +3,9 @@
 from __future__ import annotations
 
 import math
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,15 +344,6 @@ def test_p_values_equal_scipy_stats_tails_at_the_edges():
             result = spearman(x, [sign * v for v in y])
             assert abs(result.statistic) < 1.0
             assert result.p_value == _spearman_p(result.statistic, n)
-
-
-# --- start-up -------------------------------------------------------------------
-
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, align.cli; sys.exit('scipy.stats' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 # --- invariances ----------------------------------------------------------------
