@@ -111,8 +111,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     return parser, analyze
 
 
-def _out_dir(args) -> Path:
-    return Path(args.out) if args.out else Path(args.corpus)
+def _out_dir(path: str) -> Path:
+    """The output directory `path`, created if missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot create the output directory ({exc.strerror})") from None
+    return Path(path)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,34 +140,33 @@ def main(argv: list[str] | None = None) -> int:
             )
             check_teams(corpus, teams_file=args.transcripts, scores_file=args.tests,
                         events_file=args.events)
-            path = save_corpus(corpus, args.out)
+            path = save_corpus(corpus, _out_dir(args.out))
             print(f"wrote {path} ({len(corpus.teams)} teams)")
             return 0
 
         corpus = load_corpus(args.corpus)
+        out = _out_dir(args.out or args.corpus)
         if args.command == "routines":
             pipeline = Pipeline(corpus)
-            path = emit_routine_table(pipeline, _out_dir(args) / "routines.csv",
-                                      task_only=args.task_only)
+            path = emit_routine_table(pipeline, out / "routines.csv", task_only=args.task_only)
             print(f"wrote {path}")
         elif args.command == "annotate":
             pipeline = Pipeline(corpus, clear_on_verdict=args.clear_on_verdict)
-            path = emit_annotated_corpus(pipeline, _out_dir(args) / "annotated_corpus.csv")
+            path = emit_annotated_corpus(pipeline, out / "annotated_corpus.csv")
             print(f"wrote {path}")
         elif args.command == "measures":
             pipeline = Pipeline(corpus)
-            path = emit_measures(pipeline, _out_dir(args) / "task_features.csv")
+            path = emit_measures(pipeline, out / "task_features.csv")
             print(f"wrote {path}")
         elif args.command == "analyze":
             pipeline = Pipeline(corpus, clear_on_verdict=args.clear_on_verdict)
             options = {name: getattr(args, name) for name in RUNNER_OPTIONS[args.hypothesis]}
             report = RUNNERS[args.hypothesis](pipeline, **options)
-            for path in emit(report, args.format, _out_dir(args)):
+            for path in emit(report, args.format, out):
                 print(f"wrote {path}")
             print("\n".join(summary_lines(report)))
         elif args.command == "all":
             pipeline = Pipeline(corpus, clear_on_verdict=args.clear_on_verdict)
-            out = _out_dir(args)
             emit_routine_table(pipeline, out / "routines.csv")
             emit_annotated_corpus(pipeline, out / "annotated_corpus.csv")
             emit_measures(pipeline, out / "task_features.csv")

@@ -8,15 +8,17 @@ attempt starts after each submitted solution.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import reprlib
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import groupby, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 HUMAN_SPEAKERS = ("A", "B")
@@ -172,6 +174,9 @@ class EditEvent:
     kind: str  # ADD or REMOVE
     edge: tuple[int, int]  # canonical u < v
 
+    u = property(lambda self: self.edge[0])  # the edge's ends, by their corpus.json keys
+    v = property(lambda self: self.edge[1])
+
 
 @dataclass(frozen=True)
 class SubmitEvent:
@@ -205,67 +210,90 @@ class ActionEvent:
     edge: tuple[int, int] | None = None
 
 
-def _parse_float(value: str, column: str) -> float:
-    try:
-        number = float(value)
-    except ValueError:
-        number = math.nan
-    if not math.isfinite(number):
-        raise InputError(f"bad {column} value {value!r}")
-    return number
-
-
 def _reject_constant(token: str) -> float:
     """json.loads hook: NaN and Infinity are not JSON numbers."""
     raise ValueError(f"{token} is not a JSON number")
 
 
-def _read_json(path: Path) -> object:
+def _read_json(path: Path, what: str, parse):
+    """`parse` of the JSON object `what` in the file `path`; every InputError names the file."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
-    except ValueError as exc:
+        data = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+        return parse(_typed(data, dict, what))
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    except ValueError as exc:  # a JSON syntax error, or a byte that is not UTF-8
         raise InputError(f"{path}: invalid JSON ({exc})") from None
 
 
-def _parse_int(value: str, column: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise InputError(f"bad {column} value {value!r}") from None
+def _csv_reader(kind: type, column: str):
+    """The function that reads a field of `column` as `kind`: stripped, or a finite number."""
+    if kind is str:
+        return str.strip
+
+    def read(value: str):
+        try:
+            number = kind(value)
+            if kind is float and not math.isfinite(number):
+                raise ValueError
+        except ValueError:
+            raise InputError(f"bad {column} value {value!r}") from None
+        return number
+    return read
 
 
 @contextmanager
-def _csv_rows(path: str | Path, columns: list[str]):
-    """Open a CSV file whose header is `columns` and yield its rows as dicts.
+def _csv_rows(path: str | Path, columns: dict[str, type]):
+    """Open a UTF-8 CSV file whose header is `columns`; yield its rows and readers.
 
-    Every row must have one field per column; blank lines are skipped. An
-    InputError raised while the with-block reads or handles a row is raised
-    again with the file name and the row's line number in front.
+    A row is the list of its raw fields, one per column; blank lines are
+    skipped. The caller reads each field with its column's reader: a call
+    per column is faster than a loop per row. An InputError raised while the
+    with-block handles a row is raised again with the file name and line
+    number in front.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [f.strip() for f in header] != columns:
-            raise InputError(
-                f"{path}: expected header {','.join(columns)}, got {','.join(header or [])}")
+    try:
+        data = Path(path).read_bytes()
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
 
-        def rows():
-            for fields in reader:
-                if not fields:
-                    continue
-                if len(fields) != len(columns):
-                    raise InputError(f"expected {len(columns)} fields, got {len(fields)}")
-                yield dict(zip(columns, fields))
+    def rows():
+        for fields in filter(None, reader):
+            if len(fields) != len(columns):
+                raise InputError(f"expected {len(columns)} fields, got {len(fields)}")
+            yield fields
 
-        try:
-            yield rows()
-        except InputError as exc:
-            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+    try:
+        header = next(reader, [])
+        if [f.strip() for f in header] == list(columns):
+            yield rows(), [_csv_reader(kind, column) for column, kind in columns.items()]
+            return
+    except (InputError, csv.Error) as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+    raise InputError(f"{path}: expected header {','.join(columns)}, got {','.join(header)}")
 
 
-# Row checks shared by the raw loaders and load_corpus. Each raises an
-# InputError without a location; the caller puts the file and line or team
-# in front.
+# Stored record kinds, each declared once: under the corpus.json list that
+# holds them, an entry's keys and JSON types in the order the kind's builder
+# takes them; a CSV column has its key's name unless _COLUMNS renames it. The
+# builder runs the kind's checks and makes the record for the raw loaders and
+# load_corpus alike. A check's InputError has no location; the caller adds it.
+_RECORDS = {
+    "utterances": {"speaker": str, "start": float, "end": float, "text": str},
+    "edits": {"time": float, "kind": str, "u": int, "v": int},
+    "submits": {"time": float, "cost": int},
+    "scores": {"speaker": str, "pre": int, "post": int},
+    "nodes": {"id": int, "name": str, "label": str, "x": float, "y": float},
+    "edges": {"u": int, "v": int, "cost": int},
+}
+_COLUMNS = {"start": "start_sec", "end": "end_sec", "text": "utterance"}
+
 
 def _check_speaker(speaker: str, allowed: tuple[str, ...]) -> str:
     if speaker not in allowed:
@@ -279,23 +307,35 @@ def _check_time(time: float, name: str) -> float:
     return time
 
 
-def _check_interval(start: float, end: float) -> None:
+def _utterance(speaker: str, start: float, end: float, text: str) -> tuple[str, float, float, str]:
+    """An utterance row; number_utterances tokenizes a team's rows in start order."""
+    _check_speaker(speaker, SPEAKERS)
     _check_time(start, "start")
     if start > end:
         raise InputError(f"start {start} after end {end}")
+    return speaker, start, end, text
 
 
-def _check_cost(cost: int, network: Network) -> int:
+def _edit(team: int, network: Network, time: float, kind: str, u: int, v: int) -> EditEvent:
+    if kind not in (ADD, REMOVE):
+        raise InputError(f"unknown edit kind {kind!r}")
+    return EditEvent(team=team, time=_check_time(time, "time"), kind=kind, edge=network.edge(u, v))
+
+
+def _submit(team: int, network: Network, time: float, cost: int) -> SubmitEvent:
+    _check_time(time, "time")
     if cost < network.optimal_cost:
         raise InputError(f"submitted cost {cost} below optimal {network.optimal_cost} "
                          "(a solution spans all nodes)")
-    return cost
+    return SubmitEvent(team=team, time=time, cost=cost)
 
 
-def _check_score(name: str, value: int) -> int:
-    if not 0 <= value <= MAX_SCORE:
-        raise InputError(f"{name} score {value} outside 0..{MAX_SCORE}")
-    return value
+def _score(team: int, speaker: str, pre: int, post: int) -> TestScores:
+    _check_speaker(speaker, HUMAN_SPEAKERS)
+    for name, value in (("pre", pre), ("post", post)):
+        if not 0 <= value <= MAX_SCORE:
+            raise InputError(f"{name} score {value} outside 0..{MAX_SCORE}")
+    return TestScores(team=team, speaker=speaker, pre=pre, post=post)
 
 
 def load_transcript(path: str | Path) -> list[Utterance]:
@@ -304,18 +344,16 @@ def load_transcript(path: str | Path) -> list[Utterance]:
     Utterances are sorted by start time within each team and numbered with
     cumulative global token offsets (unique token numbering per team).
     """
-    loaded = []
-    with _csv_rows(path, ["team", "speaker", "start_sec", "end_sec", "utterance"]) as rows:
-        for row in rows:
-            speaker = _check_speaker(row["speaker"].strip(), SPEAKERS)
-            start = _parse_float(row["start_sec"], "start_sec")
-            end = _parse_float(row["end_sec"], "end_sec")
-            _check_interval(start, end)
-            loaded.append((_parse_int(row["team"], "team"), speaker, start, end, row["utterance"]))
+    columns = {"team": int, **{_COLUMNS.get(k, k): t for k, t in _RECORDS["utterances"].items()}}
+    with _csv_rows(path, columns) as (rows, readers):
+        read_team, read_speaker, read_start, read_end, _ = readers  # the text stays unstripped
+        loaded = [(read_team(team), *_utterance(read_speaker(speaker), read_start(start),
+                                                 read_end(end), text))
+                  for team, speaker, start, end, text in rows]
 
-    loaded.sort(key=lambda r: (r[0], r[2], r[3]))
+    loaded.sort(key=itemgetter(0, 2, 3))
     utterances = []
-    for team, team_rows in groupby(loaded, key=lambda r: r[0]):
+    for team, team_rows in groupby(loaded, key=itemgetter(0)):
         utterances += number_utterances(team, [r[1:] for r in team_rows])
     return utterances
 
@@ -352,52 +390,43 @@ def load_event_log(path: str | Path, network: Network) -> EventLog:
     u < v. An optional `stop` event marks the experimenter ending the task.
     """
     edits, submits, stops = [], [], []
-    with _csv_rows(path, ["team", "time_sec", "event", "u", "v", "cost"]) as rows:
-        for row in rows:
-            team = _parse_int(row["team"], "team")
-            time = _check_time(_parse_float(row["time_sec"], "time_sec"), "time_sec")
-            kind = row["event"].strip().lower()
+    # one row layout for every event: u and v are node names, and only submits set a cost
+    columns = {"team": int, "time_sec": float, "event": str, "u": str, "v": str, "cost": int}
+    with _csv_rows(path, columns) as (rows, readers):
+        read_team, read_time, read_kind, read_u, read_v, read_cost = readers
+        for team, time, kind, u, v, cost in rows:
+            team, time = read_team(team), _check_time(read_time(time), "time_sec")
+            kind = read_kind(kind).lower()
             if kind in (ADD, REMOVE):
-                edge = network.edge(network.resolve_node(row["u"].strip()),
-                                    network.resolve_node(row["v"].strip()))
-                edits.append(EditEvent(team=team, time=time, kind=kind, edge=edge))
+                edits.append(_edit(team, network, time, kind, network.resolve_node(read_u(u)),
+                                   network.resolve_node(read_v(v))))
             elif kind == "submit":
-                if not row["cost"].strip():
+                if not cost.strip():
                     raise InputError("submit without cost")
-                cost = _check_cost(_parse_int(row["cost"].strip(), "cost"), network)
-                submits.append(SubmitEvent(team=team, time=time, cost=cost))
+                submits.append(_submit(team, network, time, read_cost(cost.strip())))
             elif kind == "stop":
                 stops.append((team, time))
             else:
                 raise InputError(f"unknown event kind {kind!r}")
 
-    edits.sort(key=lambda e: (e.team, e.time))
-    submits.sort(key=lambda s: (s.team, s.time))
+    edits.sort(key=attrgetter("team", "time"))
+    submits.sort(key=attrgetter("team", "time"))
     stops.sort()
     return EventLog(edits=tuple(edits), submits=tuple(submits), stops=tuple(stops))
 
 
 def load_network(path: str | Path) -> Network:
     """Load the network JSON: {nodes:[{id,name,label,x,y}], edges:[{u,v,cost}]}."""
-    data = _read_json(Path(path))
-    try:
-        return _network_from_json(_typed(data, dict, "the network"))
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    return _read_json(Path(path), "the network", _network_from_json)
 
 
 def load_test_scores(path: str | Path) -> list[TestScores]:
     """Load the tests CSV (team,speaker,pre,post) with 0..MAX_SCORE validation."""
-    scores = []
-    with _csv_rows(path, ["team", "speaker", "pre", "post"]) as rows:
-        for row in rows:
-            speaker = _check_speaker(row["speaker"].strip(), HUMAN_SPEAKERS)
-            pre = _check_score("pre", _parse_int(row["pre"], "pre"))
-            post = _check_score("post", _parse_int(row["post"], "post"))
-            scores.append(TestScores(team=_parse_int(row["team"], "team"),
-                                     speaker=speaker, pre=pre, post=post))
-    scores.sort(key=lambda s: (s.team, s.speaker))
-    return scores
+    with _csv_rows(path, {"team": int, **_RECORDS["scores"]}) as (rows, readers):
+        read_team, read_speaker, read_pre, read_post = readers
+        scores = [_score(read_team(team), read_speaker(speaker), read_pre(pre), read_post(post))
+                  for team, speaker, pre, post in rows]
+    return sorted(scores, key=attrgetter("team", "speaker"))
 
 
 def build_action_stream(
@@ -538,17 +567,21 @@ def check_teams(corpus: Corpus, *, teams_file: str | Path, scores_file: str | Pa
                 events_file: str | Path) -> None:
     """Reject a corpus without teams, or a team the success measures cannot score.
 
-    Every team needs a test-score row for each interlocutor, at least one
-    submitted solution and a positive duration (its last event's time). Each
-    message names the file that lacks the rows or holds the times.
+    Every team appears once, with one test-score row for each interlocutor,
+    at least one submitted solution and a positive duration (its last event's
+    time). Each message names the file that holds the rows or times at fault.
     """
     if not corpus.teams:
         raise InputError(f"{teams_file}: no teams")
+    appearances = Counter(tc.team for tc in corpus.teams)
     for tc in corpus.teams:
+        if appearances[tc.team] > 1:
+            raise InputError(f"{teams_file}: team {tc.team} appears twice")
         for speaker in HUMAN_SPEAKERS:
-            if tc.score_for(speaker) is None:
-                raise InputError(f"{scores_file}: team {tc.team} has no test scores "
-                                 f"for speaker {speaker}")
+            rows = sum(s.speaker == speaker for s in tc.scores)
+            if rows != 1:
+                has = f"has {rows} test-score rows" if rows else "has no test scores"
+                raise InputError(f"{scores_file}: team {tc.team} {has} for speaker {speaker}")
         if not tc.submits:
             raise InputError(f"{events_file}: team {tc.team} submitted no solution")
         if not tc.duration > 0:
@@ -561,32 +594,21 @@ def check_teams(corpus: Corpus, *, teams_file: str | Path, scores_file: str | Pa
 # load from the stored raw rows; both derivations are deterministic, so a
 # round-trip reproduces them exactly.
 
+def _stored(records, kind: str) -> list[dict]:
+    """Each record as its corpus.json entry: the keys _RECORDS declares for `kind`."""
+    return [{key: getattr(record, key) for key in _RECORDS[kind]} for record in records]
+
+
 def save_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
-        "network": {
-            "nodes": [{"id": n.id, "name": n.name, "label": n.label, "x": n.x, "y": n.y}
-                      for n in corpus.network.nodes],
-            "edges": [{"u": u, "v": v, "cost": c} for u, v, c in corpus.network.edges],
-        },
-        "teams": [
-            {
-                "team": tc.team,
-                "first_visual": tc.first_visual,
-                "utterances": [
-                    {"speaker": u.speaker, "start": u.start, "end": u.end, "text": u.text}
-                    for u in tc.utterances
-                ],
-                "edits": [{"time": e.time, "kind": e.kind, "u": e.edge[0], "v": e.edge[1]}
-                          for e in tc.edits],
-                "submits": [{"time": s.time, "cost": s.cost} for s in tc.submits],
-                "stops": list(tc.stops),
-                "scores": [{"speaker": s.speaker, "pre": s.pre, "post": s.post}
-                           for s in tc.scores],
-            }
-            for tc in corpus.teams
-        ],
+        "network": {"nodes": _stored(corpus.network.nodes, "nodes"),
+                    "edges": [dict(zip(_RECORDS["edges"], e)) for e in corpus.network.edges]},
+        "teams": [{"team": tc.team, "first_visual": tc.first_visual, "stops": list(tc.stops),
+                   **{kind: _stored(getattr(tc, kind), kind)
+                      for kind in ("utterances", "edits", "submits", "scores")}}
+                  for tc in corpus.teams],
     }
     path = out / "corpus.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
@@ -625,54 +647,35 @@ def _records(entry: dict, key: str) -> list[dict]:
     return items
 
 
+def _built(entry: dict, key: str, build, *context) -> list:
+    """build(*context, *values) for each record under `key`, of the keys _RECORDS
+    declares. The values are read a key at a time, so that map calls build."""
+    items = _records(entry, key)
+    values = [[_field(item, name, kind) for item in items] for name, kind in _RECORDS[key].items()]
+    return list(map(build, *map(repeat, context), *values))
+
+
 def _network_from_json(data: dict) -> Network:
     """Network from its JSON form, with exact JSON types."""
-    nodes = tuple(NetworkNode(id=_field(n, "id", int), name=_field(n, "name", str),
-                              label=_field(n, "label", str), x=_field(n, "x", float),
-                              y=_field(n, "y", float))
-                  for n in _records(data, "nodes"))
-    edges = []
-    for e in _records(data, "edges"):
-        u, v = _field(e, "u", int), _field(e, "v", int)
-        edges.append((min(u, v), max(u, v), _field(e, "cost", int)))
-    return Network(nodes=nodes, edges=tuple(sorted(edges)))
+    edges = _built(data, "edges", lambda u, v, cost: (min(u, v), max(u, v), cost))
+    return Network(nodes=tuple(_built(data, "nodes", NetworkNode)), edges=tuple(sorted(edges)))
 
 
 def _team_from_json(entry: dict, network: Network) -> TeamCorpus:
     """One team of corpus.json, checked like the raw rows it was saved from."""
     team = _field(entry, "team", int)
-    rows = []
-    for u in _records(entry, "utterances"):
-        start, end = _field(u, "start", float), _field(u, "end", float)
-        _check_interval(start, end)
-        rows.append((_check_speaker(_field(u, "speaker", str), SPEAKERS), start, end,
-                     _field(u, "text", str)))
-    rows.sort(key=lambda r: (r[1], r[2]))
-    edits = []
-    for e in _records(entry, "edits"):
-        kind = _field(e, "kind", str)
-        if kind not in (ADD, REMOVE):
-            raise InputError(f"unknown edit kind {kind!r}")
-        edits.append(EditEvent(team=team, time=_check_time(_field(e, "time", float), "time"),
-                               kind=kind,
-                               edge=network.edge(_field(e, "u", int), _field(e, "v", int))))
+    rows = sorted(_built(entry, "utterances", _utterance), key=itemgetter(1, 2))
     first_visual = "B"
     if "first_visual" in entry:
         first_visual = _check_speaker(_field(entry, "first_visual", str), HUMAN_SPEAKERS)
     return TeamCorpus(
         team=team,
         utterances=tuple(number_utterances(team, rows)),
-        edits=tuple(edits),
-        submits=tuple(SubmitEvent(team=team, time=_check_time(_field(s, "time", float), "time"),
-                                  cost=_check_cost(_field(s, "cost", int), network))
-                      for s in _records(entry, "submits")),
+        edits=tuple(_built(entry, "edits", _edit, team, network)),
+        submits=tuple(_built(entry, "submits", _submit, team, network)),
         stops=tuple(_check_time(_typed(time, float, "each of stops"), "stop time")
                     for time in _field(entry, "stops", list)),
-        scores=tuple(TestScores(team=team,
-                                speaker=_check_speaker(_field(s, "speaker", str), HUMAN_SPEAKERS),
-                                pre=_check_score("pre", _field(s, "pre", int)),
-                                post=_check_score("post", _field(s, "post", int)))
-                     for s in _records(entry, "scores")),
+        scores=tuple(_built(entry, "scores", _score, team)),
         first_visual=first_visual,
     )
 
@@ -685,13 +688,8 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
     path = Path(corpus_dir) / "corpus.json"
     if not path.exists():
         raise InputError(f"{path}: corpus file not found (run `align ingest` first)")
-    data = _read_json(path)
-    try:
-        _typed(data, dict, "the corpus")
-        network = _network_from_json(_field(data, "network", dict))
-        entries = _records(data, "teams")
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    network, entries = _read_json(path, "the corpus", lambda data: (
+        _network_from_json(_field(data, "network", dict)), _records(data, "teams")))
 
     teams = []
     for index, entry in enumerate(entries):

@@ -597,6 +597,141 @@ def test_cli_rejects_non_finite_numbers_in_corpus_with_exit_2(tmp_path, capsys):
     assert f"{path}: invalid JSON (NaN is not a JSON number)" in capsys.readouterr().err
 
 
+# One bad value for each checked field, sent through a raw file and through the
+# corpus.json entry saved from it: (raw file, its row, the row with the bad
+# value, the raw file's message, the edit of corpus.json's teams, its message).
+_BAD_VALUES = [
+    ("transcripts", "10,A,10.0,13.0", "10,C,10.0,13.0",
+     "line 3: speaker must be one of A, B, I, got 'C'",
+     lambda teams: _set(teams[0]["utterances"][1], "speaker", "C"),
+     "team 10: speaker must be one of A, B, I, got 'C'"),
+    ("transcripts", "10,A,10.0,13.0", "10,A,ten,13.0", "line 3: bad start_sec value 'ten'",
+     lambda teams: _set(teams[0]["utterances"][1], "start", "ten"),
+     "team 10: start must be a finite number, got 'ten'"),
+    ("transcripts", "10,A,10.0,13.0", "10,A,10.0,inf", "line 3: bad end_sec value 'inf'",
+     lambda teams: _set(teams[0]["utterances"][1], "end", "inf"),
+     "team 10: end must be a finite number, got 'inf'"),
+    ("transcripts", "10,A,10.0,13.0", "10,A,-13.0,-10.0", "line 3: start -13.0 is negative",
+     lambda teams: teams[0]["utterances"][1].update(start=-13.0, end=-10.0),
+     "team 10: start -13.0 is negative"),
+    ("transcripts", "10,A,10.0,13.0", "10,A,14.0,13.0", "line 3: start 14.0 after end 13.0",
+     lambda teams: _set(teams[0]["utterances"][1], "start", 14.0),
+     "team 10: start 14.0 after end 13.0"),
+    ("transcripts", "10,A,10.0,13.0", "ten,A,10.0,13.0", "line 3: bad team value 'ten'",
+     lambda teams: _set(teams[0], "team", "ten"), "teams[0]: team must be an integer, got 'ten'"),
+    ("events", "10,25.0,add,", "10,25.0,jump,", "line 2: unknown event kind 'jump'",
+     lambda teams: _set(teams[0]["edits"][0], "kind", "jump"),
+     "team 10: unknown edit kind 'jump'"),
+    ("events", "10,25.0,add,", "10,-25.0,add,", "line 2: time_sec -25.0 is negative",
+     lambda teams: _set(teams[0]["edits"][0], "time", -25.0), "team 10: time -25.0 is negative"),
+    ("events", "10,25.0,add,Gallen,Davos,", "10,25.0,add,Luzern,Montreux,",
+     "line 2: (Luzern,Montreux) is not a network edge",
+     lambda teams: teams[0]["edits"][0].update(u=1, v=3),
+     "team 10: (Luzern,Montreux) is not a network edge"),
+    ("events", "10,40.0,submit,,,14", "10,40.0,submit,,,5",
+     "line 4: submitted cost 5 below optimal 12",
+     lambda teams: _set(teams[0]["submits"][0], "cost", 5),
+     "team 10: submitted cost 5 below optimal 12"),
+    ("events", "10,40.0,submit,,,14", "10,40.0,submit,,,14.5", "line 4: bad cost value '14.5'",
+     lambda teams: _set(teams[0]["submits"][0], "cost", 14.5),
+     "team 10: cost must be an integer, got 14.5"),
+    ("events", "10,40.0,submit,,,14", "10,40.0,submit,,,", "line 4: submit without cost",
+     lambda teams: teams[0]["submits"][0].pop("cost"), "team 10: missing key 'cost'"),
+    ("events", "20,18.0,submit", "20,-5.0,submit", "line 13: time_sec -5.0 is negative",
+     lambda teams: _set(teams[1]["submits"][0], "time", -5.0), "team 20: time -5.0 is negative"),
+    ("events", "20,20.0,stop", "20,-1.0,stop", "line 14: time_sec -1.0 is negative",
+     lambda teams: _set(teams[1], "stops", [-1.0]), "team 20: stop time -1.0 is negative"),
+    ("tests", "10,A,6,8", "10,I,6,8", "line 2: speaker must be one of A, B, got 'I'",
+     lambda teams: _set(teams[0]["scores"][0], "speaker", "I"),
+     "team 10: speaker must be one of A, B, got 'I'"),
+    ("tests", "10,A,6,8", "10,A,11,8", "line 2: pre score 11 outside 0..10",
+     lambda teams: _set(teams[0]["scores"][0], "pre", 11), "team 10: pre score 11 outside 0..10"),
+    ("tests", "10,A,6,8", "10,A,6,-1", "line 2: post score -1 outside 0..10",
+     lambda teams: _set(teams[0]["scores"][0], "post", -1),
+     "team 10: post score -1 outside 0..10"),
+    ("tests", "10,A,6,8", "10,A,6.5,8", "line 2: bad pre value '6.5'",
+     lambda teams: _set(teams[0]["scores"][0], "pre", 6.5),
+     "team 10: pre must be an integer, got 6.5"),
+]
+
+
+@pytest.mark.parametrize("file, row, bad_row, raw_message, edit, json_message", _BAD_VALUES,
+                         ids=[f"{case[0]}: {case[3]}" for case in _BAD_VALUES])
+def test_cli_rejects_bad_value_in_raw_file_and_corpus_with_exit_2(
+        tmp_path, capsys, file, row, bad_row, raw_message, edit, json_message):
+    corpus_dir = _ingest(tmp_path)
+    path = corpus_dir / "corpus.json"
+    data = json.loads(path.read_text())
+    edit(data["teams"])
+    path.write_text(json.dumps(data))
+    assert main(["all", "--corpus", str(corpus_dir)]) == 2
+    assert f"error: {path}: {json_message}" in capsys.readouterr().err
+
+    paths = write_fixture_inputs(tmp_path)
+    text = paths[file].read_text()
+    assert row in text
+    paths[file].write_text(text.replace(row, bad_row, 1))
+    assert _ingest_rc(paths, tmp_path / "c") == 2
+    assert f"error: {paths[file]}: {raw_message}" in capsys.readouterr().err
+
+
+def _replace_bytes(old, new):
+    return lambda path: path.write_bytes(path.read_bytes().replace(old, new, 1))
+
+
+@pytest.mark.parametrize("command, file, damage, message", [
+    *[("ingest", name, lambda path: path.unlink(), "No such file or directory")
+      for name in ("transcripts", "events", "network", "tests")],
+    ("ingest", "tests", _replace_bytes(b"10,B,8,4", b"10,B,\xff8,4"),
+     "line 3: not UTF-8 (invalid start byte)"),
+    ("ingest", "transcripts", _replace_bytes(b"Okay.", b"x" * 131_073),
+     "line 6: field larger than field limit (131072)"),
+    ("ingest", "out", lambda path: path.write_text(""),
+     "cannot create the output directory (File exists)"),
+    ("all", "out", lambda path: path.write_text(""),
+     "cannot create the output directory (File exists)"),
+], ids=lambda value: value if isinstance(value, str) else "")
+def test_cli_unreadable_input_or_unwritable_output_exits_2(tmp_path, capsys, command, file,
+                                                          damage, message):
+    corpus_dir = _ingest(tmp_path, "corpus")
+    paths = {**write_fixture_inputs(tmp_path), "out": tmp_path / "out"}
+    damage(paths[file])
+    if command == "ingest":
+        rc = _ingest_rc(paths, paths["out"])
+    else:
+        rc = main(["all", "--corpus", str(corpus_dir), "--out", str(paths["out"])])
+    assert rc == 2
+    assert f"error: {paths[file]}: {message}" in capsys.readouterr().err
+
+
+def test_cli_rejects_duplicate_score_rows_with_exit_2(tmp_path, capsys):
+    paths = write_fixture_inputs(tmp_path)
+    scores = paths["tests"].read_text()
+    paths["tests"].write_text(scores + "10,A,0,10\n")
+    assert _ingest_rc(paths, tmp_path / "c") == 2
+    message = "team 10 has 2 test-score rows for speaker A"
+    assert f"error: {paths['tests']}: {message}" in capsys.readouterr().err
+
+    paths["tests"].write_text(scores)
+    corpus_dir = _ingest(tmp_path)
+    path = corpus_dir / "corpus.json"
+    data = json.loads(path.read_text())
+    data["teams"][0]["scores"].append({"speaker": "A", "pre": 0, "post": 10})
+    path.write_text(json.dumps(data))
+    assert main(["all", "--corpus", str(corpus_dir)]) == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+def test_cli_rejects_duplicate_team_in_corpus_with_exit_2(tmp_path, capsys):
+    corpus_dir = _ingest(tmp_path)
+    path = corpus_dir / "corpus.json"
+    data = json.loads(path.read_text())
+    data["teams"].append(data["teams"][1])
+    path.write_text(json.dumps(data))
+    assert main(["all", "--corpus", str(corpus_dir)]) == 2
+    assert f"error: {path}: team 20 appears twice" in capsys.readouterr().err
+
+
 def test_save_corpus_refuses_non_finite_numbers(tmp_path):
     team = make_team(1, NET, [("A", math.nan, 1.0, "mount bern")])
     with pytest.raises(ValueError, match="not JSON compliant"):
