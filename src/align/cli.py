@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from pathlib import Path
 
@@ -121,14 +122,18 @@ def _out_dir(path: str) -> Path:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, analyze = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command != "ingest":
-        _bind_report()
-    if args.command == "analyze" and args.hypothesis not in RUNNERS:
-        analyze.error(f"argument --hypothesis: invalid choice: {args.hypothesis!r} "
-                      f"(choose from {', '.join(map(repr, RUNNERS))})")
+    # Everything align builds is acyclic, so cyclic GC passes would only re-walk
+    # the growing corpus: the GC is off for the command, then back as it was.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        parser, analyze = _build_parser()
+        args = parser.parse_args(argv)
+        if args.command != "ingest":
+            _bind_report()
+        if args.command == "analyze" and args.hypothesis not in RUNNERS:
+            analyze.error(f"argument --hypothesis: invalid choice: {args.hypothesis!r} "
+                          f"(choose from {', '.join(map(repr, RUNNERS))})")
         if args.command == "ingest":
             network = load_network(args.network)
             corpus = assemble_corpus(
@@ -178,6 +183,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
     return 0
 
 

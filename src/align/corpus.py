@@ -52,7 +52,7 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkNode:
     id: int
     name: str  # single distinctive token, case-folded for matching
@@ -77,7 +77,9 @@ class Network:
         names = [n.name.lower() for n in self.nodes]
         if len(set(names)) != len(names):
             raise InputError("duplicate node names after case-folding")
-        ids = {n.id for n in self.nodes}
+        ids = Counter(n.id for n in self.nodes)
+        if len(ids) != len(self.nodes):
+            raise InputError("node id {} appears {} times".format(*ids.most_common(1)[0]))
         seen = set()
         for u, v, cost in self.edges:
             if u not in ids or v not in ids:
@@ -150,7 +152,7 @@ class Network:
         return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utterance:
     """One speaker's IPU with timing, raw text, and token bookkeeping."""
 
@@ -167,7 +169,7 @@ class Utterance:
         return self.speaker in HUMAN_SPEAKERS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EditEvent:
     team: int
     time: float
@@ -178,14 +180,14 @@ class EditEvent:
     v = property(lambda self: self.edge[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubmitEvent:
     team: int
     time: float
     cost: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestScores:
     team: int
     speaker: str
@@ -193,7 +195,7 @@ class TestScores:
     post: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionEvent:
     """Unified says/adds/removes record with turn and attempt counters.
 
@@ -390,13 +392,18 @@ def load_event_log(path: str | Path, network: Network) -> EventLog:
     u < v. An optional `stop` event marks the experimenter ending the task.
     """
     edits, submits, stops = [], [], []
-    # one row layout for every event: u and v are node names, and only submits set a cost
+    # one row layout for every event: u and v are node names, only submits set a cost,
+    # and an event leaves the fields it does not use empty
     columns = {"team": int, "time_sec": float, "event": str, "u": str, "v": str, "cost": int}
+    unused = {ADD: ("cost",), REMOVE: ("cost",), "submit": ("u", "v"), "stop": ("u", "v", "cost")}
     with _csv_rows(path, columns) as (rows, readers):
         read_team, read_time, read_kind, read_u, read_v, read_cost = readers
         for team, time, kind, u, v, cost in rows:
             team, time = read_team(team), _check_time(read_time(time), "time_sec")
             kind = read_kind(kind).lower()
+            for name in unused.get(kind, ()):
+                if value := {"u": u, "v": v, "cost": cost}[name].strip():
+                    raise InputError(f"{kind} events leave {name} empty, got {value!r}")
             if kind in (ADD, REMOVE):
                 edits.append(_edit(team, network, time, kind, network.resolve_node(read_u(u)),
                                    network.resolve_node(read_v(v))))

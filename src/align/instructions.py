@@ -9,7 +9,8 @@ instructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .corpus import ActionEvent, Network
 
@@ -27,13 +28,13 @@ NONMATCH = "Nonmatch"
 _ACTION_VERBS = {"adds": ADD, "removes": REMOVE}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     token: str
     label: str  # NODE, ADD, or REMOVE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """An inferred edit intent; v is None when only one node was mentioned."""
 
@@ -51,23 +52,26 @@ class Instruction:
         return f"{self.verb}({self.u},{self.v if self.v is not None else '?'})"
 
 
+@lru_cache(maxsize=16)
+def _labels(node_names: frozenset[str]) -> dict[str, str]:
+    """The label of each recognised token: a node name before an add verb
+    before a remove verb."""
+    return {**dict.fromkeys(REMOVE_VERBS, REMOVE), **dict.fromkeys(ADD_VERBS, ADD),
+            **dict.fromkeys(node_names, NODE)}
+
+
 def recognise_entities(tokens: list[str] | tuple[str, ...], node_names: frozenset[str]) -> list[Entity]:
     """Scan tokens for node names and add/remove verbs, in token order."""
-    entities = []
-    for token in tokens:
-        if token in node_names:
-            entities.append(Entity(token=token, label=NODE))
-        elif token in ADD_VERBS:
-            entities.append(Entity(token=token, label=ADD))
-        elif token in REMOVE_VERBS:
-            entities.append(Entity(token=token, label=REMOVE))
-    return entities
+    labels = _labels(node_names)
+    return [Entity(token, labels[token]) for token in tokens if token in labels]
 
 
 def recognise_instructions(
-    tokens: list[str] | tuple[str, ...], node_names: frozenset[str]
+    tokens: list[str] | tuple[str, ...], node_names: frozenset[str],
+    agent: str | None = None, utterance_index: int | None = None,
 ) -> list[Instruction]:
-    """Infer the sequence of edit instructions in one utterance.
+    """Infer the sequence of edit instructions in one utterance, each
+    stamped with `agent` and `utterance_index`.
 
     A draft (verb, u, v) is built left to right over the entities. A verb
     entity flushes a draft holding a verb and first node as a partial
@@ -78,31 +82,26 @@ def recognise_instructions(
     verb, or Add. A draft still holding a node at the end of the utterance
     is flushed as a partial instruction.
     """
+    labels = _labels(node_names)
     out: list[Instruction] = []
     verb: str | None = None
     u: str | None = None
-
-    def defaulted(current: str | None) -> str:
-        if current is not None:
-            return current
-        return out[-1].verb if out else ADD
-
-    for entity in recognise_entities(tokens, node_names):
-        if entity.label in (ADD, REMOVE):
+    for token in filter(labels.__contains__, tokens):
+        if labels[token] != NODE:
             if verb is not None:  # already inferring: flush and restart
                 if u is not None:
-                    out.append(Instruction(verb=verb, u=u))
+                    out.append(Instruction(verb, u, None, agent, utterance_index))
                 u = None
-            verb = entity.label
-        else:
-            if u is None:
-                u = entity.token
-            elif entity.token != u:
-                out.append(Instruction(verb=defaulted(verb), u=u, v=entity.token))
-                verb = None
-                u = None
+            verb = labels[token]
+        elif u is None:
+            u = token
+        elif token != u:
+            verb = verb or (out[-1].verb if out else ADD)
+            out.append(Instruction(verb, u, token, agent, utterance_index))
+            verb = u = None
     if u is not None:
-        out.append(Instruction(verb=defaulted(verb), u=u))
+        verb = verb or (out[-1].verb if out else ADD)
+        out.append(Instruction(verb, u, None, agent, utterance_index))
     return out
 
 
@@ -125,7 +124,7 @@ def check_match(instruction: Instruction, action: ActionEvent, network: Network)
     return {id_by_name[instruction.u], id_by_name[instruction.v]} <= {u, v}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchRecord:
     """Verdict binding one edit action to a pending instruction (or none)."""
 
@@ -136,7 +135,7 @@ class MatchRecord:
     time: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedAction:
     """One stream event with its recognized instructions and verdict."""
 
@@ -177,10 +176,8 @@ def match_instructions_to_actions(
         if action.verb == "says":
             inferred: tuple[Instruction, ...] = ()
             if action.subject is not None:
-                inferred = tuple(
-                    replace(i, agent=action.subject, utterance_index=index)
-                    for i in recognise_instructions(action.utterance.tokens, network.node_names)
-                )
+                inferred = tuple(recognise_instructions(action.utterance.tokens, network.node_names,
+                                                        action.subject, index))
                 pending.extend(inferred)
             annotated.append(AnnotatedAction(action, inferred, None, tuple(pending)))
             continue

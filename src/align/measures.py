@@ -43,7 +43,7 @@ def team_learning(learn_a: float, learn_b: float) -> float:
     return (learn_a + learn_b) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TeamSuccess:
     team: int
     error: float

@@ -160,7 +160,12 @@ class Pipeline:
 
 
 def _median(values: list[float]) -> float | None:
-    return float(np.median(values)) if values else None
+    """np.median's value: the middle value, or the mean (a + b) / 2 of the two."""
+    if not values:
+        return None
+    ordered = sorted(values)
+    half = len(ordered) // 2
+    return float(ordered[half]) if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
 
 
 def _mean(values: list[float]) -> float | None:
@@ -403,21 +408,14 @@ RUNNER_OPTIONS = {"h1.1": ("window",), "h1.2": ("markers",), "h2.1": ("window", 
 # Emission. Identical inputs produce byte-identical files: fixed column
 # orders, shortest-roundtrip float repr, LF newlines, sorted JSON keys.
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """A CSV table; csv.writer writes None as an empty cell, a float by repr
+    and any other value by str."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 def emit(report: HypothesisReport, fmt: str, out_dir: str | Path) -> list[Path]:

@@ -15,7 +15,7 @@ import numpy as np
 from .corpus import Network, Utterance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Occurrence:
     utterance_index: int
     token_position: int  # global position of the first expression token
@@ -23,7 +23,7 @@ class Occurrence:
     free: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutineEvent:
     """Where a routine was primed or established."""
 
@@ -32,7 +32,7 @@ class RoutineEvent:
     time: float  # end time of the containing utterance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Routine:
     expression: tuple[str, ...]
     initiator: str

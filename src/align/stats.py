@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import chdtrc, ndtr, stdtr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestResult:
     """Statistic with its two-sided p-value and sample sizes."""
 

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's code paths: statistics come from the
 direct pair-count definitions, p-values from exhaustive permutation
-enumeration, routines from literal span-containment checks, and matcher
-verdicts from a replay-from-scratch reconstruction of the pending cache.
+enumeration, routines from literal span-containment checks, instructions
+from the documented draft rules, and matcher verdicts from a
+replay-from-scratch reconstruction of the pending cache.
 """
 
 from __future__ import annotations
@@ -211,14 +212,43 @@ def oracle_routines(utterances):
 
 # --- matcher ------------------------------------------------------------------
 
+def oracle_instructions(tokens, node_names):
+    """(verb, u, v) instructions by the documented draft rules, token by token.
+
+    A token is a node if it names one, else a verb if a lexicon lists it. A
+    verb flushes a draft that already has a verb (emitting it when it holds a
+    node) and becomes the draft's verb; a node before any verb survives. A
+    second, different node completes the draft; a missing verb is the
+    previous instruction's, or Add. A draft left holding a node is emitted.
+    """
+    from align.instructions import ADD_VERBS, REMOVE_VERBS
+
+    out = []
+    verb = node = None
+    for token in tokens:
+        if token in node_names:
+            if node is None:
+                node = token
+            elif token != node:
+                out.append((verb or (out[-1][0] if out else "Add"), node, token))
+                verb = node = None
+        elif token in ADD_VERBS or token in REMOVE_VERBS:
+            if verb is not None:
+                if node is not None:
+                    out.append((verb, node, None))
+                node = None
+            verb = "Add" if token in ADD_VERBS else "Remove"
+    if node is not None:
+        out.append((verb or (out[-1][0] if out else "Add"), node, None))
+    return out
+
+
 def oracle_verdicts(stream, network, clear_on_verdict=False):
     """Replay the cache rules from scratch before every edit.
 
     Returns [(verdict, actor, instruction or None)] with instructions as
     (verb, u, v, agent) tuples, one per edit action in stream order.
     """
-    from align.instructions import recognise_instructions
-
     id_to_name = {n.id: n.name.lower() for n in network.nodes}
 
     def check(instr, action):
@@ -244,8 +274,9 @@ def oracle_verdicts(stream, network, clear_on_verdict=False):
                 turn, attempt = prior.turn, prior.attempt
             if prior.verb == "says":
                 if prior.subject is not None:
-                    for ins in recognise_instructions(prior.utterance.tokens, network.node_names):
-                        pending.append((ins.verb, ins.u, ins.v, prior.subject))
+                    for verb, u, v in oracle_instructions(prior.utterance.tokens,
+                                                          network.node_names):
+                        pending.append((verb, u, v, prior.subject))
             else:
                 others = [p for p in pending if p[3] != prior.subject]
                 if others:

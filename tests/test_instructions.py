@@ -5,12 +5,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from align.corpus import build_action_stream, number_utterances, tokenize
 from align.instructions import (
+    ADD,
+    ADD_VERBS,
     MATCH,
     MISMATCH,
+    NODE,
     NONMATCH,
+    REMOVE,
+    REMOVE_VERBS,
     Instruction,
     check_match,
     grouped_records,
@@ -20,7 +27,7 @@ from align.instructions import (
     recognise_instructions,
 )
 from _builders import make_edits, make_submits, network
-from _oracles import oracle_verdicts
+from _oracles import oracle_instructions, oracle_verdicts
 
 NET = network()
 NAMES = NET.node_names
@@ -52,6 +59,25 @@ def test_entities_remove_lexicon():
            recognise_entities(["rub", "away", "zurich", "cut"], NAMES)]
     assert got == [("rub", "Remove"), ("away", "Remove"), ("zurich", "Node"),
                    ("cut", "Remove")]
+
+
+_NODES = sorted(NAMES)
+_VERBS = sorted(ADD_VERBS | REMOVE_VERBS)
+_OTHER = ["to", "mount", "then", "it", "uh", "oh", "okay"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), st.sets(st.sampled_from(_VERBS), min_size=1))
+def test_property_a_node_named_like_a_verb_is_a_node(data, verb_names):
+    names = NAMES | verb_names
+    tokens = data.draw(st.lists(st.sampled_from(_VERBS + _NODES + _OTHER), max_size=15))
+    tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(st.sampled_from(
+        sorted(verb_names))))
+    expected = [(t, NODE if t in names else ADD if t in ADD_VERBS else REMOVE)
+                for t in tokens if t in names or t in ADD_VERBS or t in REMOVE_VERBS]
+    assert [(e.token, e.label) for e in recognise_entities(tokens, names)] == expected
+    assert [(i.verb, i.u, i.v) for i in recognise_instructions(tokens, names)] == \
+        oracle_instructions(tokens, names)
 
 
 # --- instruction recognition -------------------------------------------------------
@@ -403,6 +429,58 @@ def test_matcher_equals_replay_oracle(clear_on_verdict):
             says = stream[r.instruction.utterance_index] if r.instruction else None
             if says is not None:
                 assert (says.turn, says.attempt) == (r.action.turn, r.action.attempt)
+
+
+_phrases = st.lists(st.sampled_from(_NODES + _VERBS + _OTHER), max_size=8)
+
+
+@st.composite
+def _long_streams(draw):
+    """One team's stream: 110-140 utterances of the two interlocutors, each
+    opening with a node name, then an edit, so at least 110 instructions are
+    pending at that edit; then a random tail of speech (robot's too), edits
+    and submissions."""
+    opening = draw(st.lists(st.tuples(st.sampled_from("AB"), st.sampled_from(_NODES), _phrases),
+                            min_size=110, max_size=140))
+    tail = draw(st.lists(st.one_of(
+        st.tuples(st.just("says"), st.sampled_from("ABI"), _phrases),
+        st.tuples(st.just("edit"), st.sampled_from(["add", "remove"]),
+                  st.integers(0, len(NET.edges) - 1)),
+        st.tuples(st.just("submit"), st.integers(12, 20))), max_size=40))
+    names = {n.id: n.name for n in NET.nodes}
+    utterances = [(speaker, float(t), t + 0.5, " ".join([node, *words]))
+                  for t, (speaker, node, words) in enumerate(opening)]
+    edits = [(float(len(opening)), draw(st.sampled_from(["add", "remove"])), "Bern", "Zurich")]
+    submits = []
+    for t, event in enumerate(tail, start=len(opening) + 1):
+        if event[0] == "says":
+            utterances.append((event[1], float(t), t + 0.5, " ".join(event[2])))
+        elif event[0] == "edit":
+            u, v, _ = NET.edges[event[2]]
+            edits.append((float(t), event[1], names[u], names[v]))
+        else:
+            submits.append((float(t), event[1]))
+    return build_action_stream(number_utterances(1, utterances), make_edits(1, NET, edits),
+                               make_submits(1, submits), draw(st.sampled_from("AB")))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_long_streams(), st.booleans())
+def test_property_matcher_equals_replay_oracle_on_large_pending_caches(stream, clear_on_verdict):
+    records, annotated = match_instructions_to_actions(stream, NET, clear_on_verdict)
+    first_edit = next(i for i, action in enumerate(stream) if action.verb != "says")
+    assert len(annotated[first_edit - 1].pending_after) > 100
+    got = [(r.verdict, r.actor, (r.instruction.verb, r.instruction.u, r.instruction.v,
+                                 r.instruction.agent) if r.instruction else None)
+           for r in records]
+    assert got == oracle_verdicts(stream, NET, clear_on_verdict)
+    for index, (action, ann) in enumerate(zip(stream, annotated)):
+        if action.verb == "says" and action.subject is not None:
+            assert ann.instructions == tuple(
+                Instruction(verb, u, v, action.subject, index)
+                for verb, u, v in oracle_instructions(action.utterance.tokens, NAMES))
+        else:
+            assert ann.instructions == ()
 
 
 # --- record utilities ---------------------------------------------------------

@@ -1,14 +1,18 @@
 """Process-level contracts: what the package root and `align ingest` import,
-the README's library example, and output independence from the hash seed."""
+the README's library example, output independence from the hash seed, and
+the CLI's handling of the cyclic garbage collector."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from _builders import DATA
 
@@ -107,3 +111,71 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert first.keys() == second.keys()
     for name in first:
         assert first[name] == second[name], name
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory) -> tuple[Path, Path]:
+    """The fixture corpus, and a copy holding its teams five times under new ids."""
+    from align.cli import main
+
+    root = tmp_path_factory.mktemp("gc")
+    assert main([*INGEST, "--out", str(root / "small")]) == 0
+    data = json.loads((root / "small" / "corpus.json").read_text(encoding="utf-8"))
+    data["teams"] = [dict(team, team=team["team"] + 1000 * copy)
+                     for copy in range(5) for team in data["teams"]]
+    (root / "large").mkdir()
+    (root / "large" / "corpus.json").write_text(json.dumps(data), encoding="utf-8")
+    return root / "small", root / "large"
+
+
+def _unreachable_after_all(corpus: Path, out: Path) -> int:
+    """The objects that a full collection frees after an in-process `align all`:
+    the garbage cycles that the command left behind."""
+    from align.cli import main
+
+    gc.collect()
+    gc.disable()  # no collection between the command and the count
+    try:
+        assert main(["all", "--corpus", str(corpus), "--out", str(out)]) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_align_all_leaves_as_many_garbage_cycles_on_five_times_the_teams(corpora, tmp_path,
+                                                                        capsys):
+    # The CLI turns the cyclic GC off because nothing it builds per team is
+    # cyclic; the garbage it leaves (argparse's parser) must not grow with the corpus.
+    small, large = corpora
+    _unreachable_after_all(small, tmp_path / "warm-up")  # first-use imports and caches
+    assert _unreachable_after_all(small, tmp_path / "small") == \
+        _unreachable_after_all(large, tmp_path / "large")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv, code", [
+    (["all", "--corpus", "{small}", "--out", "{out}"], 0),
+    (["all", "--corpus", "{out}/missing"], 2),  # an InputError
+    (["analyze", "--hypothesis", "h9", "--corpus", "{small}"], 2),  # argparse's SystemExit
+    (["all"], 2),  # argparse's SystemExit: --corpus is required
+], ids=["exit-0", "input-error", "unknown-hypothesis", "usage-error"])
+def test_main_runs_with_the_gc_off_and_restores_its_state(corpora, tmp_path, monkeypatch, capsys,
+                                                          enabled, argv, code):
+    from align import cli
+
+    during = []
+    load_corpus = cli.load_corpus
+    monkeypatch.setattr(cli, "load_corpus",
+                        lambda path: during.append(gc.isenabled()) or load_corpus(path))
+    argv = [arg.format(small=corpora[0], out=tmp_path) for arg in argv]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert not any(during)

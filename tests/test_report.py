@@ -5,13 +5,18 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from align.cli import main
 from align.corpus import Corpus, save_corpus
 from align.report import (
     HypothesisReport,
     Pipeline,
+    _median,
+    _write_csv,
     emit,
     run_h11,
     run_h12,
@@ -282,7 +287,30 @@ def test_h22_counts_equal_matcher_records():
         len(grouped_records(pipeline.teams[0].records, MATCH))
 
 
-# --- emission --------------------------------------------------------------------
+# --- medians and emission ---------------------------------------------------------
+
+# A few distinct non-negative finite values, then a sample drawn from them with
+# replacement: heavy ties, odd and even lengths.
+_tied_samples = st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=5, unique=True).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_tied_samples)
+def test_property_median_is_numpys_bit_for_bit(values):
+    with np.errstate(over="ignore"):  # two huge middle values sum to inf in both
+        expected = float(np.median(values))
+    assert repr(_median(values)) == repr(expected)
+
+
+def test_write_csv_formats_cells_as_before(tmp_path):
+    # Tables once passed each cell through a converter: None as "", a float
+    # by repr, anything else by str. csv.writer does the same by itself.
+    path = tmp_path / "table.csv"
+    _write_csv(path, ["a", "b"], [[None, 0.1, 1e-07, 1e16, 2 / 3, 3, True, "x, y"], [None]])
+    assert path.read_bytes() == b'a,b\n,0.1,1e-07,1e+16,0.6666666666666666,3,True,"x, y"\n""\n'
+
 
 def test_emit_h12_csv_schema(tmp_path):
     team = make_team(1, NET, [("A", 1.0, 2.0, "mount bern"), ("B", 3.0, 4.0, "mount bern")],
@@ -484,6 +512,38 @@ def test_cli_ingest_rejects_negative_times_with_exit_2(tmp_path, capsys, file, o
     assert not (tmp_path / "c" / "corpus.json").exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("10,25.0,add,Gallen,Davos,", "10,25.0,add,Gallen,Davos,99",
+     "line 2: add events leave cost empty, got '99'"),
+    ("10,50.0,remove,Basel,Bern,", "10,50.0,remove,Basel,Bern, 3 ",
+     "line 6: remove events leave cost empty, got '3'"),
+    ("10,55.0,submit,,,12", "10,55.0,submit,Basel,Bern,12",
+     "line 7: submit events leave u empty, got 'Basel'"),
+    ("10,55.0,submit,,,12", "10,55.0,submit,,Bern,12",
+     "line 7: submit events leave v empty, got 'Bern'"),
+    ("20,20.0,stop,,,", "20,20.0,stop,Luzern,,",
+     "line 14: stop events leave u empty, got 'Luzern'"),
+    ("20,20.0,stop,,,", "20,20.0,stop,,,5", "line 14: stop events leave cost empty, got '5'"),
+])
+def test_cli_ingest_rejects_fields_an_event_does_not_use_with_exit_2(tmp_path, capsys, old, new,
+                                                                     message):
+    paths = write_fixture_inputs(tmp_path)
+    text = paths["events"].read_text()
+    assert old in text
+    paths["events"].write_text(text.replace(old, new, 1))
+    assert _ingest_rc(paths, tmp_path / "c") == 2
+    err = capsys.readouterr().err
+    assert f"error: {paths['events']}: {message}" in err and "Traceback" not in err
+
+
+def test_cli_ingest_accepts_blank_unused_event_fields(tmp_path):
+    paths = write_fixture_inputs(tmp_path)
+    text = paths["events"].read_text()
+    text = text.replace("10,25.0,add,Gallen,Davos,", "10,25.0,add,Gallen,Davos,  ")
+    paths["events"].write_text(text.replace("20,20.0,stop,,,", "20,20.0,stop, , ,"))
+    assert _ingest_rc(paths, tmp_path / "c") == 0
+
+
 def _set(entry, key, value):
     entry[key] = value
 
@@ -495,6 +555,12 @@ _BAD_NETWORKS = [
     (lambda net: _set(net["edges"][0], "cost", 2.7), "cost must be an integer, got 2.7"),
     (lambda net: _set(net["edges"][0], "cost", True), "cost must be an integer, got True"),
     (lambda net: _set(net["nodes"][0], "id", "1"), "id must be an integer, got '1'"),
+    # a repeated id is named, not reported as an undeclared edge end...
+    (lambda net: _set(net["nodes"][1], "id", 1), "node id 1 appears 2 times"),
+    # ...nor as a disconnected network blamed on the first submit's file
+    (lambda net: net.update(nodes=[dict(n, id=1) if n["id"] == 2 else n for n in net["nodes"]],
+                            edges=[e for e in net["edges"] if 2 not in (e["u"], e["v"])]),
+     "node id 1 appears 2 times"),
 ]
 
 
