@@ -11,9 +11,8 @@ _EXPORTS = {
         TeamCorpus TestScores Utterance assemble_corpus build_action_stream load_corpus
         load_event_log load_network load_test_scores load_transcript relative_time
         save_corpus tokenize""",
-    "instructions": """Entity Instruction MatchRecord check_match grouped_records
-        match_instructions_to_actions match_mismatch_times recognise_entities
-        recognise_instructions""",
+    "instructions": """Instruction MatchRecord check_match grouped_records
+        match_instructions_to_actions match_mismatch_times recognise_instructions""",
     "measures": """TeamSuccess common_window learning_groups relative_learning_gain
         submission_error team_error team_learning team_success""",
     "report": "HypothesisReport Pipeline emit run_h11 run_h12 run_h21 run_h22",

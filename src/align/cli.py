@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import math
 import sys
 from pathlib import Path
 
@@ -51,6 +52,17 @@ def _markers(text: str) -> frozenset[str]:
     return frozenset(m.strip() for m in text.split(",") if m.strip())
 
 
+def _seconds(text: str) -> float:
+    """A finite positive number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"not a positive number of seconds: {text!r}")
+    return value
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     """The parser and its `analyze` subparser, which checks --hypothesis."""
     parser = argparse.ArgumentParser(
@@ -91,16 +103,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     analyze.add_argument("--corpus", required=True)
     analyze.add_argument("--format", choices=["csv", "json"], default="csv")
     analyze.add_argument("--out")
-    analyze.add_argument("--window", type=float,
+    # an option left out is not passed: the runner's signature holds its default
+    options = analyze.add_argument_group("analysis options", argument_default=argparse.SUPPRESS)
+    options.add_argument("--window", type=_seconds,
                          help="common analysis window in seconds (default: quickest team)")
-    analyze.add_argument("--markers", type=_markers, default="uh,um",
-                         help="comma-separated marker tokens for h1.2")
-    analyze.add_argument("--grouped", action="store_true",
+    options.add_argument("--markers", type=_markers,
+                         help="comma-separated marker tokens for h1.2 (default: uh,um)")
+    options.add_argument("--grouped", action="store_true",
                          help="h2.1: one event per instructing utterance instead of per action")
-    analyze.add_argument("--oh-events", choices=["token", "utterance"], default="token",
-                         help="h2.2: one oh event per occurrence or per utterance")
-    analyze.add_argument("--mm-events", choices=["action", "utterance"], default="action",
-                         help="h2.2: pool per-action or per-utterance (mis)match times")
+    options.add_argument("--oh-events", choices=["token", "utterance"],
+                         help="h2.2: one oh event per occurrence (default) or per utterance")
+    options.add_argument("--mm-events", choices=["action", "utterance"],
+                         help="h2.2: pool per-action (default) or per-utterance (mis)match times")
     analyze.add_argument("--clear-on-verdict", action="store_true")
 
     run_all = sub.add_parser("all", help="run every stage and all four analyses")
@@ -165,7 +179,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {path}")
         elif args.command == "analyze":
             pipeline = Pipeline(corpus, clear_on_verdict=args.clear_on_verdict)
-            options = {name: getattr(args, name) for name in RUNNER_OPTIONS[args.hypothesis]}
+            options = {name: value for name, value in vars(args).items()
+                       if name in RUNNER_OPTIONS[args.hypothesis]}
             report = RUNNERS[args.hypothesis](pipeline, **options)
             for path in emit(report, args.format, out):
                 print(f"wrote {path}")

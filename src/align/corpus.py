@@ -304,18 +304,19 @@ def _check_speaker(speaker: str, allowed: tuple[str, ...]) -> str:
 
 
 def _check_time(time: float, name: str) -> float:
+    """`time`, counted from the task's start at 0; -0.0 reads as 0.0."""
     if time < 0:
         raise InputError(f"{name} {time} is negative; times count from the task's start at 0")
-    return time
+    return time or 0.0
 
 
 def _utterance(speaker: str, start: float, end: float, text: str) -> tuple[str, float, float, str]:
     """An utterance row; number_utterances tokenizes a team's rows in start order."""
     _check_speaker(speaker, SPEAKERS)
-    _check_time(start, "start")
+    start = _check_time(start, "start")
     if start > end:
         raise InputError(f"start {start} after end {end}")
-    return speaker, start, end, text
+    return speaker, start, _check_time(end, "end"), text
 
 
 def _edit(team: int, network: Network, time: float, kind: str, u: int, v: int) -> EditEvent:
@@ -325,7 +326,7 @@ def _edit(team: int, network: Network, time: float, kind: str, u: int, v: int) -
 
 
 def _submit(team: int, network: Network, time: float, cost: int) -> SubmitEvent:
-    _check_time(time, "time")
+    time = _check_time(time, "time")
     if cost < network.optimal_cost:
         raise InputError(f"submitted cost {cost} below optimal {network.optimal_cost} "
                          "(a solution spans all nodes)")
@@ -353,7 +354,7 @@ def load_transcript(path: str | Path) -> list[Utterance]:
                                                  read_end(end), text))
                   for team, speaker, start, end, text in rows]
 
-    loaded.sort(key=itemgetter(0, 2, 3))
+    loaded.sort(key=itemgetter(0))
     utterances = []
     for team, team_rows in groupby(loaded, key=itemgetter(0)):
         utterances += number_utterances(team, [r[1:] for r in team_rows])
@@ -361,14 +362,14 @@ def load_transcript(path: str | Path) -> list[Utterance]:
 
 
 def number_utterances(team: int, rows: list[tuple[str, float, float, str]]) -> list[Utterance]:
-    """Tokenize one team's (speaker, start, end, text) rows, already in start order.
+    """Tokenize one team's (speaker, start, end, text) rows in (start, end) order.
 
-    Each utterance's global token offset is the number of tokens before it,
-    which numbers every token of the team uniquely.
+    Ties keep their given order. Each utterance's global token offset is the
+    number of tokens before it, which numbers every token of the team uniquely.
     """
     utterances = []
     offset = 0
-    for speaker, start, end, text in rows:
+    for speaker, start, end, text in sorted(rows, key=itemgetter(1, 2)):
         tokens = tuple(tokenize(text))
         utterances.append(Utterance(team=team, speaker=speaker, start=start, end=end, text=text,
                                     tokens=tokens, global_token_offset=offset))
@@ -606,6 +607,18 @@ def _stored(records, kind: str) -> list[dict]:
     return [{key: getattr(record, key) for key in _RECORDS[kind]} for record in records]
 
 
+def write_json(path: Path, data) -> Path:
+    """Write `data` to `path` as UTF-8 JSON: indented by 2, keys sorted, a
+    final newline. NaN and Infinity are not JSON numbers, and only input
+    times that overflow a statistic make one: an InputError naming `path`."""
+    try:
+        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    path.write_text(text + "\n", encoding="utf-8")
+    return path
+
+
 def save_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -617,10 +630,7 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
                       for kind in ("utterances", "edits", "submits", "scores")}}
                   for tc in corpus.teams],
     }
-    path = out / "corpus.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-                    encoding="utf-8")
-    return path
+    return write_json(out / "corpus.json", payload)
 
 
 _JSON_TYPES = {int: "an integer", float: "a finite number", str: "a string", list: "a list",
@@ -671,7 +681,7 @@ def _network_from_json(data: dict) -> Network:
 def _team_from_json(entry: dict, network: Network) -> TeamCorpus:
     """One team of corpus.json, checked like the raw rows it was saved from."""
     team = _field(entry, "team", int)
-    rows = sorted(_built(entry, "utterances", _utterance), key=itemgetter(1, 2))
+    rows = _built(entry, "utterances", _utterance)
     first_visual = "B"
     if "first_visual" in entry:
         first_visual = _check_speaker(_field(entry, "first_visual", str), HUMAN_SPEAKERS)

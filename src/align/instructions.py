@@ -29,12 +29,6 @@ _ACTION_VERBS = {"adds": ADD, "removes": REMOVE}
 
 
 @dataclass(frozen=True, slots=True)
-class Entity:
-    token: str
-    label: str  # NODE, ADD, or REMOVE
-
-
-@dataclass(frozen=True, slots=True)
 class Instruction:
     """An inferred edit intent; v is None when only one node was mentioned."""
 
@@ -60,12 +54,6 @@ def _labels(node_names: frozenset[str]) -> dict[str, str]:
             **dict.fromkeys(node_names, NODE)}
 
 
-def recognise_entities(tokens: list[str] | tuple[str, ...], node_names: frozenset[str]) -> list[Entity]:
-    """Scan tokens for node names and add/remove verbs, in token order."""
-    labels = _labels(node_names)
-    return [Entity(token, labels[token]) for token in tokens if token in labels]
-
-
 def recognise_instructions(
     tokens: list[str] | tuple[str, ...], node_names: frozenset[str],
     agent: str | None = None, utterance_index: int | None = None,
@@ -73,14 +61,14 @@ def recognise_instructions(
     """Infer the sequence of edit instructions in one utterance, each
     stamped with `agent` and `utterance_index`.
 
-    A draft (verb, u, v) is built left to right over the entities. A verb
-    entity flushes a draft holding a verb and first node as a partial
-    instruction and starts over with the new verb; a node gathered before
-    any verb survives ("gallen ... do that" still instructs on gallen). A
-    node entity fills u, then v (ignoring a repeated node name), completing
-    the instruction; a missing verb defaults to the previous instruction's
-    verb, or Add. A draft still holding a node at the end of the utterance
-    is flushed as a partial instruction.
+    A draft (verb, u, v) is built left to right over the tokens that
+    `_labels` knows. A verb flushes a draft holding a verb and first node as
+    a partial instruction and starts over with the new verb; a node gathered
+    before any verb survives ("gallen ... do that" still instructs on
+    gallen). A node fills u, then v (ignoring a repeated node name),
+    completing the instruction; a missing verb defaults to the previous
+    instruction's verb, or Add. A draft still holding a node at the end of
+    the utterance is flushed as a partial instruction.
     """
     labels = _labels(node_names)
     out: list[Instruction] = []
@@ -129,10 +117,10 @@ class MatchRecord:
     """Verdict binding one edit action to a pending instruction (or none)."""
 
     verdict: str  # MATCH, MISMATCH, or NONMATCH
-    actor: str
     action: ActionEvent
     instruction: Instruction | None
-    time: float
+    actor = property(lambda self: self.action.subject)  # the interlocutor who edited
+    time = property(lambda self: self.action.time)
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,14 +173,14 @@ def match_instructions_to_actions(
         actor = action.subject
         others = [p for p in pending if p.agent != actor]
         if not others:
-            record = MatchRecord(NONMATCH, actor, action, None, action.time)
+            record = MatchRecord(NONMATCH, action, None)
         else:
             satisfied = [check_match(p, action, network) for p in pending]
             matched = [p for p, hit in zip(pending, satisfied) if hit and p.agent != actor]
             if matched:  # later matches win
-                record = MatchRecord(MATCH, actor, action, matched[-1], action.time)
+                record = MatchRecord(MATCH, action, matched[-1])
             else:
-                record = MatchRecord(MISMATCH, actor, action, others[-1], action.time)
+                record = MatchRecord(MISMATCH, action, others[-1])
             if clear_on_verdict:
                 pending = []
             else:

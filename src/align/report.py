@@ -18,15 +18,15 @@ They come in two shapes, each written once as a recipe:
 from __future__ import annotations
 
 import csv
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, TeamCorpus, relative_time
+from .corpus import Corpus, TeamCorpus, relative_time, write_json
 from .instructions import (
     MATCH,
     MISMATCH,
@@ -139,11 +139,12 @@ class TeamPipeline:
 
 
 class Pipeline:
-    """All per-team pipelines for a corpus, in report row order."""
+    """All per-team pipelines for a corpus, in team-id order; `ordered` is report row order."""
 
     def __init__(self, corpus: Corpus, clear_on_verdict: bool = False):
         self.corpus = corpus
-        self.teams = [TeamPipeline(tc, corpus, clear_on_verdict) for tc in corpus.teams]
+        self.teams = [TeamPipeline(tc, corpus, clear_on_verdict)
+                      for tc in sorted(corpus.teams, key=attrgetter("team"))]
 
     @cached_property
     def ordered(self) -> list[TeamPipeline]:
@@ -175,8 +176,6 @@ def _mean(values: list[float]) -> float | None:
 def _spearman_vs_error(teams: list[TeamSuccess], values: dict[int, float | None]) -> dict | None:
     """Spearman of the teams' values against error, over teams with a value."""
     pairs = [(values[s.team], s.error) for s in teams if values.get(s.team) is not None]
-    if len(pairs) < 3:
-        return None
     try:
         result = spearman([x for x, _ in pairs], [y for _, y in pairs])
     except ValueError:
@@ -191,9 +190,6 @@ def _kruskal_by_learning(teams: list[TeamSuccess], values: dict[int, float | Non
         [values[s.team] for s in teams if s.team in group and values.get(s.team) is not None]
         for group in learning_groups(teams)
     ]
-    groups = [g for g in groups if g]
-    if len(groups) < 2 or sum(len(g) for g in groups) < 3:
-        return None
     try:
         result = kruskal_wallis(groups)
     except ValueError:
@@ -426,18 +422,12 @@ def emit(report: HypothesisReport, fmt: str, out_dir: str | Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     stem = report.hypothesis.replace(".", "")
 
-    written = []
     if fmt == "json":
-        path = out / f"{stem}.json"
-        path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        written.append(path)
-        return written
+        return [write_json(out / f"{stem}.json", report.to_dict())]
 
     columns = _COLUMNS[report.hypothesis]
     per_team = out / f"{stem}_per_team.csv"
     _write_csv(per_team, columns, [[row.get(c) for c in columns] for row in report.per_team_rows])
-    written.append(per_team)
 
     dist_path = out / f"{stem}_distributions.csv"
     dist_rows = []
@@ -447,13 +437,7 @@ def emit(report: HypothesisReport, fmt: str, out_dir: str | Path) -> list[Path]:
             for value in by_team[team]:
                 dist_rows.append([series, team, value])
     _write_csv(dist_path, ["series", "team", "value"], dist_rows)
-    written.append(dist_path)
-
-    summary_path = out / f"{stem}_summary.json"
-    summary_path.write_text(json.dumps(report.summary, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
-    written.append(summary_path)
-    return written
+    return [per_team, dist_path, write_json(out / f"{stem}_summary.json", report.summary)]
 
 
 def emit_routine_table(pipeline: Pipeline, path: str | Path, task_only: bool = False) -> Path:
@@ -461,7 +445,7 @@ def emit_routine_table(pipeline: Pipeline, path: str | Path, task_only: bool = F
     path = Path(path)
     names = pipeline.corpus.network.node_names
     rows = []
-    for tp in sorted(pipeline.teams, key=lambda t: t.corpus.team):
+    for tp in pipeline.teams:
         routines = tp.task_routines if task_only else tp.routines
         for r in routines:
             rows.append([
@@ -480,7 +464,7 @@ def emit_annotated_corpus(pipeline: Pipeline, path: str | Path) -> Path:
     path = Path(path)
     name = pipeline.corpus.network.id_to_name
     rows = []
-    for tp in sorted(pipeline.teams, key=lambda t: t.corpus.team):
+    for tp in pipeline.teams:
         for ann in tp.annotated:
             action = ann.action
             subject = action.subject
@@ -509,7 +493,7 @@ def emit_measures(pipeline: Pipeline, path: str | Path) -> Path:
     """Task-level features CSV, one row per team."""
     path = Path(path)
     rows = []
-    for s in sorted(pipeline.successes, key=lambda s: s.team):
+    for s in (tp.success for tp in pipeline.teams):
         rows.append([s.team, s.error, s.learn, s.learn_a, s.learn_b,
                      s.duration, s.n_submissions, s.n_turns])
     _write_csv(path, ["team", "error", "learn", "learn_A", "learn_B", "duration_sec",

@@ -71,6 +71,13 @@ def spearman(x: list[float], y: list[float]) -> TestResult:
     return TestResult(statistic=rho, p_value=p, n=(n,))
 
 
+def _tie_correction(pooled: np.ndarray) -> float:
+    """1 - sum(t^3 - t) / (N^3 - N) over the N pooled values' tie groups of size t."""
+    _, counts = np.unique(pooled, return_counts=True)
+    big_n = len(pooled)
+    return 1.0 - float(np.sum(counts**3 - counts)) / (big_n**3 - big_n)
+
+
 def _twice_u(x: list[float], y: list[float]) -> int:
     """2U for `x` as an exact integer: 2 #{x_i > y_j} + #{x_i = y_j}.
 
@@ -94,11 +101,7 @@ def mann_whitney_u(x: list[float], y: list[float]) -> TestResult:
     m, n = len(x), len(y)
     u = _twice_u(x, y) / 2
     pooled = np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
-    big_n = m + n
-    _, counts = np.unique(pooled, return_counts=True)
-    tie_term = float(np.sum(counts**3 - counts))
-    correction = 1.0 - tie_term / (big_n**3 - big_n) if big_n > 1 else 0.0
-    sigma_sq = m * n * (big_n + 1) / 12.0 * correction
+    sigma_sq = m * n * (m + n + 1) / 12.0 * _tie_correction(pooled)
     if sigma_sq == 0.0:
         return TestResult(statistic=u, p_value=1.0, n=(m, n))
     z = (u - m * n / 2.0) / math.sqrt(sigma_sq)
@@ -141,9 +144,7 @@ def kruskal_wallis(groups: list[list[float]]) -> TestResult:
         start += size
     h = 12.0 / (big_n * (big_n + 1)) * h - 3.0 * (big_n + 1)
 
-    _, counts = np.unique(pooled, return_counts=True)
-    tie_term = float(np.sum(counts**3 - counts))
-    correction = 1.0 - tie_term / (big_n**3 - big_n)
+    correction = _tie_correction(pooled)
     if correction == 0.0:
         h = 0.0
     else:

@@ -349,7 +349,6 @@ def _valid_corpora(draw):
         rows = [(speaker, start, start + length, text) for speaker, start, length, text in draw(
             st.lists(st.tuples(st.sampled_from(SPEAKERS), _times, st.floats(0, 100),
                                st.text(max_size=30)), max_size=6))]
-        rows.sort(key=lambda r: (r[1], r[2]))  # load_corpus's utterance order
         teams.append(TeamCorpus(
             team=team,
             utterances=tuple(number_utterances(team, rows)),
@@ -376,8 +375,50 @@ def test_property_valid_corpora_round_trip(corpus):
         reloaded = load_corpus(first.parent)
         assert reloaded.network == corpus.network
         assert reloaded.teams == corpus.teams
+        for team in corpus.teams:  # number_utterances put the unsorted rows in time order
+            times = [(u.start, u.end) for u in team.utterances]
+            assert times == sorted(times)
         second = save_corpus(reloaded, Path(tmp) / "second")
         assert second.read_bytes() == first.read_bytes()
+
+
+def _strict_json(path: Path):
+    def reject(token: str):
+        raise ValueError(f"{path.name}: {token} is not a JSON number")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_valid_corpora())
+def test_property_valid_corpora_run_end_to_end(corpus):
+    """`align all` exits 0 on every corpus load_corpus accepts, in both formats,
+    and writes no NaN or Infinity into a JSON file."""
+    from align.cli import main
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_dir = save_corpus(corpus, tmp).parent
+        for fmt in ("csv", "json"):
+            out = corpus_dir / fmt
+            assert main(["all", "--corpus", str(corpus_dir), "--format", fmt,
+                         "--out", str(out)]) == 0
+            written = sorted(out.glob("*.json"))
+            assert len(written) == 4
+            for path in written:
+                _strict_json(path)
+
+
+def test_load_corpus_reads_negative_zero_times_as_zero(tmp_path):
+    path = save_corpus(_load_fixture_corpus(), tmp_path / "saved")
+    data = json.loads(path.read_text())
+    team = data["teams"][0]
+    edit, submit = team["edits"][0], team["submits"][0]
+    team["utterances"].append({"speaker": "A", "start": -0.0, "end": -0.0, "text": "hi"})
+    team["edits"].append({**edit, "time": -0.0})
+    team["submits"].append({**submit, "time": -0.0})
+    team["stops"].append(-0.0)
+    (tmp_path / "edited").mkdir()
+    (tmp_path / "edited" / "corpus.json").write_text(json.dumps(data))
+    assert "-0.0" not in save_corpus(load_corpus(tmp_path / "edited"),
+                                     tmp_path / "resaved").read_text()
 
 
 def test_duration_prefers_events_and_stops():

@@ -137,6 +137,24 @@ def test_golden_outputs_fixtures(tmp_path, capsys):
     assert golden_digests(paths, tmp_path / "out", capsys) == _golden("fixtures")
 
 
+def test_analyze_without_options_writes_what_all_writes(tmp_path):
+    paths = write_seeded_inputs(tmp_path)
+    corpus = str(tmp_path / "corpus")
+    _, ingest = _runs(paths, tmp_path)[0]  # into tmp_path / "corpus"
+    assert main(ingest) == 0
+    for fmt in ("csv", "json"):
+        every = tmp_path / f"all-{fmt}"
+        assert main(["all", "--corpus", corpus, "--format", fmt, "--out", str(every)]) == 0
+        for hypothesis in ("h1.1", "h1.2", "h2.1", "h2.2"):
+            out = tmp_path / f"analyze-{fmt}-{hypothesis}"
+            assert main(["analyze", "--hypothesis", hypothesis, "--corpus", corpus,
+                         "--format", fmt, "--out", str(out)]) == 0
+            written = sorted(out.iterdir())
+            assert len(written) == (3 if fmt == "csv" else 1)
+            for path in written:
+                assert path.read_bytes() == (every / path.name).read_bytes(), path.name
+
+
 def test_golden_outputs_seeded_corpus(tmp_path, capsys):
     paths = write_seeded_inputs(tmp_path)
     out = tmp_path / "out"

@@ -1,4 +1,4 @@
-"""Entity/instruction recognition, matching semantics, excerpt golden traces."""
+"""Instruction recognition, matching semantics, excerpt golden traces."""
 
 from __future__ import annotations
 
@@ -10,20 +10,16 @@ from hypothesis import strategies as st
 
 from align.corpus import build_action_stream, number_utterances, tokenize
 from align.instructions import (
-    ADD,
     ADD_VERBS,
     MATCH,
     MISMATCH,
-    NODE,
     NONMATCH,
-    REMOVE,
     REMOVE_VERBS,
     Instruction,
     check_match,
     grouped_records,
     match_instructions_to_actions,
     match_mismatch_times,
-    recognise_entities,
     recognise_instructions,
 )
 from _builders import make_edits, make_submits, network
@@ -37,28 +33,25 @@ def _instructions(text):
     return [(i.verb, i.u, i.v) for i in recognise_instructions(tokenize(text), NAMES)]
 
 
-# --- entities -------------------------------------------------------------------
+# --- recognised tokens ------------------------------------------------------------
 
-def test_entities_verbs_and_nodes():
-    got = [(e.token, e.label) for e in recognise_entities(tokenize("Go to Mount Basel."), NAMES)]
-    assert got == [("go", "Add"), ("basel", "Node")]
-
-
-def test_entities_node_only():
-    got = [(e.token, e.label) for e in
-           recognise_entities(tokenize("maybe we start from mount zermatt"), NAMES)]
-    assert got == [("zermatt", "Node")]
+def test_verb_then_node_is_a_partial_instruction():
+    assert _instructions("Go to Mount Basel.") == [("Add", "basel", None)]
 
 
-def test_entities_none():
-    assert recognise_entities(tokenize("hello there"), NAMES) == []
+def test_node_only_defaults_to_add():
+    assert _instructions("maybe we start from mount zermatt") == [("Add", "zermatt", None)]
 
 
-def test_entities_remove_lexicon():
-    got = [(e.token, e.label) for e in
-           recognise_entities(["rub", "away", "zurich", "cut"], NAMES)]
-    assert got == [("rub", "Remove"), ("away", "Remove"), ("zurich", "Node"),
-                   ("cut", "Remove")]
+def test_no_verb_or_node_no_instruction():
+    assert _instructions("hello there") == []
+
+
+def test_remove_lexicon():
+    # a verb flushes the draft before it: "cut" ends the instruction on zurich
+    assert _instructions("rub away zurich cut") == [("Remove", "zurich", None)]
+    for verb in ("rub", "away", "cut"):
+        assert _instructions(f"{verb} zurich") == [("Remove", "zurich", None)]
 
 
 _NODES = sorted(NAMES)
@@ -73,9 +66,6 @@ def test_property_a_node_named_like_a_verb_is_a_node(data, verb_names):
     tokens = data.draw(st.lists(st.sampled_from(_VERBS + _NODES + _OTHER), max_size=15))
     tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(st.sampled_from(
         sorted(verb_names))))
-    expected = [(t, NODE if t in names else ADD if t in ADD_VERBS else REMOVE)
-                for t in tokens if t in names or t in ADD_VERBS or t in REMOVE_VERBS]
-    assert [(e.token, e.label) for e in recognise_entities(tokens, names)] == expected
     assert [(i.verb, i.u, i.v) for i in recognise_instructions(tokens, names)] == \
         oracle_instructions(tokens, names)
 

@@ -804,6 +804,20 @@ def test_save_corpus_refuses_non_finite_numbers(tmp_path):
         save_corpus(_corpus([team]), tmp_path)
 
 
+def test_cli_refuses_to_write_an_overflowed_statistic_with_exit_2(tmp_path, capsys):
+    # 100 * t / duration overflows to inf for an "oh" this close to the float maximum
+    corpus_dir = _ingest(tmp_path)
+    path = corpus_dir / "corpus.json"
+    data = json.loads(path.read_text())
+    data["teams"][0]["utterances"].append({"speaker": "A", "start": 1.7e308, "end": 1.7e308,
+                                           "text": "oh"})
+    data["teams"][0]["stops"].append(1.7e308)
+    path.write_text(json.dumps(data))
+    assert main(["all", "--corpus", str(corpus_dir), "--format", "json"]) == 2
+    assert (f"error: {corpus_dir / 'h22.json'}: Out of range float values are not JSON "
+            "compliant: inf" in capsys.readouterr().err)
+
+
 def test_cli_missing_corpus_exits_2(tmp_path):
     assert main(["routines", "--corpus", str(tmp_path / "nowhere")]) == 2
 
@@ -866,6 +880,48 @@ def test_cli_analyze_flags(tmp_path):
     data = json.loads((corpus_dir / "h12.json").read_text())
     team10 = next(r for r in data["per_team_rows"] if r["team"] == 10)
     assert team10["n_filler"] == 2  # two utterances with one "oh" each
+
+
+@pytest.mark.parametrize("window", ["nan", "inf", "0", "-5", "ten"])
+def test_cli_window_must_be_a_positive_number_of_seconds(tmp_path, capsys, window):
+    corpus_dir = _ingest(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "--hypothesis", "h1.1", "--corpus", str(corpus_dir),
+              "--window", window])
+    assert excinfo.value.code == 2
+    assert (f"argument --window: not a positive number of seconds: {window!r}"
+            in capsys.readouterr().err)
+    assert not (corpus_dir / "h11_summary.json").exists()
+
+
+def test_cli_reads_negative_zero_times_as_zero(tmp_path):
+    outputs = []
+    for name in ("fixture", "negative-zero"):
+        (tmp_path / name).mkdir()
+        paths = write_fixture_inputs(tmp_path / name)
+        if name == "negative-zero":
+            text = paths["transcripts"].read_text()
+            assert "\n10,I,0.0,3.0," in text
+            paths["transcripts"].write_text(text.replace("\n10,I,0.0,3.0,", "\n10,I,-0.0,3.0,"))
+        corpus_dir = tmp_path / name / "corpus"
+        assert _ingest_rc(paths, corpus_dir) == 0
+        assert main(["all", "--corpus", str(corpus_dir)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(corpus_dir.iterdir())})
+    assert outputs[1] == outputs[0]
+
+
+def test_cli_outputs_keep_team_id_order_whatever_the_corpus_order(tmp_path):
+    corpus_dir = _ingest(tmp_path)
+    path = corpus_dir / "corpus.json"
+    data = json.loads(path.read_text())
+    data["teams"].reverse()
+    (tmp_path / "reversed").mkdir()
+    (tmp_path / "reversed" / "corpus.json").write_text(json.dumps(data))
+    outputs = []
+    for directory in (corpus_dir, tmp_path / "reversed"):
+        assert main(["all", "--corpus", str(directory), "--out", str(directory / "out")]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted((directory / "out").iterdir())})
+    assert outputs[1] == outputs[0]
 
 
 def test_cli_first_visual_flag(tmp_path):
