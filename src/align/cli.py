@@ -52,6 +52,10 @@ def _markers(text: str) -> frozenset[str]:
     return frozenset(m.strip() for m in text.split(",") if m.strip())
 
 
+def _flag(option: str) -> str:
+    return "--" + option.replace("_", "-")
+
+
 def _seconds(text: str) -> float:
     """A finite positive number of seconds."""
     try:
@@ -145,9 +149,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command != "ingest":
             _bind_report()
-        if args.command == "analyze" and args.hypothesis not in RUNNERS:
-            analyze.error(f"argument --hypothesis: invalid choice: {args.hypothesis!r} "
-                          f"(choose from {', '.join(map(repr, RUNNERS))})")
+        if args.command == "analyze":
+            if args.hypothesis not in RUNNERS:
+                analyze.error(f"argument --hypothesis: invalid choice: {args.hypothesis!r} "
+                              f"(choose from {', '.join(map(repr, RUNNERS))})")
+            # each analysis option is some runner's; one that this runner does not take is refused
+            taken = RUNNER_OPTIONS[args.hypothesis]
+            refused = sorted(vars(args).keys() & set().union(*RUNNER_OPTIONS.values()) - set(taken))
+            if refused:
+                analyze.error(f"argument {_flag(refused[0])}: {args.hypothesis} does not take it "
+                              f"(it takes {', '.join(map(_flag, taken))})")
         if args.command == "ingest":
             network = load_network(args.network)
             corpus = assemble_corpus(

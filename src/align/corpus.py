@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, repeat
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -325,9 +326,17 @@ def _edit(team: int, network: Network, time: float, kind: str, u: int, v: int) -
     return EditEvent(team=team, time=_check_time(time, "time"), kind=kind, edge=network.edge(u, v))
 
 
+def _check_cost(cost: int, name: str) -> int:
+    """`cost`, if a float holds it: the success measures divide costs as floats."""
+    if cost > sys.float_info.max:
+        raise InputError(f"{name} {reprlib.repr(cost)} is above the largest float "
+                         f"{sys.float_info.max!r}")
+    return cost
+
+
 def _submit(team: int, network: Network, time: float, cost: int) -> SubmitEvent:
     time = _check_time(time, "time")
-    if cost < network.optimal_cost:
+    if _check_cost(cost, "submitted cost") < network.optimal_cost:
         raise InputError(f"submitted cost {cost} below optimal {network.optimal_cost} "
                          "(a solution spans all nodes)")
     return SubmitEvent(team=team, time=time, cost=cost)
@@ -607,12 +616,46 @@ def _stored(records, kind: str) -> list[dict]:
     return [{key: getattr(record, key) for key in _RECORDS[kind]} for record in records]
 
 
+def _finite(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+# the JSON text of each scalar, by exact type: the stdlib encoder's spellings
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _finite,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _json(value, indent: str) -> str:
+    """`value` as json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    writes it, nested `indent` deep; a dict's keys are strings."""
+    kind = type(value)
+    if kind is dict or kind is list or kind is tuple:
+        first, last = "{}" if kind is dict else "[]"
+        if not value:
+            return first + last
+        inner = indent + "  "
+        if kind is dict:
+            items = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}"
+                     for key, item in sorted(value.items())]
+        else:
+            items = [_json(item, inner) for item in value]
+        return f"{first}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{last}"
+    try:
+        encode = _SCALARS[kind]
+    except KeyError:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable") from None
+    return encode(value)
+
+
 def write_json(path: Path, data) -> Path:
     """Write `data` to `path` as UTF-8 JSON: indented by 2, keys sorted, a
-    final newline. NaN and Infinity are not JSON numbers, and only input
-    times that overflow a statistic make one: an InputError naming `path`."""
+    final newline, the bytes json.dumps writes. NaN and Infinity are not JSON
+    numbers, and only input times that overflow a statistic make one: an
+    InputError naming `path`."""
     try:
-        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+        text = _json(data, "")
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
     path.write_text(text + "\n", encoding="utf-8")
@@ -674,7 +717,8 @@ def _built(entry: dict, key: str, build, *context) -> list:
 
 def _network_from_json(data: dict) -> Network:
     """Network from its JSON form, with exact JSON types."""
-    edges = _built(data, "edges", lambda u, v, cost: (min(u, v), max(u, v), cost))
+    edges = _built(data, "edges", lambda u, v, cost: (
+        min(u, v), max(u, v), _check_cost(cost, f"edge ({u},{v}) cost")))
     return Network(nodes=tuple(_built(data, "nodes", NetworkNode)), edges=tuple(sorted(edges)))
 
 

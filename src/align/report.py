@@ -18,6 +18,7 @@ They come in two shapes, each written once as a recipe:
 from __future__ import annotations
 
 import csv
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, TeamCorpus, relative_time, write_json
+from .corpus import Corpus, InputError, TeamCorpus, relative_time, write_json
 from .instructions import (
     MATCH,
     MISMATCH,
@@ -414,6 +415,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def _check_finite(path: Path, values) -> None:
+    """InputError naming `path` if one of the numbers `values` overflowed to
+    infinity, as an input time near the float maximum makes a statistic do."""
+    if not all(map(math.isfinite, values)):
+        value = next(v for v in values if not math.isfinite(v))
+        raise InputError(f"{path}: out of range float value {value!r}")
+
+
 def emit(report: HypothesisReport, fmt: str, out_dir: str | Path) -> list[Path]:
     """Write a hypothesis report as csv tables or a single json document."""
     if fmt not in ("csv", "json"):
@@ -427,17 +436,22 @@ def emit(report: HypothesisReport, fmt: str, out_dir: str | Path) -> list[Path]:
 
     columns = _COLUMNS[report.hypothesis]
     per_team = out / f"{stem}_per_team.csv"
-    _write_csv(per_team, columns, [[row.get(c) for c in columns] for row in report.per_team_rows])
+    team_rows = [[row.get(c) for c in columns] for row in report.per_team_rows]
+    _check_finite(per_team, [cell for row in team_rows for cell in row if type(cell) is float])
 
     dist_path = out / f"{stem}_distributions.csv"
     dist_rows = []
     for series in sorted(report.distributions):
         by_team = report.distributions[series]
         for team in sorted(by_team):
+            _check_finite(dist_path, by_team[team])
             for value in by_team[team]:
                 dist_rows.append([series, team, value])
+    # the summary first: write_json refuses a non-finite value before any file is written
+    summary = write_json(out / f"{stem}_summary.json", report.summary)
+    _write_csv(per_team, columns, team_rows)
     _write_csv(dist_path, ["series", "team", "value"], dist_rows)
-    return [per_team, dist_path, write_json(out / f"{stem}_summary.json", report.summary)]
+    return [per_team, dist_path, summary]
 
 
 def emit_routine_table(pipeline: Pipeline, path: str | Path, task_only: bool = False) -> Path:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 from align.corpus import (
@@ -14,6 +15,13 @@ from align.corpus import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def strict_json(path: Path):
+    """The JSON in `path`; NaN and Infinity raise a ValueError naming the file."""
+    def reject(token: str):
+        raise ValueError(f"{path.name}: {token} is not a JSON number")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
 
 
 def network() -> Network:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -30,8 +31,9 @@ from align.corpus import (
     relative_time,
     save_corpus,
     tokenize,
+    write_json,
 )
-from _builders import DATA, make_edits, make_submits, network
+from _builders import DATA, make_edits, make_submits, network, strict_json
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -382,12 +384,6 @@ def test_property_valid_corpora_round_trip(corpus):
         assert second.read_bytes() == first.read_bytes()
 
 
-def _strict_json(path: Path):
-    def reject(token: str):
-        raise ValueError(f"{path.name}: {token} is not a JSON number")
-    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_valid_corpora())
 def test_property_valid_corpora_run_end_to_end(corpus):
@@ -403,7 +399,7 @@ def test_property_valid_corpora_run_end_to_end(corpus):
             written = sorted(out.glob("*.json"))
             assert len(written) == 4
             for path in written:
-                _strict_json(path)
+                strict_json(path)
 
 
 def test_load_corpus_reads_negative_zero_times_as_zero(tmp_path):
@@ -419,6 +415,58 @@ def test_load_corpus_reads_negative_zero_times_as_zero(tmp_path):
     (tmp_path / "edited" / "corpus.json").write_text(json.dumps(data))
     assert "-0.0" not in save_corpus(load_corpus(tmp_path / "edited"),
                                      tmp_path / "resaved").read_text()
+
+
+# --- the JSON writer ---------------------------------------------------------
+
+# Text that json.dumps escapes: quotes, backslashes, control characters,
+# non-ASCII characters in and beyond the BMP, and lone surrogates.
+_json_text = st.text(st.characters(exclude_categories=()) | st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "\u2028", "\U0001f600", "\ud800", "\udfff"]),
+    max_size=8)
+_json_scalars = (st.none() | st.booleans() | st.integers(-2**200, 2**200)
+                 | st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7])
+                 | _json_text)
+_json_values = st.recursive(_json_scalars, lambda children: (
+    st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_json_text, children, max_size=4)), max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_json_values)
+def test_property_write_json_writes_what_json_dumps_writes(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_json(Path(tmp) / "value.json", value)
+        expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("ascii")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("nest", [lambda v: v, lambda v: [1, {"a": "b", "z": [v]}],
+                                  lambda v: ({"x": v},)])
+def test_write_json_refuses_non_finite_floats_with_the_stdlib_message(tmp_path, bad, nest):
+    value = nest(bad)
+    with pytest.raises(ValueError) as stdlib:
+        json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    path = tmp_path / "value.json"
+    with pytest.raises(InputError) as excinfo:
+        write_json(path, value)
+    assert str(excinfo.value) == f"{path}: {stdlib.value}"
+    assert str(stdlib.value).endswith(repr(bad))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [{1, 2}, Path("corpus.json"), [0, {"a": frozenset()}]],
+                         ids=["set", "Path", "nested frozenset"])
+def test_write_json_refuses_what_is_not_a_json_type(tmp_path, value):
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(value, indent=2, sort_keys=True)
+    path = tmp_path / "value.json"
+    with pytest.raises(TypeError) as excinfo:
+        write_json(path, value)
+    assert str(excinfo.value) == str(stdlib.value)
+    assert not path.exists()
 
 
 def test_duration_prefers_events_and_stops():

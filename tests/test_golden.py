@@ -23,9 +23,10 @@ from _builders import DATA, network, write_fixture_inputs
 
 GOLDEN = DATA / "golden_digests.json"
 
-ANALYZE_OPTIONS = ["--window", "30", "--markers", "um, oh", "--grouped",
-                   "--oh-events", "utterance", "--mm-events", "utterance",
-                   "--clear-on-verdict"]
+# every non-default option each hypothesis takes
+ANALYZE_OPTIONS = {"h1.1": ["--window", "30"], "h1.2": ["--markers", "um, oh"],
+                   "h2.1": ["--window", "30", "--grouped"],
+                   "h2.2": ["--oh-events", "utterance", "--mm-events", "utterance"]}
 
 _TEMPLATES = (
     "mount {u} to mount {v}",
@@ -106,11 +107,11 @@ def _runs(paths: dict[str, Path], out: Path) -> list[tuple[str, list[str]]]:
                                 "--out", str(out / "all-first-visual-A")]),
     ]
     for fmt in ("csv", "json"):
-        for hypothesis in ("h1.1", "h1.2", "h2.1", "h2.2"):
+        for hypothesis, options in ANALYZE_OPTIONS.items():
             runs.append((f"analyze-{fmt}-{hypothesis}",
                          ["analyze", "--hypothesis", hypothesis, "--corpus", corpus,
                           "--format", fmt, "--out", str(out / f"analyze-{fmt}")]
-                         + ANALYZE_OPTIONS))
+                         + options + ["--clear-on-verdict"]))
     return runs
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from align.cli import main
-from align.corpus import Corpus, save_corpus
+from align.corpus import Corpus, InputError, save_corpus
 from align.report import (
     HypothesisReport,
     Pipeline,
@@ -23,7 +26,7 @@ from align.report import (
     run_h21,
     run_h22,
 )
-from _builders import make_team, network, write_fixture_inputs
+from _builders import make_team, network, strict_json, write_fixture_inputs
 
 NET = network()
 
@@ -554,6 +557,9 @@ _BAD_NETWORKS = [
      "a network needs at least two nodes, got 1"),
     (lambda net: _set(net["edges"][0], "cost", 2.7), "cost must be an integer, got 2.7"),
     (lambda net: _set(net["edges"][0], "cost", True), "cost must be an integer, got True"),
+    (lambda net: _set(net["edges"][0], "cost", 10**400),
+     "edge (1,2) cost 100000000000000000...0000000000000000000 is above the largest float "
+     "1.7976931348623157e+308"),
     (lambda net: _set(net["nodes"][0], "id", "1"), "id must be an integer, got '1'"),
     # a repeated id is named, not reported as an undeclared edge end...
     (lambda net: _set(net["nodes"][1], "id", 1), "node id 1 appears 2 times"),
@@ -663,6 +669,10 @@ def test_cli_rejects_non_finite_numbers_in_corpus_with_exit_2(tmp_path, capsys):
     assert f"{path}: invalid JSON (NaN is not a JSON number)" in capsys.readouterr().err
 
 
+_TOO_BIG = ("100000000000000000...0000000000000000000 is above the largest float "
+            "1.7976931348623157e+308")
+
+
 # One bad value for each checked field, sent through a raw file and through the
 # corpus.json entry saved from it: (raw file, its row, the row with the bad
 # value, the raw file's message, the edit of corpus.json's teams, its message).
@@ -701,6 +711,10 @@ _BAD_VALUES = [
     ("events", "10,40.0,submit,,,14", "10,40.0,submit,,,14.5", "line 4: bad cost value '14.5'",
      lambda teams: _set(teams[0]["submits"][0], "cost", 14.5),
      "team 10: cost must be an integer, got 14.5"),
+    ("events", "10,40.0,submit,,,14", "10,40.0,submit,,,1" + "0" * 400,
+     f"line 4: submitted cost {_TOO_BIG}",
+     lambda teams: _set(teams[0]["submits"][0], "cost", 10**400),
+     f"team 10: submitted cost {_TOO_BIG}"),
     ("events", "10,40.0,submit,,,14", "10,40.0,submit,,,", "line 4: submit without cost",
      lambda teams: teams[0]["submits"][0].pop("cost"), "team 10: missing key 'cost'"),
     ("events", "20,18.0,submit", "20,-5.0,submit", "line 13: time_sec -5.0 is negative",
@@ -818,6 +832,58 @@ def test_cli_refuses_to_write_an_overflowed_statistic_with_exit_2(tmp_path, caps
             "compliant: inf" in capsys.readouterr().err)
 
 
+def test_cli_accepts_a_cost_at_the_largest_float(tmp_path):
+    paths = write_fixture_inputs(tmp_path)
+    text = paths["events"].read_text()
+    paths["events"].write_text(text.replace("10,40.0,submit,,,14",
+                                            f"10,40.0,submit,,,{int(sys.float_info.max)}"))
+    corpus_dir = tmp_path / "corpus"
+    assert _ingest_rc(paths, corpus_dir) == 0
+    assert main(["all", "--corpus", str(corpus_dir)]) == 0
+
+
+def test_cli_refuses_to_write_an_overflowed_statistic_to_csv_with_exit_2(tmp_path, capsys):
+    # an "oh" and a stop this close to the float maximum in every team: 100 * t / duration
+    # overflows to inf in h2.2's distributions
+    corpus_dir = _ingest(tmp_path)
+    path = corpus_dir / "corpus.json"
+    data = json.loads(path.read_text())
+    for team in data["teams"]:
+        team["utterances"].append({"speaker": "A", "start": 1.7e308, "end": 1.7e308,
+                                   "text": "oh"})
+        team["stops"].append(1.7e308)
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["all", "--corpus", str(corpus_dir), "--out", str(out)]) == 2
+    assert (f"error: {out / 'h22_distributions.csv'}: out of range float value inf"
+            in capsys.readouterr().err)
+    written = sorted(out.iterdir())
+    assert written and not any(p.name.startswith("h22") for p in written)
+    for written_path in written:
+        if written_path.suffix == ".json":
+            strict_json(written_path)
+            continue
+        with open(written_path, newline="", encoding="utf-8") as handle:
+            cells = {cell for row in csv.reader(handle) for cell in row}
+        assert not cells & {"inf", "-inf", "nan"}, written_path.name
+
+
+_INF_ROW = {"team": 1, "n_routine": 1, "n_common": 1, "median_abs": math.inf}
+
+
+@pytest.mark.parametrize("rows, distributions, summary, refused", [
+    ((_INF_ROW,), {}, {}, "h11_per_team.csv"),
+    ((), {"establishment_abs": {1: (1.0, math.inf)}}, {}, "h11_distributions.csv"),
+    ((), {}, {"mean_of_medians_norm": math.inf}, "h11_summary.json"),
+], ids=["per-team row", "distribution", "summary"])
+def test_emit_csv_writes_no_file_when_a_value_overflowed(tmp_path, rows, distributions,
+                                                        summary, refused):
+    report = HypothesisReport("h1.1", rows, summary, distributions)
+    with pytest.raises(InputError, match=f"^{re.escape(str(tmp_path / refused))}: .*inf$"):
+        emit(report, "csv", tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_missing_corpus_exits_2(tmp_path):
     assert main(["routines", "--corpus", str(tmp_path / "nowhere")]) == 2
 
@@ -880,6 +946,36 @@ def test_cli_analyze_flags(tmp_path):
     data = json.loads((corpus_dir / "h12.json").read_text())
     team10 = next(r for r in data["per_team_rows"] if r["team"] == 10)
     assert team10["n_filler"] == 2  # two utterances with one "oh" each
+
+
+# every option each hypothesis takes, with a value
+_TAKEN = {"h1.1": [["--window", "5"]], "h1.2": [["--markers", "oh"]],
+          "h2.1": [["--window", "5"], ["--grouped"]],
+          "h2.2": [["--oh-events", "utterance"], ["--mm-events", "utterance"]]}
+
+
+@pytest.mark.parametrize("hypothesis, option", [
+    (hypothesis, option) for hypothesis, options in _TAKEN.items() for option in options])
+def test_cli_analyze_accepts_each_option_its_hypothesis_takes(tmp_path, hypothesis, option):
+    corpus_dir = _ingest(tmp_path)
+    assert main(["analyze", "--hypothesis", hypothesis, "--corpus", str(corpus_dir)]
+                + option) == 0
+
+
+@pytest.mark.parametrize("hypothesis, option, message", [
+    ("h1.2", ["--window", "5"], "argument --window: h1.2 does not take it (it takes --markers)"),
+    ("h1.1", ["--grouped"], "argument --grouped: h1.1 does not take it (it takes --window)"),
+    ("h2.2", ["--markers", "oh"],
+     "argument --markers: h2.2 does not take it (it takes --oh-events, --mm-events)"),
+])
+def test_cli_analyze_refuses_options_its_hypothesis_does_not_take(tmp_path, capsys, hypothesis,
+                                                                  option, message):
+    corpus_dir = _ingest(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "--hypothesis", hypothesis, "--corpus", str(corpus_dir)] + option)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in corpus_dir.iterdir()) == ["corpus.json"]
 
 
 @pytest.mark.parametrize("window", ["nan", "inf", "0", "-5", "ten"])
