@@ -94,16 +94,13 @@ def recognise_instructions(
 
 
 def check_match(instruction: Instruction, action: ActionEvent, network: Network) -> bool:
-    """True when the edit action realizes the instruction.
+    """True when the edit action (verb adds or removes) realizes the instruction.
 
     Partial instructions match on their single node; full instructions need
     both nodes, in either edge orientation. Add never matches a removal and
     vice versa.
     """
-    action_verb = _ACTION_VERBS.get(action.verb)
-    if action_verb is None or action.edge is None:
-        raise ValueError(f"check_match needs an edit action, got verb {action.verb!r}")
-    if instruction.verb != action_verb:
+    if instruction.verb != _ACTION_VERBS[action.verb]:
         return False
     id_by_name = network.name_to_id
     u, v = action.edge
@@ -130,7 +127,13 @@ class AnnotatedAction:
     action: ActionEvent
     instructions: tuple[Instruction, ...]  # inferred at this says event
     record: MatchRecord | None  # set on edit events
-    pending_after: tuple[Instruction, ...]
+    pending: list[Instruction]  # the matcher's pending list after this event, shared
+    pending_size: int  # its length after this event; later says events append past it
+
+    @property
+    def pending_after(self) -> tuple[Instruction, ...]:
+        """The pending instructions after this event (read by the benchmark's tracer)."""
+        return tuple(self.pending[:self.pending_size])
 
 
 def match_instructions_to_actions(
@@ -151,6 +154,11 @@ def match_instructions_to_actions(
     """
     records: list[MatchRecord] = []
     annotated: list[AnnotatedAction] = []
+    # Each AnnotatedAction shares `pending` and records its length. A list,
+    # once handed out, is only ever appended to (says events extend it):
+    # every edit verdict that removes instructions and every clear binds
+    # `pending` to a new list. So the first `pending_size` items of a shared
+    # list never change.
     pending: list[Instruction] = []
     turn = 1
     attempt = 1
@@ -167,7 +175,7 @@ def match_instructions_to_actions(
                 inferred = tuple(recognise_instructions(action.utterance.tokens, network.node_names,
                                                         action.subject, index))
                 pending.extend(inferred)
-            annotated.append(AnnotatedAction(action, inferred, None, tuple(pending)))
+            annotated.append(AnnotatedAction(action, inferred, None, pending, len(pending)))
             continue
 
         actor = action.subject
@@ -186,7 +194,7 @@ def match_instructions_to_actions(
             else:
                 pending = [p for p, hit in zip(pending, satisfied) if not hit]
         records.append(record)
-        annotated.append(AnnotatedAction(action, (), record, tuple(pending)))
+        annotated.append(AnnotatedAction(action, (), record, pending, len(pending)))
 
     return records, annotated
 

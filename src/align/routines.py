@@ -16,14 +16,6 @@ from .corpus import Network, Utterance
 
 
 @dataclass(frozen=True, slots=True)
-class Occurrence:
-    utterance_index: int
-    token_position: int  # global position of the first expression token
-    speaker: str
-    free: bool
-
-
-@dataclass(frozen=True, slots=True)
 class RoutineEvent:
     """Where a routine was primed or established."""
 
@@ -38,7 +30,9 @@ class Routine:
     initiator: str
     priming: RoutineEvent
     establishment: RoutineEvent
-    all_occurrences: tuple[Occurrence, ...]
+    # global token position of each occurrence's first token, in document
+    # order; read by the benchmark's tracer, no output reads it
+    all_occurrences: tuple[int, ...]
 
     @property
     def text(self) -> str:
@@ -50,7 +44,9 @@ def extract_routines(utterances: list[Utterance]) -> list[Routine]:
 
     Robot speech is skipped; mining is over the two human interlocutors.
     Occurrence enumeration allows overlapping matches, and an expression
-    qualifies if any single occurrence is free. Output is sorted by
+    qualifies if any single occurrence is free. Each routine is one record:
+    its priming and establishment events and the global start positions of
+    its occurrences; no per-occurrence object is built. Output is sorted by
     establishment time.
 
     Mining is level-wise (Apriori): an (n+1)-gram can be shared only if the
@@ -81,6 +77,9 @@ def extract_routines(utterances: list[Utterance]) -> list[Routine]:
         return {gram: starts for gram, starts in grams.items()
                 if len(starts) > 1 and any(speaker[p] != speaker[starts[0]] for p in starts)}
 
+    def event(p: int) -> RoutineEvent:
+        return RoutineEvent(owner[p], position[p], utterances[owner[p]].end)
+
     routines = []
     size = 1
     frontier = [p for p, tok in enumerate(sequence) if tok is not None]
@@ -92,29 +91,16 @@ def extract_routines(utterances: list[Utterance]) -> list[Routine]:
         longer_starts = {p for found in longer.values() for p in found}
         for gram, found in level.items():
             # an occurrence is inside a longer shared occurrence iff a
-            # one-token extension of it is shared
-            occs = [
-                Occurrence(
-                    utterance_index=owner[p],
-                    token_position=position[p],
-                    speaker=speaker[p],
-                    free=p - 1 not in longer_starts and p not in longer_starts,
-                )
-                for p in found
-            ]
-            if not any(o.free for o in occs):
+            # one-token extension of it is shared; a routine needs one free
+            if all(p - 1 in longer_starts or p in longer_starts for p in found):
                 continue
-            first = occs[0]
-            initiator = first.speaker
-            established = next(o for o in occs if o.speaker != initiator)
+            initiator = speaker[found[0]]
             routines.append(Routine(
                 expression=gram,
                 initiator=initiator,
-                priming=RoutineEvent(first.utterance_index, first.token_position,
-                                     utterances[first.utterance_index].end),
-                establishment=RoutineEvent(established.utterance_index, established.token_position,
-                                           utterances[established.utterance_index].end),
-                all_occurrences=tuple(occs),
+                priming=event(found[0]),
+                establishment=event(next(p for p in found if speaker[p] != initiator)),
+                all_occurrences=tuple(map(position.__getitem__, found)),
             ))
         size += 1
         level, starts = longer, longer_starts

@@ -81,6 +81,25 @@ def random_micro_dialogue(rng, team: int = 1, max_utterances: int = 8,
     return number_utterances(team, rows)
 
 
+def random_phrase_dialogue(rng, utterances: int = 12):
+    """Dialogue that reuses long phrases and self-overlapping runs like "a a a a"."""
+    phrases = [tuple(rng.choice(MICRO_VOCAB) for _ in range(rng.randrange(4, 9)))
+               for _ in range(3)]
+    rows = []
+    for i in range(utterances):
+        tokens = []
+        for _ in range(rng.randrange(1, 4)):
+            piece = rng.random()
+            if piece < 0.5:
+                tokens += rng.choice(phrases)
+            elif piece < 0.7:
+                tokens += [rng.choice(MICRO_VOCAB)] * rng.randrange(3, 7)
+            else:
+                tokens.append(rng.choice(MICRO_VOCAB))
+        rows.append((rng.choice("AAB" if i % 2 else "ABB"), float(i), i + 0.5, " ".join(tokens)))
+    return number_utterances(1, rows)
+
+
 def write_fixture_inputs(tmp: Path) -> dict[str, Path]:
     """Copy the CSV/JSON fixtures into tmp and return their paths."""
     paths = {}

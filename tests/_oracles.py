@@ -243,24 +243,25 @@ def oracle_instructions(tokens, node_names):
     return out
 
 
+def _oracle_check(instr, action, network):
+    """Whether the edit `action` realizes the (verb, u, v, ...) tuple `instr`."""
+    verb, u, v = instr[:3]
+    action_verb = "Add" if action.verb == "adds" else "Remove"
+    if verb != action_verb:
+        return False
+    id_to_name = {n.id: n.name.lower() for n in network.nodes}
+    a, b = (id_to_name[action.edge[0]], id_to_name[action.edge[1]])
+    if v is None:
+        return u in (a, b)
+    return {u, v} <= {a, b}
+
+
 def oracle_verdicts(stream, network, clear_on_verdict=False):
     """Replay the cache rules from scratch before every edit.
 
     Returns [(verdict, actor, instruction or None)] with instructions as
     (verb, u, v, agent) tuples, one per edit action in stream order.
     """
-    id_to_name = {n.id: n.name.lower() for n in network.nodes}
-
-    def check(instr, action):
-        verb, u, v, _ = instr
-        action_verb = "Add" if action.verb == "adds" else "Remove"
-        if verb != action_verb:
-            return False
-        a, b = (id_to_name[action.edge[0]], id_to_name[action.edge[1]])
-        if v is None:
-            return u in (a, b)
-        return {u, v} <= {a, b}
-
     verdicts = []
     for k, action in enumerate(stream):
         if action.verb == "says":
@@ -283,7 +284,7 @@ def oracle_verdicts(stream, network, clear_on_verdict=False):
                     if clear_on_verdict:
                         pending = []
                     else:
-                        pending = [p for p in pending if not check(p, prior)]
+                        pending = [p for p in pending if not _oracle_check(p, prior, network)]
 
         if action.turn > turn or action.attempt > attempt:
             pending = []
@@ -293,10 +294,38 @@ def oracle_verdicts(stream, network, clear_on_verdict=False):
         else:
             matched = None
             for p in others:
-                if check(p, action):
+                if _oracle_check(p, action, network):
                     matched = p
             if matched is not None:
                 verdicts.append(("Match", action.subject, matched))
             else:
                 verdicts.append(("Mismatch", action.subject, others[-1]))
     return verdicts
+
+
+def oracle_pending(stream, network, clear_on_verdict=False):
+    """The pending cache after each stream event, by one forward replay.
+
+    Returns one tuple per event of (verb, u, v, agent, stream index of the
+    says event) tuples. Each event starts from a copy of the cache before
+    it, so no event's cache shares a list with another's.
+    """
+    caches = []
+    pending = []
+    turn, attempt = 1, 1
+    for index, action in enumerate(stream):
+        pending = list(pending)
+        if action.turn > turn or action.attempt > attempt:
+            pending = []
+            turn, attempt = action.turn, action.attempt
+        if action.verb == "says":
+            if action.subject is not None:
+                pending += [(verb, u, v, action.subject, index) for verb, u, v
+                            in oracle_instructions(action.utterance.tokens, network.node_names)]
+        elif any(p[3] != action.subject for p in pending):
+            if clear_on_verdict:
+                pending = []
+            else:
+                pending = [p for p in pending if not _oracle_check(p, action, network)]
+        caches.append(tuple(pending))
+    return caches

@@ -23,7 +23,7 @@ from align.instructions import (
     recognise_instructions,
 )
 from _builders import make_edits, make_submits, network
-from _oracles import oracle_instructions, oracle_verdicts
+from _oracles import oracle_instructions, oracle_pending, oracle_verdicts
 
 NET = network()
 NAMES = NET.node_names
@@ -150,6 +150,33 @@ def test_check_match_symmetric_in_edge_orientation():
     second = _edit_action("add", "Davos", "Gallen")
     for instr in (Instruction("Add", "gallen"), Instruction("Add", "davos", "gallen")):
         assert check_match(instr, first, NET) == check_match(instr, second, NET)
+
+
+_times = st.integers(0, 6).map(float)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from("ABI"), _times, st.lists(st.sampled_from(_OTHER),
+                                                                    max_size=3))),
+       st.lists(st.tuples(_times, st.sampled_from(["add", "remove"]),
+                          st.integers(0, len(NET.edges) - 1))),
+       st.lists(st.tuples(_times, st.integers(12, 20))),
+       st.sampled_from("AB"))
+def test_property_the_stream_holds_only_says_and_edits(utterance_rows, edit_rows, submit_rows,
+                                                      first_visual):
+    # the matcher calls check_match on every event that is not a says event,
+    # so each of those must be an edit that carries its edge
+    names = {n.id: n.name for n in NET.nodes}
+    utterances = number_utterances(1, [(speaker, t, t + 0.5, " ".join(words))
+                                       for speaker, t, words in utterance_rows])
+    edits = make_edits(1, NET, [(t, kind, names[NET.edges[e][0]], names[NET.edges[e][1]])
+                                for t, kind, e in edit_rows])
+    stream = build_action_stream(utterances, edits, make_submits(1, submit_rows), first_visual)
+    assert {action.verb for action in stream} <= {"says", "adds", "removes"}
+    assert [a.utterance for a in stream if a.verb == "says"] == sorted(
+        utterances, key=lambda u: u.start)
+    assert sorted((a.verb, a.edge) for a in stream if a.verb != "says") == sorted(
+        ({"add": "adds", "remove": "removes"}[e.kind], e.edge) for e in edits)
 
 
 # --- matcher golden traces ---------------------------------------------------------
@@ -454,12 +481,16 @@ def _long_streams(draw):
                                make_submits(1, submits), draw(st.sampled_from("AB")))
 
 
+@pytest.mark.parametrize("clear_on_verdict", [False, True])
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(_long_streams(), st.booleans())
+@given(stream=_long_streams())
 def test_property_matcher_equals_replay_oracle_on_large_pending_caches(stream, clear_on_verdict):
     records, annotated = match_instructions_to_actions(stream, NET, clear_on_verdict)
     first_edit = next(i for i, action in enumerate(stream) if action.verb != "says")
     assert len(annotated[first_edit - 1].pending_after) > 100
+    # the cache after every event, read back once the whole stream is matched
+    assert [tuple((i.verb, i.u, i.v, i.agent, i.utterance_index) for i in ann.pending_after)
+            for ann in annotated] == oracle_pending(stream, NET, clear_on_verdict)
     got = [(r.verdict, r.actor, (r.instruction.verb, r.instruction.u, r.instruction.v,
                                  r.instruction.agent) if r.instruction else None)
            for r in records]

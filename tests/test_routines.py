@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +14,13 @@ from hypothesis import strategies as st
 
 from align.corpus import number_utterances
 from align.routines import (
+    RoutineEvent,
     collaborative_period,
     extract_routines,
     filter_task_routines,
     token_events,
 )
-from _builders import MICRO_VOCAB, network, random_micro_dialogue
+from _builders import MICRO_VOCAB, network, random_micro_dialogue, random_phrase_dialogue
 from _oracles import oracle_routines
 
 
@@ -68,18 +73,24 @@ def test_robot_speech_is_ignored():
     assert routines[0].priming.utterance_index == 1  # robot priming doesn't count
 
 
-def test_occurrences_carry_free_flags():
-    utterances = _dialogue([
+def test_expression_only_inside_a_longer_shared_one_is_a_routine_once_said_alone():
+    shared = [
         ("A", 0.0, 1.0, "mount zurich to mount bern"),
         ("B", 2.0, 3.0, "mount zurich to mount bern"),
-        ("B", 4.0, 5.0, "zurich"),
-        ("A", 6.0, 7.0, "zurich"),
-    ])
-    routines = {r.expression: r for r in extract_routines(utterances)}
-    zurich = routines[("zurich",)]
-    # inside the long routine: bound; standalone: free
-    flags = {o.utterance_index: o.free for o in zurich.all_occurrences}
-    assert flags[0] is False and flags[2] is True
+    ]
+    # both speakers say "zurich", but only inside the longer shared expression
+    assert ("zurich",) not in {r.expression for r in extract_routines(_dialogue(shared))}
+
+    utterances = _dialogue(shared + [("B", 4.0, 5.0, "zurich"), ("A", 6.0, 7.0, "zurich")])
+    zurich = {r.expression: r for r in extract_routines(utterances)}[("zurich",)]
+    starts = tuple(u.global_token_offset + i for u in utterances
+                   for i, token in enumerate(u.tokens) if token == "zurich")
+    assert len(starts) == 4
+    assert zurich.all_occurrences == starts
+    # priming and establishment are the first productions, bound or free
+    assert zurich.initiator == "A"
+    assert zurich.priming == RoutineEvent(0, starts[0], utterances[0].end)
+    assert zurich.establishment == RoutineEvent(1, starts[1], utterances[1].end)
 
 
 # --- oracle equivalence ---------------------------------------------------------
@@ -93,17 +104,17 @@ def _as_comparable(utterances, routines):
             (r.establishment.utterance_index,
              r.establishment.token_position
              - utterances[r.establishment.utterance_index].global_token_offset),
-            tuple((o.utterance_index,
-                   o.token_position - utterances[o.utterance_index].global_token_offset,
-                   o.speaker, o.free) for o in r.all_occurrences),
+            r.all_occurrences,
         )
         for r in routines
     }
 
 
 def _oracle_comparable(utterances):
+    """The oracle's routines, each occurrence as its global start position."""
     return {
-        gram: (initiator, priming, establishment, tuple(occs))
+        gram: (initiator, priming, establishment,
+               tuple(utterances[ui].global_token_offset + pos for ui, pos, _, _ in occs))
         for gram, (initiator, priming, establishment, occs) in oracle_routines(utterances).items()
     }
 
@@ -116,39 +127,20 @@ def test_matches_brute_force_oracle_on_random_micro_dialogues():
         assert got == _oracle_comparable(utterances)
 
 
-def _phrase_dialogue(rng, utterances=12):
-    """Dialogue that reuses long phrases and self-overlapping runs like "a a a a"."""
-    phrases = [tuple(rng.choice(MICRO_VOCAB) for _ in range(rng.randrange(4, 9)))
-               for _ in range(3)]
-    rows = []
-    for i in range(utterances):
-        tokens = []
-        for _ in range(rng.randrange(1, 4)):
-            piece = rng.random()
-            if piece < 0.5:
-                tokens += rng.choice(phrases)
-            elif piece < 0.7:
-                tokens += [rng.choice(MICRO_VOCAB)] * rng.randrange(3, 7)
-            else:
-                tokens.append(rng.choice(MICRO_VOCAB))
-        rows.append((rng.choice("AAB" if i % 2 else "ABB"), float(i), i + 0.5, " ".join(tokens)))
-    return _dialogue(rows)
-
-
 def test_matches_brute_force_oracle_on_long_phrase_dialogues():
     rng = random.Random(404)
     longest = 0
     overlapping = False
     for _ in range(40):
-        utterances = _phrase_dialogue(rng, utterances=16)
+        utterances = random_phrase_dialogue(rng, utterances=16)
         routines = extract_routines(utterances)
         assert _as_comparable(utterances, routines) == _oracle_comparable(utterances)
         for r in routines:
             longest = max(longest, len(r.expression))
-            starts = [(o.utterance_index, o.token_position) for o in r.all_occurrences]
+            # occurrences closer than the expression's length share an utterance
+            starts = r.all_occurrences
             overlapping = overlapping or any(
-                a[0] == b[0] and b[1] - a[1] < len(r.expression)
-                for a, b in zip(starts, starts[1:]))
+                b - a < len(r.expression) for a, b in zip(starts, starts[1:]))
     # the batch reaches deep levels and overlapping occurrences
     assert longest >= 6
     assert overlapping
@@ -172,9 +164,37 @@ def test_property_matches_oracle_on_small_dialogues(rows):
              r.establishment.token_position, r.expression) for r in routines]
     assert keys == sorted(keys)
     for r in routines:
-        assert [(o.utterance_index, o.token_position) for o in r.all_occurrences] == sorted(
-            (o.utterance_index, o.token_position) for o in r.all_occurrences)
-        assert any(o.free for o in r.all_occurrences)
+        assert list(r.all_occurrences) == sorted(set(r.all_occurrences))
+
+
+def _routines_repr(hash_seed: str) -> list[str]:
+    """repr of the routines of each of 50 seeded random dialogues, mined in
+    a fresh interpreter under one hash seed."""
+    code = ("import random\n"
+            "from align.routines import extract_routines\n"
+            "from _builders import random_micro_dialogue, random_phrase_dialogue\n"
+            "rng = random.Random(606)\n"
+            "dialogues = [random_micro_dialogue(rng) for _ in range(25)]\n"
+            "dialogues += [random_phrase_dialogue(rng, utterances=16) for _ in range(25)]\n"
+            "for utterances in dialogues:\n"
+            "    print(repr(extract_routines(utterances)))")
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300,
+                            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed})
+    assert result.returncode == 0, result.stderr.decode()
+    return result.stdout.decode().splitlines()
+
+
+def test_routines_do_not_depend_on_the_hash_seed():
+    first = _routines_repr("1")
+    assert len(first) == 50
+    assert sum(line.count("Routine(") for line in first) > 100
+    # seeds 1 and 2 iterate {"A", "B"} in the same order; seed 3 does not
+    for seed in ("2", "3"):
+        other = _routines_repr(seed)
+        assert len(other) == 50
+        assert [i for i, (a, b) in enumerate(zip(first, other)) if a != b] == [], seed
 
 
 # --- invariants ------------------------------------------------------------------
