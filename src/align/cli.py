@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .corpus import (
+    HUMAN_SPEAKERS,
     InputError,
     assemble_corpus,
     check_teams,
@@ -29,8 +30,12 @@ from .corpus import (
 # the statistics (numpy, scipy). A name already set on this module, such as a
 # wrapper patched in by a tracer, wins over the one in .report; a name deleted
 # after the binding stays deleted.
-_REPORT_NAMES = ("RUNNER_OPTIONS", "RUNNERS", "Pipeline", "emit", "emit_annotated_corpus",
-                 "emit_measures", "emit_routine_table", "summary_lines")
+_REPORT_NAMES = ("RUNNERS", "Pipeline", "emit", "emit_annotated_corpus", "emit_measures",
+                 "emit_routine_table", "summary_lines")
+
+# each `align analyze` hypothesis, with the options its runner takes as keyword arguments
+HYPOTHESES = {"h1.1": ("window",), "h1.2": ("markers",), "h2.1": ("window", "grouped"),
+              "h2.2": ("oh_events", "mm_events")}
 
 
 @functools.cache
@@ -68,7 +73,7 @@ def _seconds(text: str) -> float:
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The parser and its `analyze` subparser, which checks --hypothesis."""
+    """The parser, and its `analyze` subparser for the option check after parsing."""
     parser = argparse.ArgumentParser(
         prog="align",
         description="Verbal and behavioural alignment measures for situated task dialogues.",
@@ -81,7 +86,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     ingest.add_argument("--network", required=True)
     ingest.add_argument("--tests", required=True)
     ingest.add_argument("--out", required=True)
-    ingest.add_argument("--first-visual", choices=["A", "B"], default="B",
+    ingest.add_argument("--first-visual", choices=HUMAN_SPEAKERS, default="B",
                         help="interlocutor in the visual view during turn 1")
 
     routines = sub.add_parser("routines", help="mine routine expressions")
@@ -101,9 +106,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     measures.add_argument("--out")
 
     analyze = sub.add_parser("analyze", help="run one hypothesis analysis")
-    # checked against RUNNERS after parsing: `choices` would import .report
-    analyze.add_argument("--hypothesis", required=True,
-                         help="the analysis to run; an unknown name lists the valid ones")
+    analyze.add_argument("--hypothesis", required=True, choices=HYPOTHESES,
+                         help="the analysis to run")
     analyze.add_argument("--corpus", required=True)
     analyze.add_argument("--format", choices=["csv", "json"], default="csv")
     analyze.add_argument("--out")
@@ -150,12 +154,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command != "ingest":
             _bind_report()
         if args.command == "analyze":
-            if args.hypothesis not in RUNNERS:
-                analyze.error(f"argument --hypothesis: invalid choice: {args.hypothesis!r} "
-                              f"(choose from {', '.join(map(repr, RUNNERS))})")
             # each analysis option is some runner's; one that this runner does not take is refused
-            taken = RUNNER_OPTIONS[args.hypothesis]
-            refused = sorted(vars(args).keys() & set().union(*RUNNER_OPTIONS.values()) - set(taken))
+            taken = HYPOTHESES[args.hypothesis]
+            refused = sorted(vars(args).keys() & set().union(*HYPOTHESES.values()) - set(taken))
             if refused:
                 analyze.error(f"argument {_flag(refused[0])}: {args.hypothesis} does not take it "
                               f"(it takes {', '.join(map(_flag, taken))})")
@@ -191,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "analyze":
             pipeline = Pipeline(corpus, clear_on_verdict=args.clear_on_verdict)
             options = {name: value for name, value in vars(args).items()
-                       if name in RUNNER_OPTIONS[args.hypothesis]}
+                       if name in HYPOTHESES[args.hypothesis]}
             report = RUNNERS[args.hypothesis](pipeline, **options)
             for path in emit(report, args.format, out):
                 print(f"wrote {path}")

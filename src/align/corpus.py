@@ -66,7 +66,9 @@ class NetworkNode:
 class Network:
     """Activity network: nodes with display info, edges with build costs.
 
-    Edges are stored canonically with u < v (node ids).
+    Edges are stored canonically with u < v (node ids). A network is valid
+    once built: its ids and names are unique, its edges join two declared
+    nodes with a positive cost that a float holds, and it is connected.
     """
 
     nodes: tuple[NetworkNode, ...]
@@ -85,13 +87,16 @@ class Network:
         for u, v, cost in self.edges:
             if u not in ids or v not in ids:
                 raise InputError(f"edge ({u},{v}) references undeclared node")
+            if u == v:
+                raise InputError(f"edge ({u},{v}) joins node {u} to itself")
             if not u < v:
                 raise InputError(f"edge ({u},{v}) not in canonical u < v order")
             if (u, v) in seen:
                 raise InputError(f"duplicate edge ({u},{v})")
-            if cost <= 0:
+            if _check_cost(cost, f"edge ({u},{v}) cost") <= 0:
                 raise InputError(f"edge ({u},{v}) has non-positive cost")
             seen.add((u, v))
+        self.optimal_cost  # an unconnected network has none: refused here, not at a submit
 
     @cached_property
     def name_to_id(self) -> dict[str, int]:
@@ -110,15 +115,12 @@ class Network:
     def id_to_name(self) -> dict[int, str]:
         return {n.id: n.name for n in self.nodes}
 
-    def canonical_edge(self, u: int, v: int) -> tuple[int, int]:
-        return (u, v) if u < v else (v, u)
-
     def edge(self, u: int, v: int) -> tuple[int, int]:
         """The canonical edge joining nodes u and v; InputError if there is none."""
         for node in (u, v):
             if node not in self.id_to_name:
                 raise InputError(f"unknown node id {node}")
-        edge = self.canonical_edge(u, v)
+        edge = (u, v) if u < v else (v, u)
         if edge not in self.edge_set:
             raise InputError(f"({self.id_to_name[u]},{self.id_to_name[v]}) is not a network edge")
         return edge
@@ -717,8 +719,7 @@ def _built(entry: dict, key: str, build, *context) -> list:
 
 def _network_from_json(data: dict) -> Network:
     """Network from its JSON form, with exact JSON types."""
-    edges = _built(data, "edges", lambda u, v, cost: (
-        min(u, v), max(u, v), _check_cost(cost, f"edge ({u},{v}) cost")))
+    edges = _built(data, "edges", lambda u, v, cost: (min(u, v), max(u, v), cost))
     return Network(nodes=tuple(_built(data, "nodes", NetworkNode)), edges=tuple(sorted(edges)))
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import MAX_SCORE, TeamCorpus
+from .corpus import HUMAN_SPEAKERS, MAX_SCORE, TeamCorpus
 
 
 def submission_error(cost: float, optimal_cost: float) -> float:
@@ -59,7 +59,7 @@ def team_success(corpus: TeamCorpus, optimal_cost: float) -> TeamSuccess:
     """Compute the dialogue-level success measures for one team."""
     errors = [submission_error(s.cost, optimal_cost) for s in corpus.submits]
     gains = {}
-    for speaker in ("A", "B"):
+    for speaker in HUMAN_SPEAKERS:
         scores = corpus.score_for(speaker)
         if scores is None:
             raise ValueError(f"team {corpus.team}: no test scores for speaker {speaker}")

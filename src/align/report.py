@@ -38,13 +38,7 @@ from .instructions import (
     match_mismatch_times,
 )
 from .measures import TeamSuccess, common_window, learning_groups, team_success
-from .routines import (
-    Routine,
-    collaborative_period,
-    extract_routines,
-    filter_task_routines,
-    token_events,
-)
+from .routines import Routine, extract_routines, filter_task_routines, token_events
 from .stats import cliffs_delta, interpret_rho, kruskal_wallis, mann_whitney_u, spearman
 
 FILLERS = frozenset({"uh", "um"})
@@ -168,6 +162,14 @@ def _median(values: list[float]) -> float | None:
     ordered = sorted(values)
     half = len(ordered) // 2
     return float(ordered[half]) if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
+
+
+def collaborative_period(times: list[float]) -> tuple[float, float]:
+    """(Q1, Q3) of establishment times by linear interpolation."""
+    if not times:
+        raise ValueError("no establishments")
+    q1, q3 = np.percentile(np.asarray(times, dtype=float), [25, 75])
+    return float(q1), float(q3)
 
 
 def _mean(values: list[float]) -> float | None:
@@ -310,7 +312,7 @@ def run_h12(pipeline: Pipeline, markers: frozenset[str] = FILLERS) -> Hypothesis
         total = tp.total_tokens
 
         def pct(values: list[float]) -> list[float]:
-            return [100.0 * v / total for v in values] if total else []
+            return [relative_time(v, total) for v in values]
 
         cells = {"n_filler": len(fillers), "n_routine": len(tp.task_routines),
                  "median_filler": _median(pct(fillers)),
@@ -396,9 +398,6 @@ def run_h22(pipeline: Pipeline, oh_events: str = "token", mm_events: str = "acti
 
 
 RUNNERS = {"h1.1": run_h11, "h1.2": run_h12, "h2.1": run_h21, "h2.2": run_h22}
-# the `align analyze` options each runner takes, as keyword arguments
-RUNNER_OPTIONS = {"h1.1": ("window",), "h1.2": ("markers",), "h2.1": ("window", "grouped"),
-                  "h2.2": ("oh_events", "mm_events")}
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .corpus import Network, Utterance
 
 
@@ -114,14 +112,6 @@ def filter_task_routines(routines: list[Routine], network: Network) -> list[Rout
     """Keep routines whose expression contains at least one node-name token."""
     names = network.node_names
     return [r for r in routines if any(tok in names for tok in r.expression)]
-
-
-def collaborative_period(times: list[float]) -> tuple[float, float]:
-    """(Q1, Q3) of establishment times by linear interpolation."""
-    if not times:
-        raise ValueError("no establishments")
-    q1, q3 = np.percentile(np.asarray(times, dtype=float), [25, 75])
-    return float(q1), float(q3)
 
 
 @dataclass(frozen=True)

@@ -155,18 +155,6 @@ def kruskal_wallis(groups: list[list[float]]) -> TestResult:
     return TestResult(statistic=h, p_value=p, n=tuple(sizes))
 
 
-def interpret_delta(delta: float) -> str:
-    """Magnitude label for Cliff's delta."""
-    size = abs(delta)
-    if size < 0.147:
-        return "negligible"
-    if size < 0.33:
-        return "small"
-    if size < 0.474:
-        return "medium"
-    return "large"
-
-
 def interpret_rho(rho: float) -> str:
     """Magnitude label for a rank correlation coefficient."""
     size = abs(rho)

@@ -32,7 +32,7 @@ def make_edits(team: int, net: Network, rows: list[tuple[float, str, str, str]])
     """rows: (time, kind, node_name_u, node_name_v)."""
     edits = []
     for time, kind, u, v in rows:
-        edge = net.canonical_edge(net.resolve_node(u), net.resolve_node(v))
+        edge = net.edge(net.resolve_node(u), net.resolve_node(v))
         edits.append(EditEvent(team=team, time=time, kind=kind, edge=edge))
     return edits
 

@@ -89,6 +89,18 @@ def test_network_rejects_unknown_edge_endpoint(tmp_path):
         load_network(path)
 
 
+@pytest.mark.parametrize("edge, message", [
+    ((1, 2, 10**400), "edge (1,2) cost 100000000000000000...0000000000000000000 is above the "
+                      "largest float 1.7976931348623157e+308"),
+    ((2, 1, 1), "edge (2,1) not in canonical u < v order"),
+])
+def test_network_built_directly_rejects_bad_edges(edge, message):
+    nodes = tuple(NetworkNode(id=i, name=f"node{i}", label="", x=0.0, y=0.0) for i in (1, 2))
+    with pytest.raises(InputError) as excinfo:
+        Network(nodes=nodes, edges=(edge,))
+    assert str(excinfo.value) == message
+
+
 def test_network_rejects_duplicate_names(tmp_path):
     data = json.loads((DATA / "network.json").read_text())
     data["nodes"][1]["name"] = "luzern"  # case-folded duplicate of node 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import re
@@ -20,6 +21,7 @@ from align.report import (
     Pipeline,
     _median,
     _write_csv,
+    collaborative_period,
     emit,
     run_h11,
     run_h12,
@@ -307,6 +309,20 @@ def test_property_median_is_numpys_bit_for_bit(values):
     assert repr(_median(values)) == repr(expected)
 
 
+def test_collaborative_period_linear_interpolation():
+    assert collaborative_period([10, 20, 30, 40, 50]) == (20.0, 40.0)
+
+
+def test_collaborative_period_singleton_and_constant():
+    assert collaborative_period([42.0]) == (42.0, 42.0)
+    assert collaborative_period([7.0, 7.0, 7.0]) == (7.0, 7.0)
+
+
+def test_collaborative_period_empty_errors():
+    with pytest.raises(ValueError, match="no establishments"):
+        collaborative_period([])
+
+
 def test_write_csv_formats_cells_as_before(tmp_path):
     # Tables once passed each cell through a converter: None as "", a float
     # by repr, anything else by str. csv.writer does the same by itself.
@@ -567,6 +583,13 @@ _BAD_NETWORKS = [
     (lambda net: net.update(nodes=[dict(n, id=1) if n["id"] == 2 else n for n in net["nodes"]],
                             edges=[e for e in net["edges"] if 2 not in (e["u"], e["v"])]),
      "node id 1 appears 2 times"),
+    # a network with no spanning tree is refused as it is read, not at the first submit
+    (lambda net: _set(net, "edges", [e for e in net["edges"] if 2 not in (e["u"], e["v"])]),
+     "network is not connected; no spanning solution exists"),
+    (lambda net: _set(net["edges"][0], "v", 1), "edge (1,1) joins node 1 to itself"),
+    (lambda net: net["edges"].append({"u": 2, "v": 1, "cost": 5}), "duplicate edge (1,2)"),
+    (lambda net: _set(net["edges"][0], "cost", 0), "edge (1,2) has non-positive cost"),
+    (lambda net: _set(net["edges"][0], "v", 99), "edge (1,99) references undeclared node"),
 ]
 
 
@@ -888,11 +911,13 @@ def test_cli_missing_corpus_exits_2(tmp_path):
     assert main(["routines", "--corpus", str(tmp_path / "nowhere")]) == 2
 
 
-def test_cli_unknown_hypothesis_exits_2(tmp_path):
+def test_cli_unknown_hypothesis_exits_2(tmp_path, capsys):
     corpus_dir = _ingest(tmp_path)
     with pytest.raises(SystemExit) as excinfo:
         main(["analyze", "--hypothesis", "h9.9", "--corpus", str(corpus_dir)])
     assert excinfo.value.code == 2
+    assert ("argument --hypothesis: invalid choice: 'h9.9' "
+            "(choose from 'h1.1', 'h1.2', 'h2.1', 'h2.2')") in capsys.readouterr().err
 
 
 def test_emit_rejects_unknown_format(tmp_path):
@@ -946,6 +971,14 @@ def test_cli_analyze_flags(tmp_path):
     data = json.loads((corpus_dir / "h12.json").read_text())
     team10 = next(r for r in data["per_team_rows"] if r["team"] == 10)
     assert team10["n_filler"] == 2  # two utterances with one "oh" each
+
+
+def test_cli_hypotheses_take_the_options_of_their_runners():
+    from align import cli, report
+
+    assert list(cli.HYPOTHESES.items()) == [
+        (hypothesis, tuple(inspect.signature(runner).parameters)[1:])
+        for hypothesis, runner in report.RUNNERS.items()]
 
 
 # every option each hypothesis takes, with a value

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from align.corpus import number_utterances
 from align.routines import (
     RoutineEvent,
-    collaborative_period,
     extract_routines,
     filter_task_routines,
     token_events,
@@ -280,22 +279,6 @@ def test_filter_keeps_referent_expressions():
 
 def test_filter_empty_input():
     assert filter_task_routines([], network()) == []
-
-
-# --- collaborative period -------------------------------------------------------
-
-def test_collaborative_period_linear_interpolation():
-    assert collaborative_period([10, 20, 30, 40, 50]) == (20.0, 40.0)
-
-
-def test_collaborative_period_singleton_and_constant():
-    assert collaborative_period([42.0]) == (42.0, 42.0)
-    assert collaborative_period([7.0, 7.0, 7.0]) == (7.0, 7.0)
-
-
-def test_collaborative_period_empty_errors():
-    with pytest.raises(ValueError, match="no establishments"):
-        collaborative_period([])
 
 
 # --- token events ---------------------------------------------------------------

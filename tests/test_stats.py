@@ -14,7 +14,6 @@ import scipy.stats
 from align.stats import (
     _average_ranks,
     cliffs_delta,
-    interpret_delta,
     interpret_rho,
     kruskal_wallis,
     mann_whitney_u,
@@ -379,18 +378,6 @@ def test_shift_and_monotone_invariance():
 
 
 # --- magnitude interpreters -------------------------------------------------------
-
-@pytest.mark.parametrize("delta,label", [
-    (0.10, "negligible"),
-    (-0.40, "medium"),
-    (0.474, "large"),  # boundary is strict
-    (0.146, "negligible"),
-    (0.33, "medium"),
-    (-1.0, "large"),
-])
-def test_interpret_delta(delta, label):
-    assert interpret_delta(delta) == label
-
 
 @pytest.mark.parametrize("rho,label", [
     (0.69, "strong"),
