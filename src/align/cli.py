@@ -24,6 +24,7 @@ from .corpus import (
     load_test_scores,
     load_transcript,
     save_corpus,
+    tokenize,
 )
 
 # Bound from .report once, on first use, so that `align ingest` never imports
@@ -54,7 +55,14 @@ def __getattr__(name: str):
 
 
 def _markers(text: str) -> frozenset[str]:
-    return frozenset(m.strip() for m in text.split(",") if m.strip())
+    """Comma-separated marker tokens, each read as transcripts are tokenized."""
+    markers = set()
+    for item in text.split(","):
+        tokens = tokenize(item)
+        if len(tokens) != 1:
+            raise argparse.ArgumentTypeError(f"not one marker token: {item!r}")
+        markers.update(tokens)
+    return frozenset(markers)
 
 
 def _flag(option: str) -> str:

@@ -77,6 +77,10 @@ class Network:
     def __post_init__(self) -> None:
         if len(self.nodes) < 2:
             raise InputError(f"a network needs at least two nodes, got {len(self.nodes)}")
+        for node in self.nodes:  # a name is recognised only as one transcript token
+            if (tokens := tokenize(node.name)) != [node.name.lower()]:
+                raise InputError(f"node name {node.name!r} is not one token: "
+                                 f"transcripts read it as {tokens}")
         names = [n.name.lower() for n in self.nodes]
         if len(set(names)) != len(names):
             raise InputError("duplicate node names after case-folding")

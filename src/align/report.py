@@ -6,20 +6,20 @@ Four analyses mirror the measurement pipeline end to end:
 - h2.1: when instructions are matched/mismatched by actions, vs task success;
 - h2.2: "oh" marker times vs match/mismatch action times.
 
-They come in two shapes, each written once as a recipe:
-- the timing recipe (h1.1, h2.1) turns per-team event times into absolute,
-  common-window and normalized medians, then tests those medians against
-  task error (Spearman) and across learning groups (Kruskal-Wallis);
-- the contrast recipe (h1.2, h2.2) tests a per-team marker sample against
-  comparison samples (Mann-Whitney U, Cliff's delta), then tests the deltas
-  against task error and across learning groups.
+They share one recipe, `_analysis`: each runner gives a team's row cells
+and distribution series, and names each summary key with the test it runs
+over a row column (Spearman against task error, Kruskal-Wallis across
+learning groups, or a mean). Two helpers build the cells:
+- `_views` turns event times (h1.1, h2.1) into absolute, common-window and
+  normalized times, whose medians are the row's cells;
+- `_compared` tests a marker sample against a comparison sample (h1.2, h2.2)
+  with Mann-Whitney U and Cliff's delta.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -128,10 +128,6 @@ class TeamPipeline:
             return [r.time for r in self.grouped[verdict]]
         return match_mismatch_times(self.records, verdict)
 
-    @cached_property
-    def total_tokens(self) -> int:
-        return sum(len(u.tokens) for u in self.corpus.utterances)
-
 
 class Pipeline:
     """All per-team pipelines for a corpus, in team-id order; `ordered` is report row order."""
@@ -172,8 +168,11 @@ def collaborative_period(times: list[float]) -> tuple[float, float]:
     return float(q1), float(q3)
 
 
-def _mean(values: list[float]) -> float | None:
-    return float(np.mean(values)) if values else None
+def _mean_of(teams: list[TeamSuccess], values: dict[int, float | None]) -> float | None:
+    """The mean of the teams' values, over teams with a value; the summary tests
+    all take `teams`, which this one does not need."""
+    present = [v for v in values.values() if v is not None]
+    return float(np.mean(present)) if present else None
 
 
 def _spearman_vs_error(teams: list[TeamSuccess], values: dict[int, float | None]) -> dict | None:
@@ -200,163 +199,135 @@ def _kruskal_by_learning(teams: list[TeamSuccess], values: dict[int, float | Non
     return {"H": result.statistic, "p": result.p_value, "n": list(result.n)}
 
 
-def _timing(hypothesis: str, pipeline: Pipeline, window: float | None, team_times, team_row,
-            spearman_keys: tuple[str, ...], kruskal_keys: tuple[str, ...],
-            mean_keys: tuple[str, ...], distributions: dict[str, str],
-            summary: dict) -> HypothesisReport:
-    """Timing recipe: event-time medians vs error and across learning groups.
+def _views(times: list[float], window: float, duration: float) -> dict[str, list[float]]:
+    """A label's event times: `abs`, `common` (within the common window) and
+    `norm` (percent of the team's duration)."""
+    return {"abs": times, "common": [t for t in times if t <= window],
+            "norm": [relative_time(t, duration) for t in times]}
 
-    `team_times(tp)` maps each label prefix to the team's absolute event
-    times. Each label gives three views, `{label}abs`, `{label}common` (times
-    within the common window) and `{label}norm` (percent of the team's
-    duration), whose medians become the row's `median_{view}` cells.
-    `team_row(tp, views)` adds the hypothesis's other cells. Only the views
-    named by `spearman_keys`, `kruskal_keys` and `mean_keys` are tested or
-    averaged; `distributions` maps each output series to the view it holds.
+
+def _compared(marker: list[float], sample: list[float], suffix: str) -> dict:
+    """The `U{suffix}`, `p{suffix}` and `delta{suffix}` cells of the marker sample
+    against `sample`: Mann-Whitney U and Cliff's delta, None unless both have values."""
+    u = p = delta = None
+    if marker and sample:
+        result = mann_whitney_u(marker, sample)
+        u, p, delta = result.statistic, result.p_value, cliffs_delta(marker, sample)
+    return {f"U{suffix}": u, f"p{suffix}": p, f"delta{suffix}": delta}
+
+
+def _analysis(hypothesis: str, pipeline: Pipeline, team, tests: dict, summary: dict,
+              series: tuple[str, ...]) -> HypothesisReport:
+    """The one analysis recipe: a row and distribution series per team, then tests over the rows.
+
+    `team(tp)` returns the team's row cells after `team`, and its series keyed
+    by the names in `series`. The summary holds `summary`, then each key of
+    `tests`, in order, set to `test(successes, {team: the row's column})` for
+    its `(test, column)`.
     """
-    window = pipeline.window if window is None else window
-    medians: dict[str, dict[int, float | None]] = defaultdict(dict)
-    series: dict[str, dict[int, tuple[float, ...]]] = {name: {} for name in distributions}
     rows = []
+    by_series: dict[str, dict[int, tuple[float, ...]]] = {name: {} for name in series}
     for tp in pipeline.ordered:
-        team, duration = tp.corpus.team, tp.corpus.duration
-        views = {}
-        for label, times in team_times(tp).items():
-            views[f"{label}abs"] = times
-            views[f"{label}common"] = [t for t in times if t <= window]
-            views[f"{label}norm"] = [relative_time(t, duration) for t in times]
-        row = {"team": team, **team_row(tp, views)}
-        for view, values in views.items():
-            row[f"median_{view}"] = medians[view][team] = _median(values)
-        rows.append(row)
-        for name, view in distributions.items():
-            series[name][team] = tuple(views[view])
-
-    successes = pipeline.successes
-    summary = {"common_window_sec": window, **summary}
-    for view in spearman_keys:
-        summary[f"spearman_median_{view}_vs_error"] = _spearman_vs_error(successes, medians[view])
-    for view in kruskal_keys:
-        summary[f"kruskal_learning_median_{view}"] = _kruskal_by_learning(successes, medians[view])
-    for view in mean_keys:
-        summary[f"mean_of_medians_{view}"] = _mean(
-            [v for v in medians[view].values() if v is not None])
-    return HypothesisReport(hypothesis, tuple(rows), summary, series)
-
-
-def _contrast(hypothesis: str, pipeline: Pipeline, team_samples,
-              comparisons: dict[str, str], distributions: tuple[str, ...],
-              summary: dict) -> HypothesisReport:
-    """Contrast recipe: marker-vs-event effect sizes vs error and across learning groups.
-
-    `team_samples(tp)` returns the team's marker sample, its comparison
-    samples keyed by row suffix, its other row cells, and its distribution
-    series. Each comparison fills the row's `U{suffix}`, `p{suffix}` and
-    `delta{suffix}` cells when both samples are non-empty; `comparisons` maps
-    each suffix to the label of its summary statistics over the deltas.
-    """
-    deltas: dict[str, dict[int, float | None]] = {suffix: {} for suffix in comparisons}
-    series: dict[str, dict[int, tuple[float, ...]]] = {name: {} for name in distributions}
-    rows = []
-    for tp in pipeline.ordered:
-        team = tp.corpus.team
-        marker, samples, cells, team_series = team_samples(tp)
-        row = {"team": team, **cells}
-        for suffix, sample in samples.items():
-            u = p = delta = None
-            if marker and sample:
-                result = mann_whitney_u(marker, sample)
-                u, p, delta = result.statistic, result.p_value, cliffs_delta(marker, sample)
-            row[f"U{suffix}"], row[f"p{suffix}"], row[f"delta{suffix}"] = u, p, delta
-            deltas[suffix][team] = delta
-        rows.append(row)
-        for name in distributions:
-            series[name][team] = tuple(team_series[name])
+        cells, team_series = team(tp)
+        rows.append({"team": tp.corpus.team, **cells})
+        for name in series:
+            by_series[name][tp.corpus.team] = tuple(team_series[name])
 
     successes = pipeline.successes
     summary = dict(summary)
-    for suffix, label in comparisons.items():
-        summary[f"spearman_delta{label}_vs_error"] = _spearman_vs_error(successes, deltas[suffix])
-        summary[f"kruskal_learning_delta{label}"] = _kruskal_by_learning(successes, deltas[suffix])
-    return HypothesisReport(hypothesis, tuple(rows), summary, series)
+    for key, (test, column) in tests.items():
+        summary[key] = test(successes, {row["team"]: row[column] for row in rows})
+    return HypothesisReport(hypothesis, tuple(rows), summary, by_series)
 
 
 def run_h11(pipeline: Pipeline, window: float | None = None) -> HypothesisReport:
     """Establishment-time analysis: medians vs error, learning-group split."""
+    window = pipeline.window if window is None else window
 
-    def row(tp: TeamPipeline, views: dict[str, list[float]]) -> dict:
-        norm = views["norm"]
-        q1, q3 = collaborative_period(norm) if norm else (None, None)
-        return {"n_routine": len(views["abs"]), "n_common": len(views["common"]),
-                "q1_norm": q1, "q3_norm": q3}
+    def team(tp: TeamPipeline):
+        times = _views([r.establishment.time for r in tp.task_routines], window, tp.corpus.duration)
+        q1, q3 = collaborative_period(times["norm"]) if times["norm"] else (None, None)
+        row = {"n_routine": len(times["abs"]), "n_common": len(times["common"]),
+               "median_abs": _median(times["abs"]), "median_common": _median(times["common"]),
+               "median_norm": _median(times["norm"]), "q1_norm": q1, "q3_norm": q3}
+        return row, {f"establishment_{view}": values for view, values in times.items()}
 
-    return _timing(
-        "h1.1", pipeline, window,
-        lambda tp: {"": [r.establishment.time for r in tp.task_routines]}, row,
-        spearman_keys=("abs", "common", "norm"), kruskal_keys=("abs", "norm"),
-        mean_keys=("norm",),
-        distributions={"establishment_abs": "abs", "establishment_common": "common",
-                       "establishment_norm": "norm"},
-        summary={},
-    )
+    return _analysis("h1.1", pipeline, team, {
+        "spearman_median_abs_vs_error": (_spearman_vs_error, "median_abs"),
+        "spearman_median_common_vs_error": (_spearman_vs_error, "median_common"),
+        "spearman_median_norm_vs_error": (_spearman_vs_error, "median_norm"),
+        "kruskal_learning_median_abs": (_kruskal_by_learning, "median_abs"),
+        "kruskal_learning_median_norm": (_kruskal_by_learning, "median_norm"),
+        "mean_of_medians_norm": (_mean_of, "median_norm"),
+    }, {"common_window_sec": window},
+        ("establishment_abs", "establishment_common", "establishment_norm"))
 
 
 def run_h12(pipeline: Pipeline, markers: frozenset[str] = FILLERS) -> HypothesisReport:
     """Filler-position analysis against priming and establishment positions."""
 
-    def samples(tp: TeamPipeline):
+    def team(tp: TeamPipeline):
         events = token_events(list(tp.corpus.utterances), tp.task_routines, markers)
         fillers = [float(p) for p in events.marker_positions]
         priming = [float(p) for p in events.priming_positions]
         estab = [float(p) for p in events.establishment_positions]
-        total = tp.total_tokens
+        total = sum(len(u.tokens) for u in tp.corpus.utterances)
 
-        def pct(values: list[float]) -> list[float]:
-            return [relative_time(v, total) for v in values]
+        def median_pct(positions: list[float]) -> float | None:
+            return _median([relative_time(p, total) for p in positions])
 
-        cells = {"n_filler": len(fillers), "n_routine": len(tp.task_routines),
-                 "median_filler": _median(pct(fillers)),
-                 "median_priming": _median(pct(priming)),
-                 "median_establishment": _median(pct(estab))}
-        return fillers, {"_priming": priming, "_estab": estab}, cells, {
-            "filler_positions": fillers, "priming_positions": priming,
-            "establishment_positions": estab}
+        row = {"n_filler": len(fillers), "n_routine": len(tp.task_routines),
+               "median_filler": median_pct(fillers), "median_priming": median_pct(priming),
+               "median_establishment": median_pct(estab),
+               **_compared(fillers, priming, "_priming"), **_compared(fillers, estab, "_estab")}
+        return row, {"filler_positions": fillers, "priming_positions": priming,
+                     "establishment_positions": estab}
 
-    return _contrast(
-        "h1.2", pipeline, samples,
-        comparisons={"_priming": "_priming", "_estab": "_establishment"},
-        distributions=("filler_positions", "priming_positions", "establishment_positions"),
-        summary={},
-    )
+    return _analysis("h1.2", pipeline, team, {
+        "spearman_delta_priming_vs_error": (_spearman_vs_error, "delta_priming"),
+        "kruskal_learning_delta_priming": (_kruskal_by_learning, "delta_priming"),
+        "spearman_delta_establishment_vs_error": (_spearman_vs_error, "delta_estab"),
+        "kruskal_learning_delta_establishment": (_kruskal_by_learning, "delta_estab"),
+    }, {}, ("filler_positions", "priming_positions", "establishment_positions"))
 
 
 def run_h21(pipeline: Pipeline, window: float | None = None, grouped: bool = False) -> HypothesisReport:
-    """Match/mismatch timing analysis, following the establishment-time recipe.
+    """Match/mismatch timing analysis: h1.1's time views of the verdicts' times.
 
     `grouped` switches the time series from per-action records to one event
     per instructing utterance.
     """
+    window = pipeline.window if window is None else window
 
-    def times(tp: TeamPipeline) -> dict[str, list[float]]:
-        return {"match_": tp.verdict_times(MATCH, grouped),
-                "mismatch_": tp.verdict_times(MISMATCH, grouped)}
-
-    def row(tp: TeamPipeline, views: dict[str, list[float]]) -> dict:
+    def team(tp: TeamPipeline):
+        duration = tp.corpus.duration
+        match = _views(tp.verdict_times(MATCH, grouped), window, duration)
+        mismatch = _views(tp.verdict_times(MISMATCH, grouped), window, duration)
         n_match, n_mismatch = len(tp.grouped[MATCH]), len(tp.grouped[MISMATCH])
-        return {"n_match_actions": len(match_mismatch_times(tp.records, MATCH)),
-                "n_mismatch_actions": len(match_mismatch_times(tp.records, MISMATCH)),
-                "n_match": n_match, "n_mismatch": n_mismatch,
-                "ratio": n_match / n_mismatch if n_mismatch else None}
+        row = {"n_match_actions": len(tp.verdict_times(MATCH, False)),
+               "n_mismatch_actions": len(tp.verdict_times(MISMATCH, False)),
+               "n_match": n_match, "n_mismatch": n_mismatch,
+               "ratio": n_match / n_mismatch if n_mismatch else None,
+               "median_match_abs": _median(match["abs"]),
+               "median_match_common": _median(match["common"]),
+               "median_match_norm": _median(match["norm"]),
+               "median_mismatch_abs": _median(mismatch["abs"]),
+               "median_mismatch_common": _median(mismatch["common"]),
+               "median_mismatch_norm": _median(mismatch["norm"])}
+        return row, {"match_abs": match["abs"], "match_norm": match["norm"],
+                     "mismatch_abs": mismatch["abs"], "mismatch_norm": mismatch["norm"]}
 
-    return _timing(
-        "h2.1", pipeline, window, times, row,
-        spearman_keys=("match_abs", "match_common", "match_norm", "mismatch_abs"),
-        kruskal_keys=("match_abs", "match_norm"),
-        mean_keys=("match_norm", "mismatch_norm"),
-        distributions={key: key for key in ("match_abs", "match_norm",
-                                            "mismatch_abs", "mismatch_norm")},
-        summary={"grouped_times": grouped},
-    )
+    return _analysis("h2.1", pipeline, team, {
+        "spearman_median_match_abs_vs_error": (_spearman_vs_error, "median_match_abs"),
+        "spearman_median_match_common_vs_error": (_spearman_vs_error, "median_match_common"),
+        "spearman_median_match_norm_vs_error": (_spearman_vs_error, "median_match_norm"),
+        "spearman_median_mismatch_abs_vs_error": (_spearman_vs_error, "median_mismatch_abs"),
+        "kruskal_learning_median_match_abs": (_kruskal_by_learning, "median_match_abs"),
+        "kruskal_learning_median_match_norm": (_kruskal_by_learning, "median_match_norm"),
+        "mean_of_medians_match_norm": (_mean_of, "median_match_norm"),
+        "mean_of_medians_mismatch_norm": (_mean_of, "median_mismatch_norm"),
+    }, {"common_window_sec": window, "grouped_times": grouped},
+        ("match_abs", "match_norm", "mismatch_abs", "mismatch_norm"))
 
 
 def run_h22(pipeline: Pipeline, oh_events: str = "token", mm_events: str = "action") -> HypothesisReport:
@@ -372,7 +343,7 @@ def run_h22(pipeline: Pipeline, oh_events: str = "token", mm_events: str = "acti
     if mm_events not in ("action", "utterance"):
         raise ValueError(f"mm_events must be 'action' or 'utterance', got {mm_events!r}")
 
-    def samples(tp: TeamPipeline):
+    def team(tp: TeamPipeline):
         duration = tp.corpus.duration
         oh_counts = [(utt.end, utt.tokens.count(OH)) for utt in tp.corpus.utterances
                      if utt.is_human and OH in utt.tokens]
@@ -383,18 +354,18 @@ def run_h22(pipeline: Pipeline, oh_events: str = "token", mm_events: str = "acti
         norm = {name: [relative_time(t, duration) for t in times] for name, times in
                 (("oh_norm", oh_times), ("match_norm", match_times),
                  ("mismatch_norm", mismatch_times))}
-        cells = {"n_oh": len(oh_counts), "n_oh_tokens": sum(count for _, count in oh_counts),
-                 "n_match": len(tp.grouped[MATCH]), "n_mismatch": len(tp.grouped[MISMATCH]),
-                 "median_oh": _median(norm["oh_norm"]),
-                 "median_match": _median(norm["match_norm"]),
-                 "median_mismatch": _median(norm["mismatch_norm"])}
-        return oh_times, {"": match_times + mismatch_times}, cells, norm
+        row = {"n_oh": len(oh_counts), "n_oh_tokens": sum(count for _, count in oh_counts),
+               "n_match": len(tp.grouped[MATCH]), "n_mismatch": len(tp.grouped[MISMATCH]),
+               "median_oh": _median(norm["oh_norm"]), "median_match": _median(norm["match_norm"]),
+               "median_mismatch": _median(norm["mismatch_norm"]),
+               **_compared(oh_times, match_times + mismatch_times, "")}
+        return row, norm
 
-    return _contrast(
-        "h2.2", pipeline, samples, comparisons={"": ""},
-        distributions=("oh_norm", "match_norm", "mismatch_norm"),
-        summary={"oh_events": oh_events, "mm_events": mm_events},
-    )
+    return _analysis("h2.2", pipeline, team, {
+        "spearman_delta_vs_error": (_spearman_vs_error, "delta"),
+        "kruskal_learning_delta": (_kruskal_by_learning, "delta"),
+    }, {"oh_events": oh_events, "mm_events": mm_events},
+        ("oh_norm", "match_norm", "mismatch_norm"))
 
 
 RUNNERS = {"h1.1": run_h11, "h1.2": run_h12, "h2.1": run_h21, "h2.2": run_h22}

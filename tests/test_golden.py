@@ -19,6 +19,8 @@ import random
 from pathlib import Path
 
 from align.cli import main
+from align.corpus import load_corpus
+from align.report import _COLUMNS, RUNNERS, Pipeline
 from _builders import DATA, network, write_fixture_inputs
 
 GOLDEN = DATA / "golden_digests.json"
@@ -154,6 +156,20 @@ def test_analyze_without_options_writes_what_all_writes(tmp_path):
             assert len(written) == (3 if fmt == "csv" else 1)
             for path in written:
                 assert path.read_bytes() == (every / path.name).read_bytes(), path.name
+
+
+def test_rows_hold_the_csv_columns_in_order(tmp_path):
+    """A row's cells are the csv columns, in order: emit writes a cell the row
+    does not hold, such as a misspelled one, as an empty cell."""
+    paths = write_seeded_inputs(tmp_path)
+    _, ingest = _runs(paths, tmp_path)[0]  # into tmp_path / "corpus"
+    assert main(ingest) == 0
+    pipeline = Pipeline(load_corpus(tmp_path / "corpus"))
+    for hypothesis, runner in RUNNERS.items():
+        rows = runner(pipeline).per_team_rows
+        assert len(rows) == 8
+        for row in rows:
+            assert list(row) == _COLUMNS[hypothesis], hypothesis
 
 
 def test_golden_outputs_seeded_corpus(tmp_path, capsys):

@@ -590,6 +590,11 @@ _BAD_NETWORKS = [
     (lambda net: net["edges"].append({"u": 2, "v": 1, "cost": 5}), "duplicate edge (1,2)"),
     (lambda net: _set(net["edges"][0], "cost", 0), "edge (1,2) has non-positive cost"),
     (lambda net: _set(net["edges"][0], "v", 99), "edge (1,99) references undeclared node"),
+    # a name that transcripts do not read as one token would never be recognised
+    (lambda net: _set(net["nodes"][0], "name", "St Luzern"),
+     "node name 'St Luzern' is not one token: transcripts read it as ['st', 'luzern']"),
+    (lambda net: _set(net["nodes"][0], "name", "Luzern."),
+     "node name 'Luzern.' is not one token: transcripts read it as ['luzern']"),
 ]
 
 
@@ -1021,6 +1026,31 @@ def test_cli_window_must_be_a_positive_number_of_seconds(tmp_path, capsys, windo
     assert (f"argument --window: not a positive number of seconds: {window!r}"
             in capsys.readouterr().err)
     assert not (corpus_dir / "h11_summary.json").exists()
+
+
+def test_cli_markers_are_read_as_transcript_tokens(tmp_path):
+    corpus_dir = _ingest(tmp_path)
+    written = []
+    for markers in ("uh,um", "UH, Um!"):
+        out = tmp_path / markers
+        assert main(["analyze", "--hypothesis", "h1.2", "--corpus", str(corpus_dir),
+                     "--markers", markers, "--out", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert written[1] == written[0]
+    with open(tmp_path / "uh,um" / "h12_per_team.csv", newline="", encoding="utf-8") as handle:
+        assert [row["n_filler"] for row in csv.DictReader(handle)] == ["2", "2"]
+
+
+@pytest.mark.parametrize("markers, item", [("", ""), (",", ""), ("uh,", ""), ("uh um", "uh um"),
+                                           ("uh,?", "?")])
+def test_cli_markers_must_each_be_one_token(tmp_path, capsys, markers, item):
+    corpus_dir = _ingest(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "--hypothesis", "h1.2", "--corpus", str(corpus_dir),
+              "--markers", markers])
+    assert excinfo.value.code == 2
+    assert f"argument --markers: not one marker token: {item!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in corpus_dir.iterdir()) == ["corpus.json"]
 
 
 def test_cli_reads_negative_zero_times_as_zero(tmp_path):
