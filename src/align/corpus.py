@@ -21,6 +21,7 @@ from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 HUMAN_SPEAKERS = ("A", "B")
 ROBOT_SPEAKER = "I"
@@ -53,8 +54,7 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True, slots=True)
-class NetworkNode:
+class NetworkNode(NamedTuple):
     id: int
     name: str  # single distinctive token, case-folded for matching
     label: str
@@ -159,8 +159,7 @@ class Network:
         return total
 
 
-@dataclass(frozen=True, slots=True)
-class Utterance:
+class Utterance(NamedTuple):
     """One speaker's IPU with timing, raw text, and token bookkeeping."""
 
     team: int
@@ -176,8 +175,7 @@ class Utterance:
         return self.speaker in HUMAN_SPEAKERS
 
 
-@dataclass(frozen=True, slots=True)
-class EditEvent:
+class EditEvent(NamedTuple):
     team: int
     time: float
     kind: str  # ADD or REMOVE
@@ -187,23 +185,20 @@ class EditEvent:
     v = property(lambda self: self.edge[1])
 
 
-@dataclass(frozen=True, slots=True)
-class SubmitEvent:
+class SubmitEvent(NamedTuple):
     team: int
     time: float
     cost: int
 
 
-@dataclass(frozen=True, slots=True)
-class TestScores:
+class TestScores(NamedTuple):
     team: int
     speaker: str
     pre: int
     post: int
 
 
-@dataclass(frozen=True, slots=True)
-class ActionEvent:
+class ActionEvent(NamedTuple):
     """Unified says/adds/removes record with turn and attempt counters.
 
     `subject` is None for robot speech; edit subjects are derived from the
@@ -329,7 +324,7 @@ def _utterance(speaker: str, start: float, end: float, text: str) -> tuple[str, 
 def _edit(team: int, network: Network, time: float, kind: str, u: int, v: int) -> EditEvent:
     if kind not in (ADD, REMOVE):
         raise InputError(f"unknown edit kind {kind!r}")
-    return EditEvent(team=team, time=_check_time(time, "time"), kind=kind, edge=network.edge(u, v))
+    return EditEvent(team, _check_time(time, "time"), kind, network.edge(u, v))
 
 
 def _check_cost(cost: int, name: str) -> int:
@@ -386,8 +381,7 @@ def number_utterances(team: int, rows: list[tuple[str, float, float, str]]) -> l
     offset = 0
     for speaker, start, end, text in sorted(rows, key=itemgetter(1, 2)):
         tokens = tuple(tokenize(text))
-        utterances.append(Utterance(team=team, speaker=speaker, start=start, end=end, text=text,
-                                    tokens=tokens, global_token_offset=offset))
+        utterances.append(Utterance(team, speaker, start, end, text, tokens, offset))
         offset += len(tokens)
     return utterances
 
@@ -490,13 +484,11 @@ def build_action_stream(
         if kind == SAYS:
             utterance = payload
             subject = utterance.speaker if utterance.is_human else None
-            stream.append(ActionEvent(subject=subject, verb="says", time=time,
-                                      turn=turn, attempt=attempt, utterance=utterance))
+            stream.append(ActionEvent(subject, "says", time, turn, attempt, utterance))
         elif kind == EDIT:
             actor = first_visual if turn % 2 == 1 else other
             verb = "adds" if payload.kind == ADD else "removes"
-            stream.append(ActionEvent(subject=actor, verb=verb, time=time,
-                                      turn=turn, attempt=attempt, edge=payload.edge))
+            stream.append(ActionEvent(actor, verb, time, turn, attempt, None, payload.edge))
             edits_in_turn += 1
             if edits_in_turn == 2:
                 turn += 1

@@ -9,8 +9,8 @@ instructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .corpus import ActionEvent, Network
 
@@ -28,8 +28,7 @@ NONMATCH = "Nonmatch"
 _ACTION_VERBS = {"adds": ADD, "removes": REMOVE}
 
 
-@dataclass(frozen=True, slots=True)
-class Instruction:
+class Instruction(NamedTuple):
     """An inferred edit intent; v is None when only one node was mentioned."""
 
     verb: str  # ADD or REMOVE
@@ -109,8 +108,7 @@ def check_match(instruction: Instruction, action: ActionEvent, network: Network)
     return {id_by_name[instruction.u], id_by_name[instruction.v]} <= {u, v}
 
 
-@dataclass(frozen=True, slots=True)
-class MatchRecord:
+class MatchRecord(NamedTuple):
     """Verdict binding one edit action to a pending instruction (or none)."""
 
     verdict: str  # MATCH, MISMATCH, or NONMATCH
@@ -120,8 +118,7 @@ class MatchRecord:
     time = property(lambda self: self.action.time)
 
 
-@dataclass(frozen=True, slots=True)
-class AnnotatedAction:
+class AnnotatedAction(NamedTuple):
     """One stream event with its recognized instructions and verdict."""
 
     action: ActionEvent

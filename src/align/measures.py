@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import HUMAN_SPEAKERS, MAX_SCORE, TeamCorpus
 
@@ -43,8 +43,7 @@ def team_learning(learn_a: float, learn_b: float) -> float:
     return (learn_a + learn_b) / 2.0
 
 
-@dataclass(frozen=True, slots=True)
-class TeamSuccess:
+class TeamSuccess(NamedTuple):
     team: int
     error: float
     learn: float

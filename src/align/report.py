@@ -19,11 +19,15 @@ learning groups, or a mean). Two helpers build the cells:
 from __future__ import annotations
 
 import csv
+import io
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -375,14 +379,24 @@ RUNNERS = {"h1.1": run_h11, "h1.2": run_h12, "h2.1": run_h21, "h2.2": run_h22}
 # Emission. Identical inputs produce byte-identical files: fixed column
 # orders, shortest-roundtrip float repr, LF newlines, sorted JSON keys.
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list | tuple]) -> None:
     """A CSV table; csv.writer writes None as an empty cell, a float by repr
-    and any other value by str."""
+    and any other value by str. It quotes a cell holding a character of its
+    line terminator, LF, but not a bare CR: a block of rows whose text holds a
+    CR is written again with the terminator CR LF, which then goes out as LF."""
+    lines = chain([header], rows)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        while block := list(islice(lines, 1024)):
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows(block)
+            text = buffer.getvalue()
+            if "\r" in text:
+                write = handle.write  # csv.writer writes one whole row per call
+                csv.writer(SimpleNamespace(write=lambda row: write(row[:-2] + "\n")),
+                           lineterminator="\r\n").writerows(block)
+            else:
+                handle.write(text)
 
 
 def _check_finite(path: Path, values) -> None:
@@ -444,44 +458,44 @@ def emit_routine_table(pipeline: Pipeline, path: str | Path, task_only: bool = F
 
 
 def emit_annotated_corpus(pipeline: Pipeline, path: str | Path) -> Path:
-    """Annotated corpus CSV: the stream with instructions and verdicts."""
+    """Annotated corpus CSV: the stream with instructions and verdicts, a row at a time."""
     path = Path(path)
     name = pipeline.corpus.network.id_to_name
-    rows = []
-    for tp in pipeline.teams:
-        for ann in tp.annotated:
-            action = ann.action
-            subject = action.subject
-            if subject is None and action.utterance is not None:
-                subject = action.utterance.speaker
-            record = ann.record
-            rows.append([
-                tp.corpus.team,
-                subject,
-                action.verb,
-                action.utterance.text if action.utterance else "-".join(name[n] for n in action.edge),
-                action.time,
-                action.turn,
-                action.attempt,
-                " ".join(str(i) for i in ann.instructions),
-                record.verdict if record else "-",
-                str(record.instruction) if record and record.instruction else "",
-                record.instruction.agent if record and record.instruction else "",
-            ])
+
+    def rows():
+        for tp in pipeline.teams:
+            for ann in tp.annotated:
+                action = ann.action
+                subject = action.subject
+                if subject is None and action.utterance is not None:
+                    subject = action.utterance.speaker
+                record = ann.record
+                yield [
+                    tp.corpus.team,
+                    subject,
+                    action.verb,
+                    action.utterance.text if action.utterance
+                    else "-".join(name[n] for n in action.edge),
+                    action.time,
+                    action.turn,
+                    action.attempt,
+                    " ".join(str(i) for i in ann.instructions),
+                    record.verdict if record else "-",
+                    str(record.instruction) if record and record.instruction else "",
+                    record.instruction.agent if record and record.instruction else "",
+                ]
+
     _write_csv(path, ["team", "subject", "verb", "object", "time", "turn", "attempt",
-                      "instructions", "verdict", "matched_instruction", "matched_agent"], rows)
+                      "instructions", "verdict", "matched_instruction", "matched_agent"], rows())
     return path
 
 
 def emit_measures(pipeline: Pipeline, path: str | Path) -> Path:
     """Task-level features CSV, one row per team."""
     path = Path(path)
-    rows = []
-    for s in (tp.success for tp in pipeline.teams):
-        rows.append([s.team, s.error, s.learn, s.learn_a, s.learn_b,
-                     s.duration, s.n_submissions, s.n_turns])
+    # a row is a TeamSuccess: its fields, in order
     _write_csv(path, ["team", "error", "learn", "learn_A", "learn_B", "duration_sec",
-                      "n_submissions", "n_turns"], rows)
+                      "n_submissions", "n_turns"], [tp.success for tp in pipeline.teams])
     return path
 
 

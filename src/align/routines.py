@@ -9,12 +9,12 @@ the other interlocutor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Network, Utterance
 
 
-@dataclass(frozen=True, slots=True)
-class RoutineEvent:
+class RoutineEvent(NamedTuple):
     """Where a routine was primed or established."""
 
     utterance_index: int
@@ -22,8 +22,7 @@ class RoutineEvent:
     time: float  # end time of the containing utterance
 
 
-@dataclass(frozen=True, slots=True)
-class Routine:
+class Routine(NamedTuple):
     expression: tuple[str, ...]
     initiator: str
     priming: RoutineEvent
@@ -93,13 +92,9 @@ def extract_routines(utterances: list[Utterance]) -> list[Routine]:
             if all(p - 1 in longer_starts or p in longer_starts for p in found):
                 continue
             initiator = speaker[found[0]]
-            routines.append(Routine(
-                expression=gram,
-                initiator=initiator,
-                priming=event(found[0]),
-                establishment=event(next(p for p in found if speaker[p] != initiator)),
-                all_occurrences=tuple(map(position.__getitem__, found)),
-            ))
+            establishment = next(p for p in found if speaker[p] != initiator)
+            routines.append(Routine(gram, initiator, event(found[0]), event(establishment),
+                                    tuple(map(position.__getitem__, found))))
         size += 1
         level, starts = longer, longer_starts
 

@@ -10,19 +10,24 @@ The normal, Student t and chi-square tails come from the `scipy.special`
 ufuncs that `scipy.stats` calls in its survival functions, so p-values carry
 the same bits without importing `scipy.stats`, whose import would take most
 of the start-up time of every `align` command.
+
+Mann-Whitney's U, its tie term and Cliff's delta are counted in exact
+integers over Python floats, without numpy: the samples are small, and a
+numpy array costs more to build than the count does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import chdtrc, ndtr, stdtr
 
 
-@dataclass(frozen=True, slots=True)
-class TestResult:
+class TestResult(NamedTuple):
     """Statistic with its two-sided p-value and sample sizes."""
 
     statistic: float
@@ -71,24 +76,24 @@ def spearman(x: list[float], y: list[float]) -> TestResult:
     return TestResult(statistic=rho, p_value=p, n=(n,))
 
 
-def _tie_correction(pooled: np.ndarray) -> float:
-    """1 - sum(t^3 - t) / (N^3 - N) over the N pooled values' tie groups of size t."""
-    _, counts = np.unique(pooled, return_counts=True)
+def _tie_correction(pooled: list[float]) -> float:
+    """1 - sum(t^3 - t) / (N^3 - N) over the N pooled floats' tie groups of size t."""
     big_n = len(pooled)
-    return 1.0 - float(np.sum(counts**3 - counts)) / (big_n**3 - big_n)
+    ties = sum(t**3 - t for t in Counter(pooled).values())
+    return 1.0 - float(ties) / (big_n**3 - big_n)
 
 
 def _twice_u(x: list[float], y: list[float]) -> int:
     """2U for `x` as an exact integer: 2 #{x_i > y_j} + #{x_i = y_j}.
 
     That is twice R_x - m(m+1)/2 on pooled average ranks, counted by binary
-    searches for each x_i in the sorted y sample.
+    searches for each x_i in the sorted y sample. Values of any number type
+    are compared as the floats they convert to.
     """
     if len(x) == 0 or len(y) == 0:
         raise ValueError("both samples must be non-empty")
-    xs = np.asarray(x, dtype=float)
-    ys = np.sort(np.asarray(y, dtype=float))
-    return int(np.searchsorted(ys, xs, "left").sum() + np.searchsorted(ys, xs, "right").sum())
+    ys = sorted(map(float, y))
+    return sum(bisect_left(ys, v) + bisect_right(ys, v) for v in map(float, x))
 
 
 def mann_whitney_u(x: list[float], y: list[float]) -> TestResult:
@@ -100,8 +105,7 @@ def mann_whitney_u(x: list[float], y: list[float]) -> TestResult:
     """
     m, n = len(x), len(y)
     u = _twice_u(x, y) / 2
-    pooled = np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
-    sigma_sq = m * n * (m + n + 1) / 12.0 * _tie_correction(pooled)
+    sigma_sq = m * n * (m + n + 1) / 12.0 * _tie_correction([*map(float, x), *map(float, y)])
     if sigma_sq == 0.0:
         return TestResult(statistic=u, p_value=1.0, n=(m, n))
     z = (u - m * n / 2.0) / math.sqrt(sigma_sq)
@@ -144,7 +148,7 @@ def kruskal_wallis(groups: list[list[float]]) -> TestResult:
         start += size
     h = 12.0 / (big_n * (big_n + 1)) * h - 3.0 * (big_n + 1)
 
-    correction = _tie_correction(pooled)
+    correction = _tie_correction(pooled.tolist())
     if correction == 0.0:
         h = 0.0
     else:

@@ -447,7 +447,7 @@ def _write_raw_files(corpus: Corpus, tmp: Path) -> dict[str, Path]:
             writer.writerows(rows)
     paths["network"] = tmp / "network.json"
     paths["network"].write_text(json.dumps({
-        "nodes": [dataclasses.asdict(node) for node in corpus.network.nodes],
+        "nodes": [node._asdict() for node in corpus.network.nodes],
         "edges": [{"u": u, "v": v, "cost": cost} for u, v, cost in corpus.network.edges]}))
     return paths
 

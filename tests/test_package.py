@@ -1,11 +1,12 @@
 """Process-level contracts: what the package root, `align ingest` and the
 mining, matching and measures modules import, the README's library example,
-output independence from the hash seed, and the CLI's handling of the cyclic
-garbage collector."""
+immutable records, output independence from the hash seed, and the CLI's
+handling of the cyclic garbage collector."""
 
 from __future__ import annotations
 
 import gc
+import importlib
 import json
 import os
 import re
@@ -82,6 +83,39 @@ def test_readme_library_example_runs():
     assert block is not None
     result = _python(block.group(1))
     assert result.returncode == 0, result.stderr.decode()
+
+
+# every per-item record kind, by the module that owns it
+RECORDS = {
+    "corpus": ["ActionEvent", "EditEvent", "NetworkNode", "SubmitEvent", "TestScores",
+               "Utterance"],
+    "instructions": ["AnnotatedAction", "Instruction", "MatchRecord"],
+    "measures": ["TeamSuccess"],
+    "routines": ["Routine", "RoutineEvent"],
+    "stats": ["TestResult"],
+}
+
+
+def test_every_tuple_kind_is_a_listed_record():
+    for module in EXPORTS:
+        namespace = vars(importlib.import_module(f"align.{module}"))
+        kinds = {name for name, value in namespace.items() if isinstance(value, type)
+                 and issubclass(value, tuple) and value.__module__ == f"align.{module}"}
+        assert sorted(kinds) == RECORDS.get(module, []), module
+
+
+@pytest.mark.parametrize("module, name", [(module, name) for module, names in RECORDS.items()
+                                          for name in names])
+def test_records_are_immutable(module, name):
+    """The README's promise: every value is immutable once built. Assigning to
+    a field, or to a new attribute, raises AttributeError."""
+    kind = getattr(importlib.import_module(f"align.{module}"), name)
+    values = tuple(range(len(kind._fields)))
+    record = kind(*values)
+    for field in (*kind._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert record == values
 
 
 def test_ingest_loads_neither_numpy_nor_scipy(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from align.cli import main
-from align.corpus import Corpus, InputError, save_corpus
+from align.corpus import Corpus, InputError, load_corpus, save_corpus
 from align.report import (
     HypothesisReport,
     Pipeline,
@@ -329,6 +329,18 @@ def test_write_csv_formats_cells_as_before(tmp_path):
     path = tmp_path / "table.csv"
     _write_csv(path, ["a", "b"], [[None, 0.1, 1e-07, 1e16, 2 / 3, 3, True, "x, y"], [None]])
     assert path.read_bytes() == b'a,b\n,0.1,1e-07,1e+16,0.6666666666666666,3,True,"x, y"\n""\n'
+
+
+def test_write_csv_quotes_a_bare_carriage_return_in_any_block(tmp_path):
+    path = tmp_path / "table.csv"
+    rows = [[n, "x"] for n in range(3000)]
+    rows[5][1], rows[2500][1] = "a\nb", "okay\roh"
+    _write_csv(path, ["n", "text"], iter(rows))
+    data = path.read_bytes()
+    assert b'\n5,"a\nb"\n' in data and b'\n2500,"okay\roh"\n' in data
+    assert data.count(b'"') == 4 and data.count(b"\r") == 1
+    with open(path, newline="", encoding="utf-8") as handle:
+        assert list(csv.reader(handle)) == [["n", "text"], *([str(n), text] for n, text in rows)]
 
 
 def test_emit_h12_csv_schema(tmp_path):
@@ -942,6 +954,25 @@ def test_cli_annotated_corpus_contents(tmp_path):
     # the edge prints in canonical node-id order (Davos id < Gallen id)
     match_rows = [l for l in lines if ",Match," in l and l.startswith("10,")]
     assert any("Davos-Gallen" in row and "Add(gallen,?)" in row for row in match_rows)
+
+
+def test_cli_annotated_corpus_quotes_a_bare_carriage_return(tmp_path):
+    # csv.writer quotes "\n" for its line terminator but not a bare "\r"
+    paths = write_fixture_inputs(tmp_path)
+    text = paths["transcripts"].read_text()
+    old = "Hello I would like you to help me collect gold."
+    paths["transcripts"].write_text(text.replace(old, '"okay\roh"', 1), newline="")
+    corpus_dir = tmp_path / "corpus"
+    assert _ingest_rc(paths, corpus_dir) == 0
+    assert main(["all", "--corpus", str(corpus_dir)]) == 0
+    corpus = load_corpus(corpus_dir)
+    with open(corpus_dir / "annotated_corpus.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert [len(row) for row in rows] == [11] * (1 + sum(
+        len(tc.utterances) + len(tc.edits) for tc in corpus.teams))
+    says = [row[3] for row in rows[1:] if row[2] == "says"]
+    assert says == [u.text for tc in corpus.teams for u in tc.utterances]
+    assert "okay\roh" in says
 
 
 def test_cli_routines_task_only(tmp_path):

@@ -199,6 +199,11 @@ def test_u_and_delta_equal_pair_counts_exactly():
         y = [rng.randrange(levels) / 4 for _ in range(n)]
         assert mann_whitney_u(x, y).statistic == u_direct(x, y)
         assert cliffs_delta(x, y) == delta_direct(x, y)
+    for _ in range(60):  # -0.0 tied with 0.0, ints mixed with floats, up to 300 values
+        x = _mixed_samples(rng, rng.randrange(1, 301))
+        y = _mixed_samples(rng, rng.randrange(1, 301))
+        assert mann_whitney_u(x, y).statistic == u_direct(x, y)
+        assert cliffs_delta(x, y) == delta_direct(x, y)
 
 
 def test_delta_u_relation_without_ties():
@@ -277,6 +282,14 @@ def _random_samples(rng, count):
     return [rng.randrange(levels) / 2 for _ in range(count)]
 
 
+def _mixed_samples(rng, count):
+    """`count` values mixing ints with the floats equal to them, and -0.0 with
+    0.0, drawn from a few levels (tie-heavy) or from many."""
+    levels = rng.choice([(-0.0, 0.0, 0, 1, 1.0, 2.5), tuple(range(-3, 4)) + (-0.0, 0.5, 1.0, 2.0),
+                         tuple(range(100)) + tuple(v / 4 for v in range(-200, 200))])
+    return [rng.choice(levels) for _ in range(count)]
+
+
 def _spearman_p(rho, n):
     if abs(rho) == 1.0:
         return 0.0
@@ -320,6 +333,12 @@ def test_p_values_equal_scipy_stats_tails():
         if sum(len(g) for g in groups) >= 3:
             result = kruskal_wallis(groups)
             assert result.p_value == float(scipy.stats.chi2.sf(result.statistic, len(groups) - 1))
+    for _ in range(60):  # -0.0 tied with 0.0, ints mixed with floats, up to 300 values
+        x = _mixed_samples(rng, rng.randrange(1, 301))
+        y = _mixed_samples(rng, rng.randrange(1, 301))
+        result = mann_whitney_u(x, y)
+        assert result.statistic == u_direct(x, y)
+        assert result.p_value == _mwu_p(result.statistic, x, y)
 
 
 def test_p_values_equal_scipy_stats_tails_at_the_edges():
