@@ -19,12 +19,11 @@ learning groups, or a mean). Two helpers build the cells:
 from __future__ import annotations
 
 import csv
-import io
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -382,21 +381,13 @@ RUNNERS = {"h1.1": run_h11, "h1.2": run_h12, "h2.1": run_h21, "h2.2": run_h22}
 def _write_csv(path: Path, header: list[str], rows: Iterable[list | tuple]) -> None:
     """A CSV table; csv.writer writes None as an empty cell, a float by repr
     and any other value by str. It quotes a cell holding a character of its
-    line terminator, LF, but not a bare CR: a block of rows whose text holds a
-    CR is written again with the terminator CR LF, which then goes out as LF."""
-    lines = chain([header], rows)
+    line terminator, and LF alone would leave a bare CR unquoted, so rows are
+    written with the terminator CR LF, which then goes out as LF."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        while block := list(islice(lines, 1024)):
-            buffer = io.StringIO()
-            csv.writer(buffer, lineterminator="\n").writerows(block)
-            text = buffer.getvalue()
-            if "\r" in text:
-                write = handle.write  # csv.writer writes one whole row per call
-                csv.writer(SimpleNamespace(write=lambda row: write(row[:-2] + "\n")),
-                           lineterminator="\r\n").writerows(block)
-            else:
-                handle.write(text)
+        write = handle.write  # csv.writer writes one whole row per call
+        csv.writer(SimpleNamespace(write=lambda row: write(row[:-2] + "\n")),
+                   lineterminator="\r\n").writerows(chain([header], rows))
 
 
 def _check_finite(path: Path, values) -> None:
@@ -490,12 +481,16 @@ def emit_annotated_corpus(pipeline: Pipeline, path: str | Path) -> Path:
     return path
 
 
+# task_features.csv column names that differ from the TeamSuccess field names
+_MEASURE_COLUMNS = {"learn_a": "learn_A", "learn_b": "learn_B", "duration": "duration_sec"}
+
+
 def emit_measures(pipeline: Pipeline, path: str | Path) -> Path:
     """Task-level features CSV, one row per team."""
     path = Path(path)
-    # a row is a TeamSuccess: its fields, in order
-    _write_csv(path, ["team", "error", "learn", "learn_A", "learn_B", "duration_sec",
-                      "n_submissions", "n_turns"], [tp.success for tp in pipeline.teams])
+    # a row is a TeamSuccess, so its fields name the columns, in order
+    _write_csv(path, [_MEASURE_COLUMNS.get(f, f) for f in TeamSuccess._fields],
+               [tp.success for tp in pipeline.teams])
     return path
 
 

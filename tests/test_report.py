@@ -331,14 +331,12 @@ def test_write_csv_formats_cells_as_before(tmp_path):
     assert path.read_bytes() == b'a,b\n,0.1,1e-07,1e+16,0.6666666666666666,3,True,"x, y"\n""\n'
 
 
-def test_write_csv_quotes_a_bare_carriage_return_in_any_block(tmp_path):
+def test_write_csv_quotes_a_bare_carriage_return(tmp_path):
     path = tmp_path / "table.csv"
-    rows = [[n, "x"] for n in range(3000)]
-    rows[5][1], rows[2500][1] = "a\nb", "okay\roh"
+    rows = [[0, "x"], [1, "a\nb"], [2, "okay\roh"], [3, "y\r"]]
     _write_csv(path, ["n", "text"], iter(rows))
     data = path.read_bytes()
-    assert b'\n5,"a\nb"\n' in data and b'\n2500,"okay\roh"\n' in data
-    assert data.count(b'"') == 4 and data.count(b"\r") == 1
+    assert data == b'n,text\n0,x\n1,"a\nb"\n2,"okay\roh"\n3,"y\r"\n'
     with open(path, newline="", encoding="utf-8") as handle:
         assert list(csv.reader(handle)) == [["n", "text"], *([str(n), text] for n, text in rows)]
 
