@@ -11,9 +11,10 @@ ufuncs that `scipy.stats` calls in its survival functions, so p-values carry
 the same bits without importing `scipy.stats`, whose import would take most
 of the start-up time of every `align` command.
 
-Mann-Whitney's U, its tie term and Cliff's delta are counted in exact
-integers over Python floats, without numpy: the samples are small, and a
-numpy array costs more to build than the count does.
+Every rank is counted as an exact integer over Python floats, without numpy,
+by the one `_twice_ranks`: the samples are small, and a numpy array costs
+more to build than the count does. Rank sums and Spearman's sums of products
+are exact, so rho keeps the bits of `numpy.corrcoef` on average ranks.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from typing import NamedTuple
 
-import numpy as np
 from scipy.special import chdtrc, ndtr, stdtr
 
 
@@ -35,19 +35,14 @@ class TestResult(NamedTuple):
     n: tuple[int, ...]
 
 
-def _average_ranks(values: list[float] | np.ndarray) -> np.ndarray:
-    """1-based ranks of `values`, ties sharing the mean of their positions.
+def _twice_ranks(values: list[float], ordered: list[float]) -> list[int]:
+    """Twice the 1-based average rank of each of `values` in the sorted floats `ordered`.
 
-    A tie group filling sorted positions i..j-1 gets (i + j + 1) / 2, an exact
-    half-integer, so the ranks equal `scipy.stats.rankdata`'s bit for bit.
+    A value tied with the sorted positions i..j-1 gets i + j + 1, twice the
+    mean (i + j + 1) / 2 of those ranks, as an exact integer. Values of any
+    number type are compared as the floats they convert to.
     """
-    a = np.asarray(values, dtype=float)
-    order = np.argsort(a, kind="mergesort")
-    ordered = a[order]
-    bounds = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
-    ranks = np.empty(len(a))
-    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
-    return ranks
+    return [bisect_left(ordered, v) + bisect_right(ordered, v) + 1 for v in map(float, values)]
 
 
 def spearman(x: list[float], y: list[float]) -> TestResult:
@@ -61,12 +56,16 @@ def spearman(x: list[float], y: list[float]) -> TestResult:
     n = len(x)
     if n < 3:
         raise ValueError("spearman needs at least 3 pairs")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    if np.all(rx == rx[0]) or np.all(ry == ry[0]):
+    # twice the ranks less twice their mean (n + 1) / 2: numpy.corrcoef's
+    # centred ranks doubled, so its sums of products are these integers / 4
+    dx = [r - (n + 1) for r in _twice_ranks(x, sorted(map(float, x)))]
+    dy = [r - (n + 1) for r in _twice_ranks(y, sorted(map(float, y)))]
+    sxx, syy = sum(d * d for d in dx), sum(d * d for d in dy)
+    if sxx == 0 or syy == 0:
         raise ValueError("constant input: rank correlation undefined")
-    rho = float(np.corrcoef(rx, ry)[0, 1])
-    rho = max(-1.0, min(1.0, rho))
+    scale = 1.0 / (n - 1)
+    cxx, cyy, cxy = (s / 4 * scale for s in (sxx, syy, sum(a * b for a, b in zip(dx, dy))))
+    rho = max(-1.0, min(1.0, cxy / math.sqrt(cxx) / math.sqrt(cyy)))
 
     if abs(rho) == 1.0:
         p = 0.0
@@ -86,14 +85,11 @@ def _tie_correction(pooled: list[float]) -> float:
 def _twice_u(x: list[float], y: list[float]) -> int:
     """2U for `x` as an exact integer: 2 #{x_i > y_j} + #{x_i = y_j}.
 
-    That is twice R_x - m(m+1)/2 on pooled average ranks, counted by binary
-    searches for each x_i in the sorted y sample. Values of any number type
-    are compared as the floats they convert to.
+    Each x_i's twice-rank in the sorted y sample is its share of that plus one.
     """
     if len(x) == 0 or len(y) == 0:
         raise ValueError("both samples must be non-empty")
-    ys = sorted(map(float, y))
-    return sum(bisect_left(ys, v) + bisect_right(ys, v) for v in map(float, x))
+    return sum(_twice_ranks(x, sorted(map(float, y)))) - len(x)
 
 
 def mann_whitney_u(x: list[float], y: list[float]) -> TestResult:
@@ -138,17 +134,14 @@ def kruskal_wallis(groups: list[list[float]]) -> TestResult:
     if big_n < 3:
         raise ValueError("kruskal_wallis needs at least 3 observations in total")
 
-    pooled = np.concatenate([np.asarray(g, dtype=float) for g in groups])
-    ranks = _average_ranks(pooled)
+    pooled = sorted(float(v) for g in groups for v in g)
     h = 0.0
-    start = 0
-    for size in sizes:
-        r_g = float(np.sum(ranks[start:start + size]))
+    for group, size in zip(groups, sizes):
+        r_g = sum(_twice_ranks(group, pooled)) / 2
         h += r_g * r_g / size
-        start += size
     h = 12.0 / (big_n * (big_n + 1)) * h - 3.0 * (big_n + 1)
 
-    correction = _tie_correction(pooled.tolist())
+    correction = _tie_correction(pooled)
     if correction == 0.0:
         h = 0.0
     else:

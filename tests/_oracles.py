@@ -14,14 +14,19 @@ from itertools import combinations, permutations
 
 # --- statistics ---------------------------------------------------------------
 
+# Values of any number type are compared as the floats they convert to, as
+# the statistics are computed on float samples.
+
 def u_direct(x, y) -> float:
     """U by pair counting: #{x_i > y_j} + 0.5 * #{x_i = y_j}."""
+    x, y = [float(v) for v in x], [float(v) for v in y]
     gt = sum(1 for a in x for b in y if a > b)
     eq = sum(1 for a in x for b in y if a == b)
     return gt + 0.5 * eq
 
 
 def delta_direct(x, y) -> float:
+    x, y = [float(v) for v in x], [float(v) for v in y]
     gt = sum(1 for a in x for b in y if a > b)
     lt = sum(1 for a in x for b in y if a < b)
     return (gt - lt) / (len(x) * len(y))
@@ -44,7 +49,7 @@ def rho_direct(x, y) -> float:
             i = j + 1
         return ranks
 
-    rx, ry = avg_ranks(list(x)), avg_ranks(list(y))
+    rx, ry = avg_ranks([float(v) for v in x]), avg_ranks([float(v) for v in y])
     mx, my = sum(rx) / len(rx), sum(ry) / len(ry)
     num = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
     den = (sum((a - mx) ** 2 for a in rx) * sum((b - my) ** 2 for b in ry)) ** 0.5
@@ -56,7 +61,7 @@ def h_direct(groups) -> float:
 
     Returns 0.0 for all-identical pooled data (the tie factor vanishes).
     """
-    pooled = [v for g in groups for v in g]
+    pooled = [float(v) for g in groups for v in g]
     n = len(pooled)
     order = sorted(range(n), key=lambda i: pooled[i])
     ranks = [0.0] * n

@@ -12,7 +12,7 @@ import pytest
 import scipy.stats
 
 from align.stats import (
-    _average_ranks,
+    _twice_ranks,
     cliffs_delta,
     interpret_rho,
     kruskal_wallis,
@@ -204,6 +204,10 @@ def test_u_and_delta_equal_pair_counts_exactly():
         y = _mixed_samples(rng, rng.randrange(1, 301))
         assert mann_whitney_u(x, y).statistic == u_direct(x, y)
         assert cliffs_delta(x, y) == delta_direct(x, y)
+    # an int above 2**53 is compared as the float it converts to
+    x, y = [2**53 + 1], [2.0**53]
+    assert mann_whitney_u(x, y).statistic == u_direct(x, y) == 0.5
+    assert cliffs_delta(x, y) == delta_direct(x, y) == 0.0
 
 
 def test_delta_u_relation_without_ties():
@@ -233,17 +237,22 @@ def test_kw_all_identical_convention():
 
 
 def test_kw_matches_scipy():
+    # H and p equal scipy.stats.kruskal's bit for bit, on small integer groups
+    # and on float and tie-heavy groups of up to 300 values
     rng = random.Random(17)
-    for _ in range(100):
-        k = rng.randrange(2, 4)
-        groups = [[rng.randrange(8) for _ in range(rng.randrange(2, 5))] for _ in range(k)]
+    for trial in range(300):
+        k = rng.randrange(2, 5)
+        if trial < 100:
+            groups = [[rng.randrange(8) for _ in range(rng.randrange(2, 5))] for _ in range(k)]
+        else:
+            groups = [_random_samples(rng, rng.randrange(1, 301)) for _ in range(k)]
         pooled = [v for g in groups for v in g]
-        if len(set(pooled)) < 2:
+        if len(set(pooled)) < 2 or len(pooled) < 3:
             continue
         ours = kruskal_wallis(groups)
         theirs = scipy.stats.kruskal(*groups)
-        assert ours.statistic == pytest.approx(theirs.statistic, abs=1e-10)
-        assert ours.p_value == pytest.approx(theirs.pvalue, abs=1e-10)
+        assert ours.statistic == float(theirs.statistic)
+        assert ours.p_value == float(theirs.pvalue)
 
 
 def test_kw_statistic_equals_direct_definition():
@@ -307,13 +316,39 @@ def _mwu_p(u, x, y):
     return 2.0 * float(scipy.stats.norm.sf(abs((u - m * n / 2.0) / math.sqrt(sigma_sq))))
 
 
-def test_average_ranks_equal_scipy_rankdata():
+def test_twice_ranks_are_twice_scipy_rankdata():
     rng = random.Random(31)
-    for _ in range(300):
-        values = _random_samples(rng, rng.randrange(1, 31))
-        ranks = _average_ranks(values)
-        assert ranks.dtype == np.float64
-        assert np.array_equal(ranks, scipy.stats.rankdata(values))
+    for trial in range(360):
+        if trial < 300:
+            values = _random_samples(rng, rng.randrange(1, 31))
+        else:  # -0.0 tied with 0.0, ints mixed with floats, up to 300 values
+            values = _mixed_samples(rng, rng.randrange(1, 301))
+        twice = _twice_ranks(values, sorted(map(float, values)))
+        assert all(type(r) is int for r in twice)
+        assert [r / 2 for r in twice] == scipy.stats.rankdata(values).tolist()
+
+
+def _corrcoef_rho(x, y):
+    """Spearman rho as numpy.corrcoef of scipy.stats.rankdata's ranks, clipped."""
+    rho = float(np.corrcoef(scipy.stats.rankdata(x), scipy.stats.rankdata(y))[0, 1])
+    return max(-1.0, min(1.0, rho))
+
+
+def test_spearman_rho_equals_corrcoef_of_average_ranks():
+    # the exact-integer count keeps the bits of the float formula on average
+    # ranks (scipy.stats.spearmanr's rho can differ from it in the last bit)
+    rng = random.Random(41)
+    for trial in range(200):
+        n = rng.randrange(3, 2001) if trial % 4 == 0 else rng.randrange(3, 60)
+        if trial % 4 == 1:  # -0.0 tied with 0.0, ints mixed with floats
+            x, y = _mixed_samples(rng, n), _mixed_samples(rng, n)
+        else:
+            x, y = _random_samples(rng, n), _random_samples(rng, n)
+        if trial % 4 == 2:  # an overflowed median reads inf
+            x[rng.randrange(n)] = math.inf
+        if len(set(x)) < 2 or len(set(y)) < 2:
+            continue
+        assert spearman(x, y).statistic == _corrcoef_rho(x, y)
 
 
 def test_p_values_equal_scipy_stats_tails():
