@@ -185,20 +185,18 @@ def main(argv: list[str] | None = None) -> int:
 
         corpus = load_corpus(args.corpus)
         out = _out_dir(args.out or args.corpus)
+        # routines and measures take no --clear-on-verdict: the matcher's default
+        pipeline = Pipeline(corpus, clear_on_verdict=getattr(args, "clear_on_verdict", False))
         if args.command == "routines":
-            pipeline = Pipeline(corpus)
             path = emit_routine_table(pipeline, out / "routines.csv", task_only=args.task_only)
             print(f"wrote {path}")
         elif args.command == "annotate":
-            pipeline = Pipeline(corpus, clear_on_verdict=args.clear_on_verdict)
             path = emit_annotated_corpus(pipeline, out / "annotated_corpus.csv")
             print(f"wrote {path}")
         elif args.command == "measures":
-            pipeline = Pipeline(corpus)
             path = emit_measures(pipeline, out / "task_features.csv")
             print(f"wrote {path}")
         elif args.command == "analyze":
-            pipeline = Pipeline(corpus, clear_on_verdict=args.clear_on_verdict)
             options = {name: value for name, value in vars(args).items()
                        if name in HYPOTHESES[args.hypothesis]}
             report = RUNNERS[args.hypothesis](pipeline, **options)
@@ -206,7 +204,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"wrote {path}")
             print("\n".join(summary_lines(report)))
         elif args.command == "all":
-            pipeline = Pipeline(corpus, clear_on_verdict=args.clear_on_verdict)
             emit_routine_table(pipeline, out / "routines.csv")
             emit_annotated_corpus(pipeline, out / "annotated_corpus.csv")
             emit_measures(pipeline, out / "task_features.csv")

@@ -4,22 +4,18 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .corpus import HUMAN_SPEAKERS, MAX_SCORE, TeamCorpus
+from .corpus import MAX_SCORE, TeamCorpus
 
 
 def submission_error(cost: float, optimal_cost: float) -> float:
-    """Scaled distance of a submitted solution from the optimal cost."""
-    if optimal_cost <= 0:
-        raise ValueError("optimal_cost must be positive")
-    if cost < optimal_cost:
-        raise ValueError(f"cost {cost} below optimal {optimal_cost}: impossible spanning solution")
+    """Scaled distance of a submitted solution from the optimal cost; `cost` is a
+    submit that `load_event_log` or `load_corpus` accepted, so at least `optimal_cost`."""
     return (cost - optimal_cost) / optimal_cost
 
 
 def team_error(submission_errors: list[float]) -> float:
-    """Lowest submission error: the team's closest solution to optimal."""
-    if not submission_errors:
-        raise ValueError("team submitted no solutions")
+    """Lowest submission error: the team's closest solution to optimal; `check_teams`
+    makes every team submit at least once."""
     return min(submission_errors)
 
 
@@ -28,9 +24,8 @@ def relative_learning_gain(pre: float, post: float) -> float:
 
     (post-pre)/(MAX_SCORE-pre) on improvement, (post-pre)/pre on decline.
     A perfect pre-test with no change has no margin to improve: gain 0.
+    Both scores lie in 0..MAX_SCORE, as `load_test_scores` and `load_corpus` check.
     """
-    if not 0 <= pre <= MAX_SCORE or not 0 <= post <= MAX_SCORE:
-        raise ValueError(f"scores must lie in 0..{MAX_SCORE}")
     if post >= pre:
         if pre == MAX_SCORE:
             return 0.0
@@ -55,14 +50,10 @@ class TeamSuccess(NamedTuple):
 
 
 def team_success(corpus: TeamCorpus, optimal_cost: float) -> TeamSuccess:
-    """Compute the dialogue-level success measures for one team."""
+    """Compute the dialogue-level success measures for one team that `check_teams`
+    accepted: one test-score row per interlocutor and at least one submit."""
     errors = [submission_error(s.cost, optimal_cost) for s in corpus.submits]
-    gains = {}
-    for speaker in HUMAN_SPEAKERS:
-        scores = corpus.score_for(speaker)
-        if scores is None:
-            raise ValueError(f"team {corpus.team}: no test scores for speaker {speaker}")
-        gains[speaker] = relative_learning_gain(scores.pre, scores.post)
+    gains = {s.speaker: relative_learning_gain(s.pre, s.post) for s in corpus.scores}
     return TeamSuccess(
         team=corpus.team,
         error=team_error(errors),
@@ -83,7 +74,6 @@ def learning_groups(successes: list[TeamSuccess]) -> tuple[set[int], set[int]]:
 
 
 def common_window(team_durations: list[float]) -> float:
-    """Analysis window shared by all teams: the quickest team's duration."""
-    if not team_durations:
-        raise ValueError("no team durations")
+    """Analysis window shared by all teams: the quickest team's duration; a corpus
+    that `check_teams` accepted has at least one team."""
     return min(team_durations)

@@ -164,9 +164,7 @@ def _median(values: list[float]) -> float | None:
 
 
 def collaborative_period(times: list[float]) -> tuple[float, float]:
-    """(Q1, Q3) of establishment times by linear interpolation."""
-    if not times:
-        raise ValueError("no establishments")
+    """(Q1, Q3) of one or more establishment times by linear interpolation."""
     q1, q3 = np.percentile(np.asarray(times, dtype=float), [25, 75])
     return float(q1), float(q3)
 
@@ -339,21 +337,20 @@ def run_h22(pipeline: Pipeline, oh_events: str = "token", mm_events: str = "acti
     An "oh" event takes the end time of its containing utterance;
     oh_events="token" emits one event per occurrence, "utterance" one per
     utterance containing the marker. mm_events="utterance" pools the
-    per-instructing-utterance series instead of per-action times.
+    per-instructing-utterance series instead of per-action times. Another value
+    of either option raises a KeyError.
     """
-    if oh_events not in ("token", "utterance"):
-        raise ValueError(f"oh_events must be 'token' or 'utterance', got {oh_events!r}")
-    if mm_events not in ("action", "utterance"):
-        raise ValueError(f"mm_events must be 'action' or 'utterance', got {mm_events!r}")
+    per_token = {"token": True, "utterance": False}[oh_events]
+    mm_per_utterance = {"action": False, "utterance": True}[mm_events]
 
     def team(tp: TeamPipeline):
         duration = tp.corpus.duration
         oh_counts = [(utt.end, utt.tokens.count(OH)) for utt in tp.corpus.utterances
                      if utt.is_human and OH in utt.tokens]
         oh_times = [end for end, count in oh_counts
-                    for _ in range(count if oh_events == "token" else 1)]
-        match_times = tp.verdict_times(MATCH, mm_events == "utterance")
-        mismatch_times = tp.verdict_times(MISMATCH, mm_events == "utterance")
+                    for _ in range(count if per_token else 1)]
+        match_times = tp.verdict_times(MATCH, mm_per_utterance)
+        mismatch_times = tp.verdict_times(MISMATCH, mm_per_utterance)
         norm = {name: [relative_time(t, duration) for t in times] for name, times in
                 (("oh_norm", oh_times), ("match_norm", match_times),
                  ("mismatch_norm", mismatch_times))}

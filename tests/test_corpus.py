@@ -25,6 +25,7 @@ from align.corpus import (
     TeamCorpus,
     assemble_corpus,
     build_action_stream,
+    check_teams,
     load_corpus,
     load_event_log,
     load_network,
@@ -36,7 +37,7 @@ from align.corpus import (
     tokenize,
     write_json,
 )
-from _builders import DATA, make_edits, make_submits, network, strict_json
+from _builders import DATA, make_edits, make_submits, make_team, network, strict_json
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -314,11 +315,6 @@ def test_relative_time_endpoints():
     assert relative_time(300, 1200) == 25.0
 
 
-def test_relative_time_zero_duration_errors():
-    with pytest.raises(ValueError):
-        relative_time(1, 0)
-
-
 # --- corpus assembly and round-trip ------------------------------------------
 
 def _load_fixture_corpus():
@@ -545,6 +541,20 @@ def test_write_json_refuses_what_is_not_a_json_type(tmp_path, value):
         write_json(path, value)
     assert str(excinfo.value) == str(stdlib.value)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("scores, message", [
+    ((("A", 5, 5),), "team 4 has no test scores for speaker B"),
+    ((("A", 5, 5), ("B", 5, 5), ("B", 6, 6)), "team 4 has 2 test-score rows for speaker B"),
+])
+def test_check_teams_rejects_a_team_without_one_score_row_per_speaker(scores, message):
+    # a library caller's assembled corpus meets the rule that `align ingest` applies
+    net = network()
+    team = make_team(4, net, utterance_rows=[("A", 1.0, 2.0, "hello")],
+                     submit_rows=[(3.0, 12)], scores=scores)
+    with pytest.raises(InputError, match=f"^scores.csv: {message}$"):
+        check_teams(Corpus(network=net, teams=(team,)), teams_file="transcripts.csv",
+                    scores_file="scores.csv", events_file="events.csv")
 
 
 def test_duration_prefers_events_and_stops():

@@ -30,11 +30,6 @@ def test_submission_error_191_percent():
     assert submission_error(291, 100) == pytest.approx(1.91)
 
 
-def test_submission_error_rejects_below_optimal():
-    with pytest.raises(ValueError):
-        submission_error(11, 12)
-
-
 def test_submission_error_scale_invariant():
     rng = random.Random(1)
     for _ in range(100):
@@ -87,11 +82,6 @@ def test_gain_bounded_for_all_score_pairs():
         for post in range(11):
             gain = relative_learning_gain(pre, post)
             assert -1.0 <= gain <= 1.0
-
-
-def test_gain_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        relative_learning_gain(11, 5)
 
 
 # --- team learning and groups -----------------------------------------------------
@@ -159,9 +149,10 @@ def test_team_success_over_corpus():
     assert success.n_turns == 2  # three edits: one full turn plus one begun
 
 
-def test_team_success_requires_scores():
+def test_team_success_keys_gains_by_speaker_not_row_order():
+    # a score file may list B before A; each gain still belongs to its speaker
     net = network()
-    team = make_team(4, net, utterance_rows=[("A", 1.0, 2.0, "hello")],
-                     submit_rows=[(3.0, 12)], scores=(("A", 5, 5),))
-    with pytest.raises(ValueError, match="speaker B"):
-        team_success(team, net.optimal_cost)
+    team = make_team(5, net, utterance_rows=[("A", 1.0, 2.0, "hello")],
+                     submit_rows=[(3.0, 12)], scores=(("B", 8, 4), ("A", 6, 8)))
+    success = team_success(team, net.optimal_cost)
+    assert (success.learn_a, success.learn_b) == (0.5, -0.5)

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import csv
+import functools
 import inspect
+import io
 import json
 import math
+import operator
 import re
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +268,14 @@ def test_h22_oh_event_granularity():
     assert row_utt["n_oh"] == 2
 
 
+@pytest.mark.parametrize("option", [{"oh_events": "tokens"}, {"mm_events": "actions"}])
+def test_h22_rejects_an_unknown_option_value(option):
+    # a value that is not one of the option's two would otherwise pick one of them silently
+    team = make_team(1, NET, [("B", 3.0, 4.0, "oh")], submit_rows=[(100.0, 12)])
+    with pytest.raises(KeyError):
+        run_h22(_pipeline([team]), **option)
+
+
 def test_u_delta_relation_in_reports():
     # with tie-free samples the reported values satisfy U = mn(1+delta)/2,
     # the arithmetic that links the published U and delta columns
@@ -316,11 +331,6 @@ def test_collaborative_period_linear_interpolation():
 def test_collaborative_period_singleton_and_constant():
     assert collaborative_period([42.0]) == (42.0, 42.0)
     assert collaborative_period([7.0, 7.0, 7.0]) == (7.0, 7.0)
-
-
-def test_collaborative_period_empty_errors():
-    with pytest.raises(ValueError, match="no establishments"):
-        collaborative_period([])
 
 
 def test_write_csv_formats_cells_as_before(tmp_path):
@@ -705,6 +715,93 @@ def test_cli_rejects_non_finite_numbers_in_corpus_with_exit_2(tmp_path, capsys):
     path.write_text(text.replace('"start": 10.0', '"start": NaN', 1))
     assert main(["all", "--corpus", str(corpus_dir)]) == 2
     assert f"{path}: invalid JSON (NaN is not a JSON number)" in capsys.readouterr().err
+
+
+@functools.cache
+def _fixture_corpus_json() -> str:
+    """The corpus.json that `align ingest` writes for the fixture inputs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert _ingest_rc(write_fixture_inputs(Path(tmp)), Path(tmp) / "c") == 0
+        return (Path(tmp) / "c" / "corpus.json").read_text()
+
+
+def _places(value, path=()):
+    """The path of `value` and of every value nested in it, outermost first."""
+    yield path
+    if type(value) in (dict, list):
+        for key, item in value.items() if type(value) is dict else enumerate(value):
+            yield from _places(item, (*path, key))
+
+
+def _at(data, path):
+    """The value at `path` in `data`."""
+    return functools.reduce(operator.getitem, path, data)
+
+
+def _replaced(data, path, value):
+    """`data` with the value at `path` replaced by `value`."""
+    if not path:
+        return value
+    _at(data, path[:-1])[path[-1]] = value
+    return data
+
+
+@st.composite
+def _mutated_corpus_json(draw):
+    """The fixture corpus.json data with one random field mutation."""
+    data = json.loads(_fixture_corpus_json())
+    teams = data["teams"]
+    team = teams[draw(st.integers(0, len(teams) - 1))]
+    places = list(_places(data))
+    mutation = draw(st.sampled_from(["type", "cost", "score", "time", "remove", "empty",
+                                     "first_visual", "duplicate"]))
+    if mutation == "type":  # a value of another JSON type
+        path = draw(st.sampled_from(places))
+        kind = type(_at(data, path))
+        return _replaced(data, path, draw(st.sampled_from(
+            [v for v in (None, True, 0, 0.5, "x", [], {}) if type(v) is not kind])))
+    if mutation == "cost":  # below the optimal cost
+        submit = draw(st.sampled_from(team["submits"]))
+        submit["cost"] = draw(st.integers(max_value=NET.optimal_cost - 1))
+    elif mutation == "score":  # outside 0..10
+        score = draw(st.sampled_from(team["scores"]))
+        score[draw(st.sampled_from(["pre", "post"]))] = draw(
+            st.one_of(st.integers(max_value=-1), st.integers(min_value=11)))
+    elif mutation == "time":  # negative
+        times = {("start",), ("end",), ("time",)}
+        path = draw(st.sampled_from([p for p in places
+                                     if p[-1:] in times or p[-2:-1] == ("stops",)]))
+        data = _replaced(data, path, draw(st.floats(max_value=0, exclude_max=True,
+                                                    allow_infinity=False)))
+    elif mutation == "remove":  # a key of an object
+        path = draw(st.sampled_from([p for p in places if p and type(p[-1]) is str]))
+        del _at(data, path[:-1])[path[-1]]
+    elif mutation == "empty":
+        team[draw(st.sampled_from(["scores", "submits"]))] = []
+    elif mutation == "first_visual":
+        team["first_visual"] = "C"
+    else:
+        teams.insert(draw(st.integers(0, len(teams))), copy.deepcopy(team))
+    return data
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_mutated_corpus_json())
+def test_property_mutated_corpus_json_exits_0_or_2(data):
+    """`align all` on a corpus.json with one field mutated exits 0, or 2 with a
+    message that names corpus.json. An exception escaping main is the traceback
+    that the console script would print."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.json"
+        path.write_text(json.dumps(data))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            rc = main(["all", "--corpus", tmp, "--out", str(Path(tmp) / "out")])
+    assert rc in (0, 2)
+    assert "Traceback" not in stderr.getvalue()
+    if rc == 2:
+        assert stderr.getvalue().startswith(f"error: {path}: ")
 
 
 _TOO_BIG = ("100000000000000000...0000000000000000000 is above the largest float "
