@@ -1,7 +1,7 @@
 """Command-line interface: ingest, routines, annotate, measures, analyze, all.
 
-Exit status is 0 on success and 2 on input validation failure. Every
-analysis here is deterministic.
+Exit status is 0 on success and 2 on input validation failure or on a file
+that cannot be read or written. Every analysis here is deterministic.
 """
 
 from __future__ import annotations
@@ -142,15 +142,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     return parser, analyze
 
 
-def _out_dir(path: str) -> Path:
-    """The output directory `path`, created if missing."""
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"{path}: cannot create the output directory ({exc.strerror})") from None
-    return Path(path)
-
-
 def main(argv: list[str] | None = None) -> int:
     # Everything align builds is acyclic, so cyclic GC passes would only re-walk
     # the growing corpus: the GC is off for the command, then back as it was.
@@ -179,12 +170,12 @@ def main(argv: list[str] | None = None) -> int:
             )
             check_teams(corpus, teams_file=args.transcripts, scores_file=args.tests,
                         events_file=args.events)
-            path = save_corpus(corpus, _out_dir(args.out))
+            path = save_corpus(corpus, args.out)
             print(f"wrote {path} ({len(corpus.teams)} teams)")
             return 0
 
         corpus = load_corpus(args.corpus)
-        out = _out_dir(args.out or args.corpus)
+        out = Path(args.out or args.corpus)
         # routines and measures take no --clear-on-verdict: the matcher's default
         pipeline = Pipeline(corpus, clear_on_verdict=getattr(args, "clear_on_verdict", False))
         if args.command == "routines":
@@ -214,6 +205,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote outputs to {out}")
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return 2
     finally:
         if enabled:

@@ -224,11 +224,9 @@ def _read_json(path: Path, what: str, parse):
     try:
         data = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
         return parse(_typed(data, dict, what))
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror}") from None
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
-    except ValueError as exc:  # a JSON syntax error, or a byte that is not UTF-8
+    except (ValueError, RecursionError) as exc:  # bad syntax, a non-UTF-8 byte, too deep
         raise InputError(f"{path}: invalid JSON ({exc})") from None
 
 
@@ -258,11 +256,9 @@ def _csv_rows(path: str | Path, columns: dict[str, type]):
     with-block handles a row is raised again with the file name and line
     number in front.
     """
+    data = Path(path).read_bytes()
     try:
-        data = Path(path).read_bytes()
         reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
@@ -630,21 +626,20 @@ def _json(value, indent: str) -> str:
 
 
 def write_json(path: Path, data) -> Path:
-    """Write `data` to `path` as UTF-8 JSON: indented by 2, keys sorted, a
-    final newline, the bytes json.dumps writes. NaN and Infinity are not JSON
-    numbers, and only input times that overflow a statistic make one: an
-    InputError naming `path`."""
+    """Write `data` to `path`, making its directory, as UTF-8 JSON: indented
+    by 2, keys sorted, a final newline, the bytes json.dumps writes. NaN and
+    Infinity are not JSON numbers, and only input times that overflow a
+    statistic make one: an InputError naming `path`."""
     try:
         text = _json(data, "")
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="utf-8")
     return path
 
 
 def save_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "network": {"nodes": _stored(corpus.network.nodes, "nodes"),
                     "edges": [dict(zip(_RECORDS["edges"], e)) for e in corpus.network.edges]},
@@ -653,7 +648,7 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
                       for kind in ("utterances", "edits", "submits", "scores")}}
                   for tc in corpus.teams],
     }
-    return write_json(out / "corpus.json", payload)
+    return write_json(Path(out_dir) / "corpus.json", payload)
 
 
 _JSON_TYPES = {int: "an integer", float: "a finite number", str: "a string", list: "a list",

@@ -47,20 +47,6 @@ from .stats import cliffs_delta, interpret_rho, kruskal_wallis, mann_whitney_u, 
 FILLERS = frozenset({"uh", "um"})
 OH = "oh"
 
-_COLUMNS = {
-    "h1.1": ["team", "n_routine", "n_common", "median_abs", "median_common",
-             "median_norm", "q1_norm", "q3_norm"],
-    "h1.2": ["team", "n_filler", "n_routine", "median_filler", "median_priming",
-             "median_establishment", "U_priming", "p_priming", "delta_priming",
-             "U_estab", "p_estab", "delta_estab"],
-    "h2.1": ["team", "n_match_actions", "n_mismatch_actions", "n_match", "n_mismatch",
-             "ratio", "median_match_abs", "median_match_common", "median_match_norm",
-             "median_mismatch_abs", "median_mismatch_common", "median_mismatch_norm"],
-    "h2.2": ["team", "n_oh", "n_oh_tokens", "n_match", "n_mismatch", "median_oh",
-             "median_match", "median_mismatch", "U", "p", "delta"],
-}
-
-
 @dataclass(frozen=True)
 class HypothesisReport:
     """Per-team rows plus dialogue-level summary for one hypothesis.
@@ -217,22 +203,22 @@ def _compared(marker: list[float], sample: list[float], suffix: str) -> dict:
     return {f"U{suffix}": u, f"p{suffix}": p, f"delta{suffix}": delta}
 
 
-def _analysis(hypothesis: str, pipeline: Pipeline, team, tests: dict, summary: dict,
-              series: tuple[str, ...]) -> HypothesisReport:
+def _analysis(hypothesis: str, pipeline: Pipeline, team, tests: dict,
+              summary: dict) -> HypothesisReport:
     """The one analysis recipe: a row and distribution series per team, then tests over the rows.
 
-    `team(tp)` returns the team's row cells after `team`, and its series keyed
-    by the names in `series`. The summary holds `summary`, then each key of
-    `tests`, in order, set to `test(successes, {team: the row's column})` for
-    its `(test, column)`.
+    `team(tp)` returns the team's row cells after `team`, in the order of the
+    csv columns, and its series by name. The summary holds `summary`, then
+    each key of `tests`, in order, set to `test(successes, {team: the row's
+    column})` for its `(test, column)`.
     """
     rows = []
-    by_series: dict[str, dict[int, tuple[float, ...]]] = {name: {} for name in series}
+    by_series: dict[str, dict[int, tuple[float, ...]]] = {}
     for tp in pipeline.ordered:
         cells, team_series = team(tp)
         rows.append({"team": tp.corpus.team, **cells})
-        for name in series:
-            by_series[name][tp.corpus.team] = tuple(team_series[name])
+        for name, values in team_series.items():
+            by_series.setdefault(name, {})[tp.corpus.team] = tuple(values)
 
     successes = pipeline.successes
     summary = dict(summary)
@@ -260,8 +246,7 @@ def run_h11(pipeline: Pipeline, window: float | None = None) -> HypothesisReport
         "kruskal_learning_median_abs": (_kruskal_by_learning, "median_abs"),
         "kruskal_learning_median_norm": (_kruskal_by_learning, "median_norm"),
         "mean_of_medians_norm": (_mean_of, "median_norm"),
-    }, {"common_window_sec": window},
-        ("establishment_abs", "establishment_common", "establishment_norm"))
+    }, {"common_window_sec": window})
 
 
 def run_h12(pipeline: Pipeline, markers: frozenset[str] = FILLERS) -> HypothesisReport:
@@ -289,7 +274,7 @@ def run_h12(pipeline: Pipeline, markers: frozenset[str] = FILLERS) -> Hypothesis
         "kruskal_learning_delta_priming": (_kruskal_by_learning, "delta_priming"),
         "spearman_delta_establishment_vs_error": (_spearman_vs_error, "delta_estab"),
         "kruskal_learning_delta_establishment": (_kruskal_by_learning, "delta_estab"),
-    }, {}, ("filler_positions", "priming_positions", "establishment_positions"))
+    }, {})
 
 
 def run_h21(pipeline: Pipeline, window: float | None = None, grouped: bool = False) -> HypothesisReport:
@@ -327,8 +312,7 @@ def run_h21(pipeline: Pipeline, window: float | None = None, grouped: bool = Fal
         "kruskal_learning_median_match_norm": (_kruskal_by_learning, "median_match_norm"),
         "mean_of_medians_match_norm": (_mean_of, "median_match_norm"),
         "mean_of_medians_mismatch_norm": (_mean_of, "median_mismatch_norm"),
-    }, {"common_window_sec": window, "grouped_times": grouped},
-        ("match_abs", "match_norm", "mismatch_abs", "mismatch_norm"))
+    }, {"common_window_sec": window, "grouped_times": grouped})
 
 
 def run_h22(pipeline: Pipeline, oh_events: str = "token", mm_events: str = "action") -> HypothesisReport:
@@ -364,8 +348,7 @@ def run_h22(pipeline: Pipeline, oh_events: str = "token", mm_events: str = "acti
     return _analysis("h2.2", pipeline, team, {
         "spearman_delta_vs_error": (_spearman_vs_error, "delta"),
         "kruskal_learning_delta": (_kruskal_by_learning, "delta"),
-    }, {"oh_events": oh_events, "mm_events": mm_events},
-        ("oh_norm", "match_norm", "mismatch_norm"))
+    }, {"oh_events": oh_events, "mm_events": mm_events})
 
 
 RUNNERS = {"h1.1": run_h11, "h1.2": run_h12, "h2.1": run_h21, "h2.2": run_h22}
@@ -396,19 +379,18 @@ def _check_finite(path: Path, values) -> None:
 
 
 def emit(report: HypothesisReport, fmt: str, out_dir: str | Path) -> list[Path]:
-    """Write a hypothesis report as csv tables or a single json document."""
+    """Write a hypothesis report as csv tables or a single json document. The
+    per-team table's columns are the keys of the first row, which every row holds."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stem = report.hypothesis.replace(".", "")
 
     if fmt == "json":
         return [write_json(out / f"{stem}.json", report.to_dict())]
 
-    columns = _COLUMNS[report.hypothesis]
     per_team = out / f"{stem}_per_team.csv"
-    team_rows = [[row.get(c) for c in columns] for row in report.per_team_rows]
+    team_rows = [list(row.values()) for row in report.per_team_rows]
     _check_finite(per_team, [cell for row in team_rows for cell in row if type(cell) is float])
 
     dist_path = out / f"{stem}_distributions.csv"
@@ -421,7 +403,7 @@ def emit(report: HypothesisReport, fmt: str, out_dir: str | Path) -> list[Path]:
                 dist_rows.append([series, team, value])
     # the summary first: write_json refuses a non-finite value before any file is written
     summary = write_json(out / f"{stem}_summary.json", report.summary)
-    _write_csv(per_team, columns, team_rows)
+    _write_csv(per_team, list(report.per_team_rows[0]), team_rows)
     _write_csv(dist_path, ["series", "team", "value"], dist_rows)
     return [per_team, dist_path, summary]
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from align.cli import main
 from align.corpus import load_corpus
-from align.report import _COLUMNS, RUNNERS, Pipeline
+from align.report import RUNNERS, Pipeline, emit
 from _builders import DATA, network, write_fixture_inputs
 
 GOLDEN = DATA / "golden_digests.json"
@@ -29,6 +29,20 @@ GOLDEN = DATA / "golden_digests.json"
 ANALYZE_OPTIONS = {"h1.1": ["--window", "30"], "h1.2": ["--markers", "um, oh"],
                    "h2.1": ["--window", "30", "--grouped"],
                    "h2.2": ["--oh-events", "utterance", "--mm-events", "utterance"]}
+
+# each hypothesis's per-team csv columns, in order: the keys of its runner's rows
+HEADERS = {
+    "h1.1": ["team", "n_routine", "n_common", "median_abs", "median_common",
+             "median_norm", "q1_norm", "q3_norm"],
+    "h1.2": ["team", "n_filler", "n_routine", "median_filler", "median_priming",
+             "median_establishment", "U_priming", "p_priming", "delta_priming",
+             "U_estab", "p_estab", "delta_estab"],
+    "h2.1": ["team", "n_match_actions", "n_mismatch_actions", "n_match", "n_mismatch",
+             "ratio", "median_match_abs", "median_match_common", "median_match_norm",
+             "median_mismatch_abs", "median_mismatch_common", "median_mismatch_norm"],
+    "h2.2": ["team", "n_oh", "n_oh_tokens", "n_match", "n_mismatch", "median_oh",
+             "median_match", "median_mismatch", "U", "p", "delta"],
+}
 
 _TEMPLATES = (
     "mount {u} to mount {v}",
@@ -159,17 +173,19 @@ def test_analyze_without_options_writes_what_all_writes(tmp_path):
 
 
 def test_rows_hold_the_csv_columns_in_order(tmp_path):
-    """A row's cells are the csv columns, in order: emit writes a cell the row
-    does not hold, such as a misspelled one, as an empty cell."""
+    """Every row's keys are the csv columns, in order: emit takes the header
+    from the first row and writes each row's values under it."""
     paths = write_seeded_inputs(tmp_path)
     _, ingest = _runs(paths, tmp_path)[0]  # into tmp_path / "corpus"
     assert main(ingest) == 0
     pipeline = Pipeline(load_corpus(tmp_path / "corpus"))
     for hypothesis, runner in RUNNERS.items():
-        rows = runner(pipeline).per_team_rows
-        assert len(rows) == 8
-        for row in rows:
-            assert list(row) == _COLUMNS[hypothesis], hypothesis
+        report = runner(pipeline)
+        assert len(report.per_team_rows) == 8
+        for row in report.per_team_rows:
+            assert list(row) == HEADERS[hypothesis], hypothesis
+        per_team, *_ = emit(report, "csv", tmp_path / "out")
+        assert per_team.read_text().splitlines()[0] == ",".join(HEADERS[hypothesis])
 
 
 def test_golden_outputs_seeded_corpus(tmp_path, capsys):

@@ -363,16 +363,6 @@ def test_emit_h12_csv_schema(tmp_path):
                       "U_estab,p_estab,delta_estab")
 
 
-def test_emit_empty_report_headers_only(tmp_path):
-    report = HypothesisReport(hypothesis="h1.1", per_team_rows=(), summary={},
-                              distributions={})
-    files = emit(report, "csv", tmp_path)
-    per_team = next(p for p in files if p.name == "h11_per_team.csv")
-    assert per_team.read_text().splitlines() == [
-        "team,n_routine,n_common,median_abs,median_common,median_norm,q1_norm,q3_norm"
-    ]
-
-
 def test_emit_json_round_trips(tmp_path):
     report = run_h11(_pipeline([_team_with_establishments(1, 12, [0.25, 0.75]),
                                 _team_with_establishments(2, 15, [0.5])]))
@@ -786,15 +776,13 @@ def _mutated_corpus_json(draw):
     return data
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(_mutated_corpus_json())
-def test_property_mutated_corpus_json_exits_0_or_2(data):
-    """`align all` on a corpus.json with one field mutated exits 0, or 2 with a
-    message that names corpus.json. An exception escaping main is the traceback
-    that the console script would print."""
+def _assert_all_exits_0_or_2(data: bytes) -> None:
+    """`align all` on a corpus.json holding `data` exits 0, or 2 with a message
+    that names corpus.json. An exception escaping main is the traceback that
+    the console script would print."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.json"
-        path.write_text(json.dumps(data))
+        path.write_bytes(data)
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             rc = main(["all", "--corpus", tmp, "--out", str(Path(tmp) / "out")])
@@ -802,6 +790,35 @@ def test_property_mutated_corpus_json_exits_0_or_2(data):
     assert "Traceback" not in stderr.getvalue()
     if rc == 2:
         assert stderr.getvalue().startswith(f"error: {path}: ")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_mutated_corpus_json())
+def test_property_mutated_corpus_json_exits_0_or_2(data):
+    _assert_all_exits_0_or_2(json.dumps(data).encode())
+
+
+@st.composite
+def _byte_mutated_corpus_json(draw):
+    """The fixture corpus.json bytes with one byte flipped, inserted or deleted, or cut short."""
+    data = bytearray(_fixture_corpus_json().encode())
+    at = draw(st.integers(0, len(data) - 1))
+    mutation = draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
+    if mutation == "flip":
+        data[at] ^= draw(st.integers(1, 255))
+    elif mutation == "insert":
+        data.insert(at, draw(st.integers(0, 255)))
+    elif mutation == "delete":
+        del data[at]
+    else:
+        del data[at:]
+    return bytes(data)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_byte_mutated_corpus_json())
+def test_property_byte_mutated_corpus_json_exits_0_or_2(data):
+    _assert_all_exits_0_or_2(data)
 
 
 _TOO_BIG = ("100000000000000000...0000000000000000000 is above the largest float "
@@ -894,6 +911,14 @@ def _replace_bytes(old, new):
     return lambda path: path.write_bytes(path.read_bytes().replace(old, new, 1))
 
 
+def _mkdir(path):
+    path.mkdir(parents=True)
+
+
+def _nest(path):  # deeper than the JSON decoder recurses
+    path.write_text("[" * 100_000 + "]" * 100_000)
+
+
 @pytest.mark.parametrize("command, file, damage, message", [
     *[("ingest", name, lambda path: path.unlink(), "No such file or directory")
       for name in ("transcripts", "events", "network", "tests")],
@@ -901,22 +926,31 @@ def _replace_bytes(old, new):
      "line 3: not UTF-8 (invalid start byte)"),
     ("ingest", "transcripts", _replace_bytes(b"Okay.", b"x" * 131_073),
      "line 6: field larger than field limit (131072)"),
-    ("ingest", "out", lambda path: path.write_text(""),
-     "cannot create the output directory (File exists)"),
-    ("all", "out", lambda path: path.write_text(""),
-     "cannot create the output directory (File exists)"),
+    ("ingest", "network", _nest, "invalid JSON ("),
+    ("all", "corpus", _nest, "invalid JSON ("),
+    ("ingest", "out", lambda path: path.write_text(""), "File exists"),
+    ("all", "out", lambda path: path.write_text(""), "File exists"),
+    # a directory where an output file goes
+    ("ingest", "corpus.json", _mkdir, "Is a directory"),
+    ("all", "routines.csv", _mkdir, "Is a directory"),
+    ("all", "h11_summary.json", _mkdir, "Is a directory"),
+    ("all --format json", "h11.json", _mkdir, "Is a directory"),
 ], ids=lambda value: value if isinstance(value, str) else "")
 def test_cli_unreadable_input_or_unwritable_output_exits_2(tmp_path, capsys, command, file,
                                                           damage, message):
     corpus_dir = _ingest(tmp_path, "corpus")
-    paths = {**write_fixture_inputs(tmp_path), "out": tmp_path / "out"}
-    damage(paths[file])
+    out = tmp_path / "out"
+    paths = {**write_fixture_inputs(tmp_path), "corpus": corpus_dir / "corpus.json", "out": out}
+    path = paths.get(file, out / file)  # an input file, the output directory or a file in it
+    damage(path)
     if command == "ingest":
-        rc = _ingest_rc(paths, paths["out"])
+        rc = _ingest_rc(paths, out)
     else:
-        rc = main(["all", "--corpus", str(corpus_dir), "--out", str(paths["out"])])
+        rc = main(["all", "--corpus", str(corpus_dir), "--out", str(out), *command.split()[1:]])
     assert rc == 2
-    assert f"error: {paths[file]}: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {path}: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_cli_rejects_duplicate_score_rows_with_exit_2(tmp_path, capsys):
@@ -1003,13 +1037,14 @@ def test_cli_refuses_to_write_an_overflowed_statistic_to_csv_with_exit_2(tmp_pat
         assert not cells & {"inf", "-inf", "nan"}, written_path.name
 
 
-_INF_ROW = {"team": 1, "n_routine": 1, "n_common": 1, "median_abs": math.inf}
+_H11_ROW = {"team": 1, "n_routine": 1, "n_common": 1, "median_abs": 1.0, "median_common": 1.0,
+            "median_norm": 50.0, "q1_norm": 50.0, "q3_norm": 50.0}
 
 
 @pytest.mark.parametrize("rows, distributions, summary, refused", [
-    ((_INF_ROW,), {}, {}, "h11_per_team.csv"),
-    ((), {"establishment_abs": {1: (1.0, math.inf)}}, {}, "h11_distributions.csv"),
-    ((), {}, {"mean_of_medians_norm": math.inf}, "h11_summary.json"),
+    (({**_H11_ROW, "median_abs": math.inf},), {}, {}, "h11_per_team.csv"),
+    ((_H11_ROW,), {"establishment_abs": {1: (1.0, math.inf)}}, {}, "h11_distributions.csv"),
+    ((_H11_ROW,), {}, {"mean_of_medians_norm": math.inf}, "h11_summary.json"),
 ], ids=["per-team row", "distribution", "summary"])
 def test_emit_csv_writes_no_file_when_a_value_overflowed(tmp_path, rows, distributions,
                                                         summary, refused):
