@@ -16,7 +16,7 @@ import sys
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
@@ -587,26 +587,41 @@ def check_teams(corpus: Corpus, *, teams_file: str | Path, scores_file: str | Pa
 # load from the stored raw rows; both derivations are deterministic, so a
 # round-trip reproduces them exactly.
 
-def _stored(records, kind: str) -> list[dict]:
-    """Each record as its corpus.json entry: the keys _RECORDS declares for `kind`."""
-    return [{key: getattr(record, key) for key in _RECORDS[kind]} for record in records]
-
-
-def _finite(value: float) -> str:
-    if math.isfinite(value):
-        return float.__repr__(value)
-    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-
-
-# the JSON text of each scalar, by exact type: the stdlib encoder's spellings
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _finite,
+# the JSON text of each scalar, by exact type: the stdlib encoder's spellings (of a finite float)
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
             bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+_Records = NamedTuple("_Records", [("kind", str), ("records", tuple)])  # of one stored kind
+
+
+@cache
+def _layout(kind: str, indent: str) -> tuple[list[str], str]:
+    """The sorted keys of `kind` and the % template of its corpus.json entry, `indent` deep."""
+    keys = sorted(_RECORDS[kind])
+    entry = f",\n{indent}  ".join(f"{encode_basestring_ascii(key)}: %s" for key in keys)
+    return keys, f"{{\n{indent}  {entry}\n{indent}}}"
+
+
+def _column(values: list):
+    """The JSON texts of `values` if all are of one scalar type and finite, else None."""
+    kind, *others = set(map(type, values))
+    if not others and kind in _SCALARS and (kind is not float or all(map(math.isfinite, values))):
+        return map(_SCALARS[kind], values)
 
 
 def _json(value, indent: str) -> str:
     """`value` as json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
     writes it, nested `indent` deep; a dict's keys are strings."""
     kind = type(value)
+    if kind is _Records:  # as their corpus.json entries: a column at a time, a template per entry
+        if not value.records:
+            return "[]"
+        inner = indent + "  "
+        keys, template = _layout(value.kind, inner)
+        columns = [list(map(attrgetter(key), value.records)) for key in keys]
+        texts = [_column(column) for column in columns]
+        rows = zip(*texts) if None not in texts else (  # a value at a time, in json.dumps' order
+            tuple(_json(item, inner + "  ") for item in row) for row in zip(*columns))
+        return f"[\n{inner}" + f",\n{inner}".join(map(template.__mod__, rows)) + f"\n{indent}]"
     if kind is dict or kind is list or kind is tuple:
         first, last = "{}" if kind is dict else "[]"
         if not value:
@@ -618,11 +633,11 @@ def _json(value, indent: str) -> str:
         else:
             items = [_json(item, inner) for item in value]
         return f"{first}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{last}"
-    try:
-        encode = _SCALARS[kind]
-    except KeyError:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable") from None
-    return encode(value)
+    if kind not in _SCALARS:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return _SCALARS[kind](value)
 
 
 def write_json(path: Path, data) -> Path:
@@ -641,10 +656,10 @@ def write_json(path: Path, data) -> Path:
 
 def save_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
     payload = {
-        "network": {"nodes": _stored(corpus.network.nodes, "nodes"),
+        "network": {"nodes": _Records("nodes", corpus.network.nodes),
                     "edges": [dict(zip(_RECORDS["edges"], e)) for e in corpus.network.edges]},
         "teams": [{"team": tc.team, "first_visual": tc.first_visual, "stops": list(tc.stops),
-                   **{kind: _stored(getattr(tc, kind), kind)
+                   **{kind: _Records(kind, getattr(tc, kind))
                       for kind in ("utterances", "edits", "submits", "scores")}}
                   for tc in corpus.teams],
     }

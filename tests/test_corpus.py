@@ -6,7 +6,9 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 import tempfile
+from decimal import Decimal
 from operator import attrgetter
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from align.corpus import (
     NetworkNode,
     SubmitEvent,
     TeamCorpus,
+    Utterance,
     assemble_corpus,
     build_action_stream,
     check_teams,
@@ -541,6 +544,141 @@ def test_write_json_refuses_what_is_not_a_json_type(tmp_path, value):
         write_json(path, value)
     assert str(excinfo.value) == str(stdlib.value)
     assert not path.exists()
+
+
+# --- corpus.json --------------------------------------------------------------
+
+def _entries(records, keys: str) -> list[dict]:
+    return [{key: getattr(record, key) for key in keys.split()} for record in records]
+
+
+def _dumped(corpus: Corpus) -> bytes:
+    """The corpus.json of `corpus` as json.dumps(indent=2, sort_keys=True) writes it."""
+    payload = {
+        "network": {"nodes": _entries(corpus.network.nodes, "id name label x y"),
+                    "edges": [{"u": u, "v": v, "cost": cost}
+                              for u, v, cost in corpus.network.edges]},
+        "teams": [{"team": tc.team, "first_visual": tc.first_visual, "stops": list(tc.stops),
+                   "utterances": _entries(tc.utterances, "speaker start end text"),
+                   "edits": [{"time": e.time, "kind": e.kind, "u": e.edge[0], "v": e.edge[1]}
+                             for e in tc.edits],
+                   "submits": _entries(tc.submits, "time cost"),
+                   "scores": _entries(tc.scores, "speaker pre post")}
+                  for tc in corpus.teams],
+    }
+    return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+_FLOAT_MAX = int(sys.float_info.max)
+_stored_floats = (st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from([-0.0, 5e-324, 1e16, sys.float_info.max]))
+_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _stored_corpora(draw):
+    """A corpus as a library caller may assemble it, unchecked: any text, floats at
+    the edges of their range, times that may be ints, costs up to the float maximum,
+    teams that may have no records of a kind; in half of them, non-finite floats."""
+    from align.corpus import TestScores  # imported here so pytest does not collect it
+    floats = _stored_floats if draw(st.booleans()) else _stored_floats | _non_finite
+    times = floats | st.integers(0, 10**6)
+    costs = st.integers(1, _FLOAT_MAX) | st.just(_FLOAT_MAX)
+    size = draw(st.integers(2, 4))
+    network = Network(
+        nodes=tuple(NetworkNode(i, f"node{i}", draw(_json_text), draw(floats), draw(floats))
+                    for i in range(1, size + 1)),
+        edges=tuple((i, i + 1, draw(costs)) for i in range(1, size)))
+
+    def some(record):
+        return tuple(record() for _ in range(draw(st.integers(0, 3))))
+    teams = tuple(TeamCorpus(
+        team=team,
+        utterances=some(lambda: Utterance(team, draw(_json_text), draw(times), draw(times),
+                                          draw(_json_text), (), 0)),
+        edits=some(lambda: EditEvent(team, draw(times), draw(_json_text),
+                                     draw(st.sampled_from(network.edges))[:2])),
+        submits=some(lambda: SubmitEvent(team, draw(times), draw(costs))),
+        stops=some(lambda: draw(times)),
+        scores=some(lambda: TestScores(team, draw(_json_text), draw(st.integers()),
+                                       draw(st.integers()))),
+        first_visual=draw(st.sampled_from("AB")),
+    ) for team in range(draw(st.integers(0, 3))))
+    return Corpus(network=network, teams=teams)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_stored_corpora())
+def test_property_save_corpus_writes_what_json_dumps_writes(corpus):
+    """save_corpus writes json.dumps' bytes, or raises its first error naming corpus.json."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.json"
+        try:
+            expected = _dumped(corpus)
+        except ValueError as stdlib:
+            with pytest.raises(InputError) as excinfo:
+                save_corpus(corpus, tmp)
+            assert str(excinfo.value) == f"{path}: {stdlib}"
+            assert not path.exists()
+        else:
+            assert save_corpus(corpus, tmp).read_bytes() == expected
+
+
+def _with_value(corpus: Corpus, kind: str, key: str, value) -> Corpus:
+    """`corpus` with `key` of the last stored record of `kind` set to `value`: of the
+    network's nodes, or of the first team's records. Stops are bare times; a team
+    without one gets `value` as its stop."""
+    if kind == "nodes":
+        nodes = (*corpus.network.nodes[:-1], corpus.network.nodes[-1]._replace(**{key: value}))
+        return dataclasses.replace(corpus, network=Network(nodes, corpus.network.edges))
+    team, *others = corpus.teams
+    records = getattr(team, kind)
+    last = value if kind == "stops" else records[-1]._replace(**{key: value})
+    team = dataclasses.replace(team, **{kind: (*records[:-1], last)})
+    return dataclasses.replace(corpus, teams=(team, *others))
+
+
+_FLOAT_COLUMNS = [("utterances", "start"), ("utterances", "end"), ("edits", "time"),
+                  ("submits", "time"), ("stops", None), ("nodes", "x"), ("nodes", "y")]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind, key", _FLOAT_COLUMNS)
+def test_save_corpus_refuses_a_non_finite_float_in_each_stored_column(tmp_path, kind, key, bad):
+    corpus = _with_value(_load_fixture_corpus(), kind, key, bad)
+    with pytest.raises(ValueError) as stdlib:
+        _dumped(corpus)
+    with pytest.raises(InputError) as excinfo:
+        save_corpus(corpus, tmp_path)
+    assert str(excinfo.value) == f"{tmp_path / 'corpus.json'}: {stdlib.value}"
+    assert not (tmp_path / "corpus.json").exists()
+
+
+@pytest.mark.parametrize("later", [("x", math.nan), ("label", Path("Bern"))])
+def test_save_corpus_raises_the_error_json_dumps_meets_first(tmp_path, later):
+    # json.dumps meets the first node's y before any value of the second node
+    corpus = _load_fixture_corpus()
+    first, second, *others = corpus.network.nodes
+    nodes = (first._replace(y=math.inf), second._replace(**dict([later])), *others)
+    corpus = dataclasses.replace(corpus, network=Network(nodes, corpus.network.edges))
+    with pytest.raises(ValueError, match="inf$") as stdlib:
+        _dumped(corpus)
+    with pytest.raises(InputError) as excinfo:
+        save_corpus(corpus, tmp_path)
+    assert str(excinfo.value) == f"{tmp_path / 'corpus.json'}: {stdlib.value}"
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("utterances", "start", Decimal("1.5")), ("edits", "time", Decimal("2")),
+    ("utterances", "text", Path("mount bern")), ("nodes", "label", Path("Bern"))])
+def test_save_corpus_refuses_a_value_of_no_json_type(tmp_path, kind, key, value):
+    corpus = _with_value(_load_fixture_corpus(), kind, key, value)
+    with pytest.raises(TypeError) as stdlib:
+        _dumped(corpus)
+    with pytest.raises(TypeError) as excinfo:
+        save_corpus(corpus, tmp_path)
+    assert str(excinfo.value) == str(stdlib.value)
+    assert not (tmp_path / "corpus.json").exists()
 
 
 @pytest.mark.parametrize("scores, message", [

@@ -88,7 +88,7 @@ def test_readme_library_example_runs():
 # every per-item record kind, by the module that owns it
 RECORDS = {
     "corpus": ["ActionEvent", "EditEvent", "NetworkNode", "SubmitEvent", "TestScores",
-               "Utterance"],
+               "Utterance", "_Records"],
     "instructions": ["AnnotatedAction", "Instruction", "MatchRecord"],
     "measures": ["TeamSuccess"],
     "routines": ["Routine", "RoutineEvent"],
@@ -131,11 +131,19 @@ def test_mining_matching_and_measures_load_neither_numpy_nor_scipy():
 
 
 def _outputs(tmp_path: Path, hash_seed: str) -> dict[str, bytes]:
-    """Stdout and every file of ingest + all (csv, json), run under one hash seed."""
-    code = ("import sys\nfrom align.cli import main\n"
-            f"sys.exit(main({INGEST + ['--out', 'corpus']!r})\n"
-            "         or main(['all', '--corpus', 'corpus', '--out', 'csv'])\n"
-            "         or main(['all', '--corpus', 'corpus', '--out', 'json', '--format', 'json']))")
+    """Stdout and every file of ingest + all (csv, json), run under one hash seed, and
+    the corpus saved again with every other utterance start an int, so that the
+    writer meets columns of mixed types."""
+    code = ("import sys\nfrom dataclasses import replace\nfrom align.cli import main\n"
+            "from align.corpus import load_corpus, save_corpus\n"
+            f"if (main({INGEST + ['--out', 'corpus']!r})\n"
+            "        or main(['all', '--corpus', 'corpus', '--out', 'csv'])\n"
+            "        or main(['all', '--corpus', 'corpus', '--out', 'json', '--format', 'json'])):\n"
+            "    sys.exit(1)\n"
+            "corpus = load_corpus('corpus')\n"
+            "save_corpus(replace(corpus, teams=tuple(replace(team, utterances=tuple(\n"
+            "    u._replace(start=int(u.start)) if i % 2 else u for i, u in enumerate(\n"
+            "        team.utterances))) for team in corpus.teams)), 'mixed')")
     cwd = tmp_path / hash_seed
     cwd.mkdir()
     result = _python(code, cwd=cwd, PYTHONHASHSEED=hash_seed)
@@ -158,7 +166,8 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
                  None)
     assert other is not None
     first, second = _outputs(tmp_path, "1"), _outputs(tmp_path, other)
-    assert len(first) > 20  # corpus.json, 3 tables and 4 analyses in two formats
+    assert len(first) > 20  # corpus.json twice, 3 tables and 4 analyses in two formats
+    assert first["mixed/corpus.json"] != first["corpus/corpus.json"]
     assert first.keys() == second.keys()
     for name in first:
         assert first[name] == second[name], name

@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from align.cli import main
-from align.corpus import Corpus, InputError, load_corpus, save_corpus
+from align.corpus import Corpus, InputError, load_corpus
 from align.report import (
     HypothesisReport,
     Pipeline,
@@ -35,7 +35,7 @@ from align.report import (
     run_h21,
     run_h22,
 )
-from _builders import make_team, network, strict_json, write_fixture_inputs
+from _builders import DATA, make_team, network, strict_json, write_fixture_inputs
 
 NET = network()
 
@@ -798,10 +798,9 @@ def test_property_mutated_corpus_json_exits_0_or_2(data):
     _assert_all_exits_0_or_2(json.dumps(data).encode())
 
 
-@st.composite
-def _byte_mutated_corpus_json(draw):
-    """The fixture corpus.json bytes with one byte flipped, inserted or deleted, or cut short."""
-    data = bytearray(_fixture_corpus_json().encode())
+def _byte_mutated(draw, data: bytes) -> bytes:
+    """`data` with one byte flipped, inserted or deleted, or cut short."""
+    data = bytearray(data)
     at = draw(st.integers(0, len(data) - 1))
     mutation = draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
     if mutation == "flip":
@@ -815,10 +814,55 @@ def _byte_mutated_corpus_json(draw):
     return bytes(data)
 
 
+@st.composite
+def _byte_mutated_corpus_json(draw):
+    return _byte_mutated(draw, _fixture_corpus_json().encode())
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_byte_mutated_corpus_json())
 def test_property_byte_mutated_corpus_json_exits_0_or_2(data):
     _assert_all_exits_0_or_2(data)
+
+
+_RAW_INPUTS = ("transcripts.csv", "events.csv", "network.json", "tests.csv")
+# An utterance one character longer than the csv module reads: the reader raises
+# csv.Error, which no single-byte mutation of the fixture reaches on Python 3.11.
+_PAST_FIELD_LIMIT = (DATA / "transcripts.csv").read_bytes() + (
+    b'10,A,20.0,21.0,"' + b"x" * (csv.field_size_limit() + 1) + b'"\n')
+
+
+@st.composite
+def _byte_mutated_raw_input(draw):
+    """The name of one fixture input file, and its bytes mutated."""
+    name = draw(st.sampled_from(_RAW_INPUTS))
+    return name, _byte_mutated(draw, (DATA / name).read_bytes())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_byte_mutated_raw_input())
+@example(("transcripts.csv", _PAST_FIELD_LIMIT))
+def test_property_byte_mutated_raw_inputs_exit_0_or_2(mutated):
+    """`align ingest` on the fixture inputs, one of them byte-mutated, exits 0 or 2;
+    so does `align all` after an exit 0. On exit 2 the one error line names an input
+    file: the mutated one, or one whose rows the mutation leaves without a match (an
+    event's node renamed in network.json, a team renumbered in transcripts.csv)."""
+    name, data = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_fixture_inputs(Path(tmp))
+        (Path(tmp) / name).write_bytes(data)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            rc = _ingest_rc(paths, Path(tmp) / "corpus")
+            if rc == 0:
+                rc = main(["all", "--corpus", str(Path(tmp) / "corpus"),
+                           "--out", str(Path(tmp) / "out")])
+    assert rc in (0, 2)
+    if rc == 2:
+        named = "|".join(re.escape(str(path)) for path in paths.values())
+        assert re.fullmatch(f"error: ({named}): [^\n]+\n", stderr.getvalue())
+    else:
+        assert stderr.getvalue() == ""
 
 
 _TOO_BIG = ("100000000000000000...0000000000000000000 is above the largest float "
@@ -979,12 +1023,6 @@ def test_cli_rejects_duplicate_team_in_corpus_with_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["all", "--corpus", str(corpus_dir)]) == 2
     assert f"error: {path}: team 20 appears twice" in capsys.readouterr().err
-
-
-def test_save_corpus_refuses_non_finite_numbers(tmp_path):
-    team = make_team(1, NET, [("A", math.nan, 1.0, "mount bern")])
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        save_corpus(_corpus([team]), tmp_path)
 
 
 def test_cli_refuses_to_write_an_overflowed_statistic_with_exit_2(tmp_path, capsys):
