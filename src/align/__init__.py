@@ -8,8 +8,8 @@ import importlib
 
 _EXPORTS = {
     "corpus": """ActionEvent Corpus EditEvent InputError Network NetworkNode SubmitEvent
-        TeamCorpus TestScores Utterance assemble_corpus build_action_stream check_teams
-        load_corpus load_event_log load_network load_test_scores load_transcript
+        TeamCorpus TestScores Utterance UtteranceRow assemble_corpus build_action_stream
+        check_teams load_corpus load_event_log load_network load_test_scores load_transcript
         relative_time save_corpus tokenize""",
     "instructions": """Instruction MatchRecord check_match grouped_records
         match_instructions_to_actions match_mismatch_times recognise_instructions""",

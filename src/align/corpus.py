@@ -14,12 +14,12 @@ import math
 import reprlib
 import sys
 from collections import Counter, defaultdict
-from contextlib import contextmanager
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
-from itertools import groupby, repeat
+from functools import cache, cached_property, partial
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, gt, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,8 +49,8 @@ def tokenize(text: str) -> list[str]:
     tokens = []
     for raw in text.split():
         word = raw.lower().strip(_PUNCT)
-        if word:
-            tokens.append(word)
+        if word:  # interned: a corpus of many tokens holds each distinct one once
+            tokens.append(sys.intern(word))
     return tokens
 
 
@@ -159,6 +159,16 @@ class Network:
         return total
 
 
+class UtteranceRow(NamedTuple):
+    """One speaker's IPU as the transcript and corpus.json hold it: timing and raw text."""
+
+    team: int
+    speaker: str  # "A", "B", or "I" for the robot
+    start: float
+    end: float
+    text: str
+
+
 class Utterance(NamedTuple):
     """One speaker's IPU with timing, raw text, and token bookkeeping."""
 
@@ -230,60 +240,127 @@ def _read_json(path: Path, what: str, parse):
         raise InputError(f"{path}: invalid JSON ({exc})") from None
 
 
-def _csv_reader(kind: type, column: str):
-    """The function that reads a field of `column` as `kind`: stripped, or a finite number."""
-    if kind is str:
-        return str.strip
-
-    def read(value: str):
-        try:
-            number = kind(value)
-            if kind is float and not math.isfinite(number):
-                raise ValueError
-        except ValueError:
-            raise InputError(f"bad {column} value {value!r}") from None
-        return number
-    return read
-
-
-@contextmanager
-def _csv_rows(path: str | Path, columns: dict[str, type]):
-    """Open a UTF-8 CSV file whose header is `columns`; yield its rows and readers.
-
-    A row is the list of its raw fields, one per column; blank lines are
-    skipped. The caller reads each field with its column's reader: a call
-    per column is faster than a loop per row. An InputError raised while the
-    with-block handles a row is raised again with the file name and line
-    number in front.
-    """
-    data = Path(path).read_bytes()
+def _field_value(field: str, kind: type, column: str):
+    """A field of `column` read as `kind`, int or float; a float must be finite."""
     try:
-        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        value = kind(field)
+        if kind is float and not math.isfinite(value):
+            raise ValueError
+    except ValueError:
+        raise InputError(f"bad {column} value {field!r}") from None
+    return value
+
+
+class _Rows:
+    """The rows of a table, checked a column at a time, with the error that a
+    check of one row at a time meets first: the first error in file order,
+    and in one row the check that comes first.
+
+    `count` is the number of rows before the first failing row found so far.
+    Each check looks only at those rows, and the checks run in the order in
+    which one row's are made, so a later check can win only on an earlier
+    row. `where(row)`, if given, names the file and line of a failing row.
+    """
+
+    def __init__(self, count: int, where: Callable[[int], str] | None = None):
+        self.count = count
+        self.error: str | None = None
+        self.where = where
+
+    def scan(self, check: Callable, *columns: Sequence) -> None:
+        """check(*values) of each row before `count`, in order, up to the first
+        that raises an InputError: that row fails with it."""
+        for row, values in enumerate(islice(zip(*columns), self.count)):
+            try:
+                check(*values)
+            except InputError as exc:
+                self.count, self.error = row, str(exc)
+                return
+
+    def read(self, fields: Sequence[str], kind: Callable, column: str) -> Sequence:
+        """The fields of `column` read as `kind`: int, float (a finite one),
+        str.strip, or str (as they are). A field that is no such value fails
+        its row, and only the fields before the first failing row are read."""
+        if kind is str:
+            return fields
+        try:
+            values = list(map(kind, fields))
+            if kind is not float or all(map(math.isfinite, values)):
+                return values
+        except ValueError:
+            pass
+        self.scan(partial(_field_value, kind=kind, column=column), fields)
+        return list(map(kind, fields[:self.count]))
+
+    def raise_first(self) -> None:
+        """Raise the first error, if a row failed."""
+        if self.error is not None:
+            where = f"{self.where(self.count)}: " if self.where else ""
+            raise InputError(where + self.error)
+
+
+def _csv_rows(text: str, count: int | None = None) -> tuple[list[list[str]], int, str | None]:
+    """The first `count` (or all) non-blank rows after the header of CSV `text`,
+    read one at a time up to a line that the csv module cannot parse; the line
+    the reader is on then, and its error, if it met one."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader, None)  # the header, which parsed once already
+    rows = []
+    try:
+        for fields in islice(filter(None, reader), count):
+            rows.append(fields)
+    except csv.Error as exc:
+        return rows, reader.line_num, str(exc)
+    return rows, reader.line_num, None
+
+
+def _read_csv(path: str | Path, columns: dict[str, Callable]) -> tuple[_Rows, list[Sequence]]:
+    """The rows of a UTF-8 CSV file whose header is `columns`, a column at a time.
+
+    Each column is read as the kind that `columns` gives it (see _Rows.read).
+    A byte order mark may open the file, and blank lines are skipped. The
+    returned _Rows holds the first error in file order, whatever its kind: a
+    line that the csv module cannot parse, a wrong number of fields, or a
+    field of the wrong kind; its errors name the file and line. The caller
+    checks the rows before that error, then calls raise_first.
+    """
+    try:
+        text = Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # its positions count in the bytes after a BOM
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
-
-    def rows():
-        for fields in filter(None, reader):
-            if len(fields) != len(columns):
-                raise InputError(f"expected {len(columns)} fields, got {len(fields)}")
-            yield fields
-
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, [])
-        if [f.strip() for f in header] == list(columns):
-            yield rows(), [_csv_reader(kind, column) for column, kind in columns.items()]
-            return
-    except (InputError, csv.Error) as exc:
+    except csv.Error as exc:
         raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
-    raise InputError(f"{path}: expected header {','.join(columns)}, got {','.join(header)}")
+    if [f.strip() for f in header] != list(columns):
+        raise InputError(f"{path}: expected header {','.join(columns)}, got {','.join(header)}")
+    rows = _Rows(0, where=lambda row: f"{path}: line {_csv_rows(text, row + 1)[1]}")
+    try:
+        records = list(filter(None, reader))
+    except csv.Error:  # read again, up to the line that cannot be parsed
+        records, _, rows.error = _csv_rows(text)
+    rows.count = len(records)
+
+    def count_fields(fields: list[str]) -> None:
+        if len(fields) != len(columns):
+            raise InputError(f"expected {len(columns)} fields, got {len(fields)}")
+    if not set(map(len, records)) <= {len(columns)}:
+        rows.scan(count_fields, records)
+    del records[rows.count:]
+    raw = list(zip(*records)) or [()] * len(columns)
+    del records  # each field is now held by its column alone
+    return rows, [rows.read(fields, kind, column)
+                  for fields, (column, kind) in zip(raw, columns.items())]
 
 
 # Stored record kinds, each declared once: under the corpus.json list that
 # holds them, an entry's keys and JSON types in the order the kind's builder
-# takes them; a CSV column has its key's name unless _COLUMNS renames it. The
-# builder runs the kind's checks and makes the record for the raw loaders and
-# load_corpus alike. A check's InputError has no location; the caller adds it.
+# takes them (after the team, for a team's records). The builder runs the
+# kind's checks and makes the records for the raw loaders and load_corpus
+# alike: a record at a time, or, for utterances and scores, a column at a time
+# through a _Rows. A check's InputError has no location; the caller adds it.
 _RECORDS = {
     "utterances": {"speaker": str, "start": float, "end": float, "text": str},
     "edits": {"time": float, "kind": str, "u": int, "v": int},
@@ -292,7 +369,12 @@ _RECORDS = {
     "nodes": {"id": int, "name": str, "label": str, "x": float, "y": float},
     "edges": {"u": int, "v": int, "cost": int},
 }
-_COLUMNS = {"start": "start_sec", "end": "end_sec", "text": "utterance"}
+
+
+def _named(kind: type, *columns: Iterable) -> list:
+    """The records of named-tuple `kind` whose fields are `columns`' values, made
+    as kind._make makes one, by tuple.__new__, but with no Python call per record."""
+    return list(map(partial(tuple.__new__, kind), zip(*columns)))
 
 
 def _check_speaker(speaker: str, allowed: tuple[str, ...]) -> str:
@@ -308,13 +390,32 @@ def _check_time(time: float, name: str) -> float:
     return time or 0.0
 
 
-def _utterance(speaker: str, start: float, end: float, text: str) -> tuple[str, float, float, str]:
-    """An utterance row; number_utterances tokenizes a team's rows in start order."""
-    _check_speaker(speaker, SPEAKERS)
-    start = _check_time(start, "start")
+def _speakers(rows: _Rows, speakers: Sequence[str], allowed: tuple[str, ...]) -> None:
+    if not frozenset(allowed).issuperset(speakers):
+        rows.scan(partial(_check_speaker, allowed=allowed), speakers)
+
+
+def _times(rows: _Rows, times: Sequence[float], name: str) -> list[float]:
+    """_check_time of each time, a column at a time."""
+    if min(times, default=0.0) < 0:
+        rows.scan(partial(_check_time, name=name), times)
+    return list(map(add, times, repeat(0.0)))  # t + 0.0 is t, but 0.0 for -0.0
+
+
+def _check_order(start: float, end: float) -> None:
     if start > end:
         raise InputError(f"start {start} after end {end}")
-    return speaker, start, _check_time(end, "end"), text
+
+
+def _utterance_rows(rows: _Rows, team: Iterable[int], speaker: Sequence[str],
+                    start: Sequence[float], end: Sequence[float],
+                    text: Sequence[str]) -> list[UtteranceRow]:
+    _speakers(rows, speaker, SPEAKERS)
+    start = _times(rows, start, "start")
+    if any(map(gt, start, end)):
+        rows.scan(_check_order, start, end)
+    end = _times(rows, end, "end")
+    return _named(UtteranceRow, team, speaker, start, end, text)
 
 
 def _edit(team: int, network: Network, time: float, kind: str, u: int, v: int) -> EditEvent:
@@ -339,32 +440,32 @@ def _submit(team: int, network: Network, time: float, cost: int) -> SubmitEvent:
     return SubmitEvent(team=team, time=time, cost=cost)
 
 
-def _score(team: int, speaker: str, pre: int, post: int) -> TestScores:
-    _check_speaker(speaker, HUMAN_SPEAKERS)
-    for name, value in (("pre", pre), ("post", post)):
-        if not 0 <= value <= MAX_SCORE:
-            raise InputError(f"{name} score {value} outside 0..{MAX_SCORE}")
-    return TestScores(team=team, speaker=speaker, pre=pre, post=post)
+def _check_score(value: int, name: str) -> None:
+    if not 0 <= value <= MAX_SCORE:
+        raise InputError(f"{name} score {value} outside 0..{MAX_SCORE}")
 
 
-def load_transcript(path: str | Path) -> list[Utterance]:
+def _score_rows(rows: _Rows, team: Iterable[int], speaker: Sequence[str], pre: Sequence[int],
+                post: Sequence[int]) -> list[TestScores]:
+    _speakers(rows, speaker, HUMAN_SPEAKERS)
+    for name, scores in (("pre", pre), ("post", post)):
+        if not frozenset(range(MAX_SCORE + 1)).issuperset(scores):
+            rows.scan(partial(_check_score, name=name), scores)
+    return _named(TestScores, team, speaker, pre, post)
+
+
+def load_transcript(path: str | Path) -> list[UtteranceRow]:
     """Load a transcripts CSV (team,speaker,start_sec,end_sec,utterance).
 
-    Utterances are sorted by start time within each team and numbered with
-    cumulative global token offsets (unique token numbering per team).
+    Returns its checked rows, stable-sorted by (team, start, end): each team's
+    rows in the order that TeamCorpus numbers their tokens. Nothing is
+    tokenized here; the text of each row is kept as it is written.
     """
-    columns = {"team": int, **{_COLUMNS.get(k, k): t for k, t in _RECORDS["utterances"].items()}}
-    with _csv_rows(path, columns) as (rows, readers):
-        read_team, read_speaker, read_start, read_end, _ = readers  # the text stays unstripped
-        loaded = [(read_team(team), *_utterance(read_speaker(speaker), read_start(start),
-                                                 read_end(end), text))
-                  for team, speaker, start, end, text in rows]
-
-    loaded.sort(key=itemgetter(0))
-    utterances = []
-    for team, team_rows in groupby(loaded, key=itemgetter(0)):
-        utterances += number_utterances(team, [r[1:] for r in team_rows])
-    return utterances
+    rows, columns = _read_csv(path, {"team": int, "speaker": str.strip, "start_sec": float,
+                                     "end_sec": float, "utterance": str})
+    records = _utterance_rows(rows, *columns)
+    rows.raise_first()
+    return sorted(records, key=itemgetter(0, 2, 3))
 
 
 def number_utterances(team: int, rows: list[tuple[str, float, float, str]]) -> list[Utterance]:
@@ -400,27 +501,29 @@ def load_event_log(path: str | Path, network: Network) -> EventLog:
     edits, submits, stops = [], [], []
     # one row layout for every event: u and v are node names, only submits set a cost,
     # and an event leaves the fields it does not use empty
-    columns = {"team": int, "time_sec": float, "event": str, "u": str, "v": str, "cost": int}
+    rows, (team, time, kind, u, v, cost) = _read_csv(path, {
+        "team": int, "time_sec": float, "event": str.strip, "u": str.strip, "v": str.strip,
+        "cost": str.strip})
     unused = {ADD: ("cost",), REMOVE: ("cost",), "submit": ("u", "v"), "stop": ("u", "v", "cost")}
-    with _csv_rows(path, columns) as (rows, readers):
-        read_team, read_time, read_kind, read_u, read_v, read_cost = readers
-        for team, time, kind, u, v, cost in rows:
-            team, time = read_team(team), _check_time(read_time(time), "time_sec")
-            kind = read_kind(kind).lower()
-            for name in unused.get(kind, ()):
-                if value := {"u": u, "v": v, "cost": cost}[name].strip():
-                    raise InputError(f"{kind} events leave {name} empty, got {value!r}")
-            if kind in (ADD, REMOVE):
-                edits.append(_edit(team, network, time, kind, network.resolve_node(read_u(u)),
-                                   network.resolve_node(read_v(v))))
-            elif kind == "submit":
-                if not cost.strip():
-                    raise InputError("submit without cost")
-                submits.append(_submit(team, network, time, read_cost(cost.strip())))
-            elif kind == "stop":
-                stops.append((team, time))
-            else:
-                raise InputError(f"unknown event kind {kind!r}")
+
+    def event(team: int, time: float, kind: str, u: str, v: str, cost: str) -> None:
+        kind = kind.lower()
+        for name in unused.get(kind, ()):
+            if value := {"u": u, "v": v, "cost": cost}[name]:
+                raise InputError(f"{kind} events leave {name} empty, got {value!r}")
+        if kind in (ADD, REMOVE):
+            edits.append(_edit(team, network, time, kind, network.resolve_node(u),
+                               network.resolve_node(v)))
+        elif kind == "submit":
+            if not cost:
+                raise InputError("submit without cost")
+            submits.append(_submit(team, network, time, _field_value(cost, int, "cost")))
+        elif kind == "stop":
+            stops.append((team, time))
+        else:
+            raise InputError(f"unknown event kind {kind!r}")
+    rows.scan(event, team, _times(rows, time, "time_sec"), kind, u, v, cost)
+    rows.raise_first()
 
     edits.sort(key=attrgetter("team", "time"))
     submits.sort(key=attrgetter("team", "time"))
@@ -435,10 +538,9 @@ def load_network(path: str | Path) -> Network:
 
 def load_test_scores(path: str | Path) -> list[TestScores]:
     """Load the tests CSV (team,speaker,pre,post) with 0..MAX_SCORE validation."""
-    with _csv_rows(path, {"team": int, **_RECORDS["scores"]}) as (rows, readers):
-        read_team, read_speaker, read_pre, read_post = readers
-        scores = [_score(read_team(team), read_speaker(speaker), read_pre(pre), read_post(post))
-                  for team, speaker, pre, post in rows]
+    rows, columns = _read_csv(path, {"team": int, "speaker": str.strip, "pre": int, "post": int})
+    scores = _score_rows(rows, *columns)
+    rows.raise_first()
     return sorted(scores, key=attrgetter("team", "speaker"))
 
 
@@ -499,15 +601,24 @@ def relative_time(time: float, team_duration: float) -> float:
 
 @dataclass(frozen=True)
 class TeamCorpus:
-    """All ingested data for one team, with derived stream and duration."""
+    """All ingested data for one team, with derived utterances, stream and duration.
+
+    `utterance_rows` are the team's transcript rows in (start, end) order, as
+    load_transcript sorts them and corpus.json stores them. `utterances`
+    tokenizes and numbers them (number_utterances) on first use.
+    """
 
     team: int
-    utterances: tuple[Utterance, ...]
+    utterance_rows: tuple[UtteranceRow, ...]
     edits: tuple[EditEvent, ...]
     submits: tuple[SubmitEvent, ...]
     stops: tuple[float, ...] = ()
     scores: tuple[TestScores, ...] = ()
     first_visual: str = "B"
+
+    @cached_property
+    def utterances(self) -> tuple[Utterance, ...]:
+        return tuple(number_utterances(self.team, [row[1:] for row in self.utterance_rows]))
 
     @cached_property
     def stream(self) -> tuple[ActionEvent, ...]:
@@ -534,15 +645,16 @@ class Corpus:
 
 def assemble_corpus(
     network: Network,
-    utterances: list[Utterance],
+    utterances: list[UtteranceRow],
     event_log: EventLog,
     scores: list[TestScores],
     first_visual: str = "B",
 ) -> Corpus:
-    """Group loaded rows by team into a Corpus, keeping each team's row order."""
+    """Group loaded rows by team into a Corpus, keeping each team's row order.
+    `utterances` are the rows that load_transcript returns."""
     by_team: dict[int, dict[str, list]] = defaultdict(
-        lambda: {"utterances": [], "edits": [], "submits": [], "stops": [], "scores": []})
-    for name, rows in (("utterances", utterances), ("edits", event_log.edits),
+        lambda: {"utterance_rows": [], "edits": [], "submits": [], "stops": [], "scores": []})
+    for name, rows in (("utterance_rows", utterances), ("edits", event_log.edits),
                        ("submits", event_log.submits), ("scores", scores)):
         for row in rows:
             by_team[row.team][name].append(row)
@@ -583,8 +695,8 @@ def check_teams(corpus: Corpus, *, teams_file: str | Path, scores_file: str | Pa
 
 
 # ---------------------------------------------------------------------------
-# Corpus (de)serialization. Tokens, offsets, and counters are recomputed on
-# load from the stored raw rows; both derivations are deterministic, so a
+# Corpus (de)serialization. corpus.json stores the raw rows; tokens, offsets
+# and counters are derived from them on first use, deterministically, so a
 # round-trip reproduces them exactly.
 
 # the JSON text of each scalar, by exact type: the stdlib encoder's spellings (of a finite float)
@@ -659,8 +771,9 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
         "network": {"nodes": _Records("nodes", corpus.network.nodes),
                     "edges": [dict(zip(_RECORDS["edges"], e)) for e in corpus.network.edges]},
         "teams": [{"team": tc.team, "first_visual": tc.first_visual, "stops": list(tc.stops),
+                   "utterances": _Records("utterances", tc.utterance_rows),
                    **{kind: _Records(kind, getattr(tc, kind))
-                      for kind in ("utterances", "edits", "submits", "scores")}}
+                      for kind in ("edits", "submits", "scores")}}
                   for tc in corpus.teams],
     }
     return write_json(Path(out_dir) / "corpus.json", payload)
@@ -697,12 +810,25 @@ def _records(entry: dict, key: str) -> list[dict]:
     return items
 
 
-def _built(entry: dict, key: str, build, *context) -> list:
-    """build(*context, *values) for each record under `key`, of the keys _RECORDS
-    declares. The values are read a key at a time, so that map calls build."""
+def _columns(entry: dict, key: str) -> list[list]:
+    """The values of the records under `key`, a list per key that _RECORDS declares."""
     items = _records(entry, key)
-    values = [[_field(item, name, kind) for item in items] for name, kind in _RECORDS[key].items()]
-    return list(map(build, *map(repeat, context), *values))
+    return [[_field(item, name, kind) for item in items] for name, kind in _RECORDS[key].items()]
+
+
+def _built(entry: dict, key: str, build, *context) -> list:
+    """build(*context, *values) for each record under `key`; map calls build."""
+    return list(map(build, *map(repeat, context), *_columns(entry, key)))
+
+
+def _checked(entry: dict, key: str, build, team: int) -> list:
+    """The records that build(rows, teams, *columns) makes of the team's records
+    under `key`, a column at a time; the first error in record order is raised."""
+    columns = _columns(entry, key)
+    rows = _Rows(len(columns[0]))
+    records = build(rows, repeat(team), *columns)
+    rows.raise_first()
+    return records
 
 
 def _network_from_json(data: dict) -> Network:
@@ -714,18 +840,18 @@ def _network_from_json(data: dict) -> Network:
 def _team_from_json(entry: dict, network: Network) -> TeamCorpus:
     """One team of corpus.json, checked like the raw rows it was saved from."""
     team = _field(entry, "team", int)
-    rows = _built(entry, "utterances", _utterance)
+    rows = _checked(entry, "utterances", _utterance_rows, team)
     first_visual = "B"
     if "first_visual" in entry:
         first_visual = _check_speaker(_field(entry, "first_visual", str), HUMAN_SPEAKERS)
     return TeamCorpus(
         team=team,
-        utterances=tuple(number_utterances(team, rows)),
+        utterance_rows=tuple(sorted(rows, key=itemgetter(2, 3))),  # as load_transcript sorts
         edits=tuple(_built(entry, "edits", _edit, team, network)),
         submits=tuple(_built(entry, "submits", _submit, team, network)),
         stops=tuple(_check_time(_typed(time, float, "each of stops"), "stop time")
                     for time in _field(entry, "stops", list)),
-        scores=tuple(_built(entry, "scores", _score, team)),
+        scores=tuple(_checked(entry, "scores", _score_rows, team)),
         first_visual=first_visual,
     )
 

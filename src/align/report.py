@@ -150,9 +150,30 @@ def _median(values: list[float]) -> float | None:
 
 
 def collaborative_period(times: list[float]) -> tuple[float, float]:
-    """(Q1, Q3) of one or more establishment times by linear interpolation."""
-    q1, q3 = np.percentile(np.asarray(times, dtype=float), [25, 75])
-    return float(q1), float(q3)
+    """(Q1, Q3) of one or more establishment times, none of them NaN, by linear
+    interpolation: np.percentile(times, [25, 75])'s value, bit for bit.
+
+    As numpy's _lerp computes it, the q-quantile at index i = q*(n - 1) of the
+    sorted times lies between a = sorted[floor(i)] and the next time b, at
+    t = i - floor(i): a + d*t with d = b - a, or b - d*(1 - t) when t >= 0.5.
+    With one time, a and b are that time and t is 1. (Where the times mix 0.0
+    and -0.0, numpy may sort the two either way and so give a zero quartile
+    the other sign; the runners' times are never -0.0.)
+    """
+    ordered = sorted(map(float, times))
+    last = len(ordered) - 1
+
+    def quantile(q: float) -> float:
+        index = last * q
+        if index >= last:  # numpy's index -1 for both neighbours, so t = index + 1
+            a = b = ordered[-1]
+            t = index + 1
+        else:
+            below = math.floor(index)
+            a, b, t = ordered[below], ordered[below + 1], index - below
+        d = b - a
+        return b - d * (1 - t) if t >= 0.5 else a + d * t
+    return quantile(0.25), quantile(0.75)
 
 
 def _mean_of(teams: list[TeamSuccess], values: dict[int, float | None]) -> float | None:

@@ -10,6 +10,7 @@ from align.corpus import (
     Network,
     SubmitEvent,
     TeamCorpus,
+    UtteranceRow,
     load_network,
     number_utterances,
 )
@@ -41,6 +42,11 @@ def make_submits(team: int, rows: list[tuple[float, int]]) -> list[SubmitEvent]:
     return [SubmitEvent(team=team, time=t, cost=c) for t, c in rows]
 
 
+def utterance_rows_of(team: int, rows) -> tuple[UtteranceRow, ...]:
+    """A team's (speaker, start, end, text) rows as TeamCorpus holds them, in (start, end) order."""
+    return tuple(sorted((UtteranceRow(team, *row) for row in rows), key=lambda r: (r.start, r.end)))
+
+
 def make_team(
     team: int,
     net: Network,
@@ -55,7 +61,7 @@ def make_team(
 
     return TeamCorpus(
         team=team,
-        utterances=tuple(number_utterances(team, list(utterance_rows))),
+        utterance_rows=utterance_rows_of(team, utterance_rows),
         edits=tuple(make_edits(team, net, list(edit_rows))),
         submits=tuple(make_submits(team, list(submit_rows))),
         stops=tuple(stops),

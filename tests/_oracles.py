@@ -3,13 +3,24 @@
 These deliberately avoid the library's code paths: statistics come from the
 direct pair-count definitions, p-values from exhaustive permutation
 enumeration, routines from literal span-containment checks, instructions
-from the documented draft rules, and matcher verdicts from a
-replay-from-scratch reconstruction of the pending cache.
+from the documented draft rules, matcher verdicts from a
+replay-from-scratch reconstruction of the pending cache, and the raw CSV
+loaders' records and first errors from reading and checking one row at a
+time.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+import csv
+import io
+import math
+import reprlib
+import sys
+from itertools import combinations, groupby, permutations
+from operator import attrgetter, itemgetter
+from pathlib import Path
+
+from align.corpus import EditEvent, EventLog, InputError, SubmitEvent, TestScores, UtteranceRow
 
 
 # --- statistics ---------------------------------------------------------------
@@ -334,3 +345,125 @@ def oracle_pending(stream, network, clear_on_verdict=False):
                 pending = [p for p in pending if not _oracle_check(p, action, network)]
         caches.append(tuple(pending))
     return caches
+
+
+# --- raw CSV loaders ----------------------------------------------------------
+
+# Reference loaders that read and check each row in turn, so the first error
+# in file order is the one raised, with the exact message that align.corpus
+# raises. The library reads a column at a time and must agree with them.
+
+def _oracle_rows(path, columns, handle) -> None:
+    """handle(*fields) for each non-blank row of a UTF-8 CSV file whose header
+    is `columns`; an error in a row names the file and the reader's line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8-sig")  # a byte order mark may open the file
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, [])
+        if [f.strip() for f in header] == list(columns):
+            for fields in filter(None, reader):
+                if len(fields) != len(columns):
+                    raise InputError(f"expected {len(columns)} fields, got {len(fields)}")
+                handle(*fields)
+            return
+    except (InputError, csv.Error) as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+    raise InputError(f"{path}: expected header {','.join(columns)}, got {','.join(header)}")
+
+
+def _oracle_read(kind, column: str, value: str):
+    """A field read as `kind`: stripped, or a finite number."""
+    if kind is str:
+        return value.strip()
+    try:
+        number = kind(value)
+        if kind is float and not math.isfinite(number):
+            raise ValueError
+    except ValueError:
+        raise InputError(f"bad {column} value {value!r}") from None
+    return number
+
+
+def _oracle_speaker(speaker: str, allowed: str) -> None:
+    if speaker not in allowed:
+        raise InputError(f"speaker must be one of {', '.join(allowed)}, got {speaker!r}")
+
+
+def _oracle_time(time: float, name: str) -> float:
+    if time < 0:
+        raise InputError(f"{name} {time} is negative; times count from the task's start at 0")
+    return time or 0.0
+
+
+def oracle_load_transcript(path):
+    """Transcript rows, sorted by team and then, within a team, by (start, end)."""
+    loaded = []
+
+    def row(team, speaker, start, end, text):
+        team, speaker = _oracle_read(int, "team", team), _oracle_read(str, "speaker", speaker)
+        start, end = _oracle_read(float, "start_sec", start), _oracle_read(float, "end_sec", end)
+        _oracle_speaker(speaker, ("A", "B", "I"))
+        start = _oracle_time(start, "start")
+        if start > end:
+            raise InputError(f"start {start} after end {end}")
+        loaded.append(UtteranceRow(team, speaker, start, _oracle_time(end, "end"), text))
+    _oracle_rows(path, ["team", "speaker", "start_sec", "end_sec", "utterance"], row)
+    loaded.sort(key=attrgetter("team"))
+    return [r for _, rows in groupby(loaded, key=attrgetter("team"))
+            for r in sorted(rows, key=itemgetter(2, 3))]
+
+
+def oracle_load_event_log(path, network):
+    edits, submits, stops = [], [], []
+    unused = {"add": ("cost",), "remove": ("cost",), "submit": ("u", "v"),
+              "stop": ("u", "v", "cost")}
+
+    def row(team, time, kind, u, v, cost):
+        team = _oracle_read(int, "team", team)
+        time = _oracle_time(_oracle_read(float, "time_sec", time), "time_sec")
+        kind = kind.strip().lower()
+        for name in unused.get(kind, ()):
+            if value := {"u": u, "v": v, "cost": cost}[name].strip():
+                raise InputError(f"{kind} events leave {name} empty, got {value!r}")
+        if kind in ("add", "remove"):
+            edge = network.edge(network.resolve_node(u.strip()), network.resolve_node(v.strip()))
+            edits.append(EditEvent(team, time, kind, edge))
+        elif kind == "submit":
+            if not cost.strip():
+                raise InputError("submit without cost")
+            cost = _oracle_read(int, "cost", cost.strip())
+            if cost > sys.float_info.max:
+                raise InputError(f"submitted cost {reprlib.repr(cost)} is above the largest "
+                                 f"float {sys.float_info.max!r}")
+            if cost < network.optimal_cost:
+                raise InputError(f"submitted cost {cost} below optimal {network.optimal_cost} "
+                                 "(a solution spans all nodes)")
+            submits.append(SubmitEvent(team, time, cost))
+        elif kind == "stop":
+            stops.append((team, time))
+        else:
+            raise InputError(f"unknown event kind {kind!r}")
+    _oracle_rows(path, ["team", "time_sec", "event", "u", "v", "cost"], row)
+    return EventLog(edits=tuple(sorted(edits, key=attrgetter("team", "time"))),
+                    submits=tuple(sorted(submits, key=attrgetter("team", "time"))),
+                    stops=tuple(sorted(stops)))
+
+
+def oracle_load_test_scores(path):
+    scores = []
+
+    def row(team, speaker, pre, post):
+        team, speaker = _oracle_read(int, "team", team), _oracle_read(str, "speaker", speaker)
+        pre, post = _oracle_read(int, "pre", pre), _oracle_read(int, "post", post)
+        _oracle_speaker(speaker, ("A", "B"))
+        for name, value in (("pre", pre), ("post", post)):
+            if not 0 <= value <= 10:
+                raise InputError(f"{name} score {value} outside 0..10")
+        scores.append(TestScores(team, speaker, pre, post))
+    _oracle_rows(path, ["team", "speaker", "pre", "post"], row)
+    return sorted(scores, key=attrgetter("team", "speaker"))

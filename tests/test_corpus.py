@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -25,7 +27,7 @@ from align.corpus import (
     NetworkNode,
     SubmitEvent,
     TeamCorpus,
-    Utterance,
+    UtteranceRow,
     assemble_corpus,
     build_action_stream,
     check_teams,
@@ -40,7 +42,9 @@ from align.corpus import (
     tokenize,
     write_json,
 )
-from _builders import DATA, make_edits, make_submits, make_team, network, strict_json
+from _builders import (DATA, make_edits, make_submits, make_team, network, strict_json,
+                       utterance_rows_of)
+from _oracles import oracle_load_event_log, oracle_load_test_scores, oracle_load_transcript
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -119,24 +123,31 @@ def test_network_rejects_duplicate_names(tmp_path):
 
 # --- transcripts ------------------------------------------------------------
 
-def test_load_transcript_orders_and_numbers_tokens():
-    utterances = [u for u in load_transcript(DATA / "transcripts.csv") if u.team == 10]
-    assert [u.start for u in utterances] == sorted(u.start for u in utterances)
+def test_load_transcript_sorts_rows_by_team_then_time():
+    rows = load_transcript(DATA / "transcripts.csv")
+    assert rows == sorted(rows, key=lambda r: (r.team, r.start, r.end))
+    assert all(type(row) is UtteranceRow for row in rows)
+
+
+def test_team_corpus_numbers_tokens_in_time_order():
+    team = _load_fixture_corpus().teams[0]
+    assert [u.start for u in team.utterances] == sorted(u.start for u in team.utterances)
     offset = 0
-    for u in utterances:
+    for u in team.utterances:
         assert u.global_token_offset == offset
         offset += len(u.tokens)
 
 
-def test_load_transcript_tokenizes_rows():
-    utterances = load_transcript(DATA / "transcripts.csv")
-    first_human = next(u for u in utterances if u.team == 10 and u.is_human)
+def test_team_corpus_tokenizes_rows():
+    team10 = next(tc for tc in _load_fixture_corpus().teams if tc.team == 10)
+    first_human = next(u for u in team10.utterances if u.is_human)
     assert first_human.tokens == ("maybe", "we", "start", "from", "mount", "zermatt")
 
 
 def test_load_transcript_accepts_robot_speaker():
-    utterances = load_transcript(DATA / "transcripts.csv")
-    robot = [u for u in utterances if u.speaker == "I"]
+    rows = load_transcript(DATA / "transcripts.csv")
+    assert any(row.speaker == "I" for row in rows)
+    robot = [u for tc in _load_fixture_corpus().teams for u in tc.utterances if u.speaker == "I"]
     assert robot and not robot[0].is_human
 
 
@@ -167,8 +178,8 @@ def test_global_offsets_cumulative(tmp_path):
         "1,A,0,1,one two three\n"
         "1,B,2,3,four five\n"
     )
-    utterances = load_transcript(path)
-    assert [u.global_token_offset for u in utterances] == [0, 3]
+    team = TeamCorpus(1, tuple(load_transcript(path)), (), ())
+    assert [u.global_token_offset for u in team.utterances] == [0, 3]
 
 
 # --- event log --------------------------------------------------------------
@@ -229,6 +240,152 @@ def test_load_test_scores_rejects_out_of_range(tmp_path):
     path.write_text("team,speaker,pre,post\n1,A,11,5\n")
     with pytest.raises(InputError, match="outside 0..10"):
         load_test_scores(path)
+
+
+# --- raw CSV loaders: records and first errors -------------------------------
+
+@pytest.mark.parametrize("name, load", [
+    ("transcripts.csv", load_transcript),
+    ("events.csv", lambda path: load_event_log(path, network())),
+    ("tests.csv", load_test_scores)])
+def test_raw_loaders_read_a_leading_byte_order_mark(tmp_path, name, load):
+    # Excel's "CSV UTF-8" opens the file with one
+    path = tmp_path / name
+    path.write_bytes(codecs.BOM_UTF8 + (DATA / name).read_bytes())
+    assert load(path) == load(DATA / name)
+
+
+def test_a_byte_order_mark_after_the_first_character_is_data(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("team,speaker,start_sec,end_sec,utterance\n"
+                    "1,A,0,1,\ufeffhello\n", encoding="utf-8")
+    assert [row.text for row in load_transcript(path)] == ["\ufeffhello"]
+    path.write_text("\ufeff\ufeffteam,speaker,start_sec,end_sec,utterance\n", encoding="utf-8")
+    with pytest.raises(InputError, match="^.*: expected header team,speaker,start_sec,end_sec,"
+                                         "utterance, got \ufeffteam,"):
+        load_transcript(path)
+
+
+def test_not_utf8_after_a_byte_order_mark_names_its_line(tmp_path):
+    # the bad byte opens its line: a count that is 3 bytes short would miss a line
+    path = tmp_path / "t.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"team,speaker,start_sec,end_sec,utterance\n"
+                     b"1,A,0,1,ok\n\xff,A,2,3,x\n")
+    with pytest.raises(InputError) as excinfo:
+        load_transcript(path)
+    assert str(excinfo.value) == f"{path}: line 3: not UTF-8 (invalid start byte)"
+
+
+def _csv_line(fields: list[str], end: str) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator=end).writerow(fields)
+    return out.getvalue()
+
+
+_FIELD_LIMIT = csv.field_size_limit()
+_text = st.text(st.sampled_from('ab ,"\n\r\ufeffé'), max_size=6)
+_seconds = st.floats(0, 100).map(repr) | st.sampled_from(["0", "-0.0", " 7 ", "1e2"])
+_teams = st.sampled_from(["1", "2", " 3", "-4", "10"])
+
+
+@st.composite
+def _transcript_row(draw):
+    start = draw(_seconds)
+    end = repr(float(start) + draw(st.floats(0, 10)))
+    return [draw(_teams), draw(st.sampled_from(["A", "B", "I", " A", "B "])), start,
+            draw(st.sampled_from([end, start])), draw(_text)]
+
+
+@st.composite
+def _event_row(draw):
+    net = network()
+    kind = draw(st.sampled_from(["add", "remove", "submit", "stop", "ADD", " Submit"]))
+    u = v = cost = ""
+    if kind.strip().lower() in ("add", "remove"):
+        a, b, _ = draw(st.sampled_from(net.edges))
+        u, v = draw(st.permutations([net.id_to_name[a], net.id_to_name[b].upper()]))
+    elif kind.strip().lower() == "submit":
+        cost = str(net.optimal_cost + draw(st.integers(0, 3)))
+    return [draw(_teams), draw(_seconds), kind, u, v, cost]
+
+
+_score = st.integers(0, 10).map(str)
+_score_row = st.tuples(_teams, st.sampled_from(["A", "B", " B"]), _score, _score).map(list)
+
+# per raw file: header, a valid row, and the bad values of each column
+_RAW_FILES = {
+    "transcripts": (["team", "speaker", "start_sec", "end_sec", "utterance"], _transcript_row(), [
+        ["x", "1.5", "", "nan"], ["C", "a", ""], ["nan", "inf", "-inf", "abc", "-1.0", "1e999"],
+        ["-2.5", "-0.0", "inf", "x"], []]),
+    "events": (["team", "time_sec", "event", "u", "v", "cost"], _event_row(), [
+        ["x", ""], ["nan", "-1.0", "x", "-Infinity"], ["jump", ""],
+        ["Atlantis", "", "Montreux"], ["Atlantis", "", "Davos"],
+        ["5", "12.5", "", "1" + "0" * 400, " 14 "]]),
+    "tests": (["team", "speaker", "pre", "post"], _score_row, [
+        ["x"], ["I", "C"], ["11", "-1", "6.5"], ["11", "-1", ""]]),
+}
+
+
+@st.composite
+def _raw_csv(draw, kind: str) -> str:
+    """A raw CSV file of `kind` with zero to three corrupted fields or lines,
+    blank lines, quoted newlines and either line ending."""
+    header, row, bad = _RAW_FILES[kind]
+    rows = draw(st.lists(row, max_size=8))
+    raw = {}  # row index -> a line written as it is
+    i = 0
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        if draw(st.booleans()):  # else a second error in the same row
+            i = draw(st.integers(0, len(rows) - 1))
+        column = draw(st.integers(0, min(len(rows[i]), len(header)) - 1))
+        how = draw(st.sampled_from(["value"] * 4 + ["drop", "add", "limit", "cr", "nul"]))
+        if how == "value" and bad[column]:
+            rows[i][column] = draw(st.sampled_from(bad[column]))
+        elif how == "drop":
+            del rows[i][-1]
+        elif how == "add":
+            rows[i].append("extra")
+        elif how == "limit":
+            rows[i][column] = "x" * (_FIELD_LIMIT + 1)
+        elif how == "cr":
+            raw[i] = "1,\rA,0,1\n"  # a bare carriage return ends a line outside quotes
+        elif how == "nul":  # Python 3.10's csv module refuses it, and cannot write it
+            raw[i] = ",".join(rows[i][:-1] + ["a\x00b"]) + "\n"
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [_csv_line(header, end)] + [raw.get(i) or _csv_line(fields, end)
+                                        for i, fields in enumerate(rows)]
+    for at in draw(st.lists(st.integers(1, len(lines)), max_size=2)):
+        lines.insert(at, end)
+    return "".join(lines)
+
+
+_LOADERS = {
+    "transcripts": (load_transcript, oracle_load_transcript),
+    "events": (lambda path: load_event_log(path, network()),
+               lambda path: oracle_load_event_log(path, network())),
+    "tests": (load_test_scores, oracle_load_test_scores),
+}
+
+
+@pytest.mark.parametrize("kind", _RAW_FILES)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_property_raw_loaders_equal_the_row_at_a_time_oracle(kind, data):
+    """Each raw loader returns the records of the oracle, which reads and checks
+    one row at a time, or raises its first error, message and line alike."""
+    text = data.draw(_raw_csv(kind))
+    load, oracle = _LOADERS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = oracle(path)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                load(path)
+            assert str(got.value) == str(exc)
+        else:
+            assert load(path) == expected
 
 
 # --- action stream ----------------------------------------------------------
@@ -367,7 +524,7 @@ def _valid_corpora(draw, texts=st.text(max_size=30)):
                                texts), max_size=6))]
         teams.append(TeamCorpus(
             team=team,
-            utterances=tuple(number_utterances(team, rows)),
+            utterance_rows=utterance_rows_of(team, rows),
             edits=tuple(EditEvent(team, time, kind, (u, v)) for time, kind, (u, v, _) in draw(
                 st.lists(st.tuples(_times, st.sampled_from(["add", "remove"]),
                                    st.sampled_from(network.edges)), max_size=4))),
@@ -391,8 +548,8 @@ def test_property_valid_corpora_round_trip(corpus):
         reloaded = load_corpus(first.parent)
         assert reloaded.network == corpus.network
         assert reloaded.teams == corpus.teams
-        for team in corpus.teams:  # number_utterances put the unsorted rows in time order
-            times = [(u.start, u.end) for u in team.utterances]
+        for team in reloaded.teams:  # load_corpus keeps the rows in time order
+            times = [(u.start, u.end) for u in team.utterance_rows]
             assert times == sorted(times)
         second = save_corpus(reloaded, Path(tmp) / "second")
         assert second.read_bytes() == first.read_bytes()
@@ -559,7 +716,7 @@ def _dumped(corpus: Corpus) -> bytes:
                     "edges": [{"u": u, "v": v, "cost": cost}
                               for u, v, cost in corpus.network.edges]},
         "teams": [{"team": tc.team, "first_visual": tc.first_visual, "stops": list(tc.stops),
-                   "utterances": _entries(tc.utterances, "speaker start end text"),
+                   "utterances": _entries(tc.utterance_rows, "speaker start end text"),
                    "edits": [{"time": e.time, "kind": e.kind, "u": e.edge[0], "v": e.edge[1]}
                              for e in tc.edits],
                    "submits": _entries(tc.submits, "time cost"),
@@ -594,8 +751,8 @@ def _stored_corpora(draw):
         return tuple(record() for _ in range(draw(st.integers(0, 3))))
     teams = tuple(TeamCorpus(
         team=team,
-        utterances=some(lambda: Utterance(team, draw(_json_text), draw(times), draw(times),
-                                          draw(_json_text), (), 0)),
+        utterance_rows=some(lambda: UtteranceRow(team, draw(_json_text), draw(times),
+                                                 draw(times), draw(_json_text))),
         edits=some(lambda: EditEvent(team, draw(times), draw(_json_text),
                                      draw(st.sampled_from(network.edges))[:2])),
         submits=some(lambda: SubmitEvent(team, draw(times), draw(costs))),
@@ -632,9 +789,10 @@ def _with_value(corpus: Corpus, kind: str, key: str, value) -> Corpus:
         nodes = (*corpus.network.nodes[:-1], corpus.network.nodes[-1]._replace(**{key: value}))
         return dataclasses.replace(corpus, network=Network(nodes, corpus.network.edges))
     team, *others = corpus.teams
-    records = getattr(team, kind)
+    field = "utterance_rows" if kind == "utterances" else kind
+    records = getattr(team, field)
     last = value if kind == "stops" else records[-1]._replace(**{key: value})
-    team = dataclasses.replace(team, **{kind: (*records[:-1], last)})
+    team = dataclasses.replace(team, **{field: (*records[:-1], last)})
     return dataclasses.replace(corpus, teams=(team, *others))
 
 

@@ -154,6 +154,19 @@ def test_golden_outputs_fixtures(tmp_path, capsys):
     assert golden_digests(paths, tmp_path / "out", capsys) == _golden("fixtures")
 
 
+def test_ingest_numbers_no_utterance(tmp_path, monkeypatch):
+    """`align ingest` stores the transcript rows as they are: it tokenizes and
+    numbers no utterance, and still writes the golden corpus.json."""
+    def refuse(*args):
+        raise AssertionError("align ingest numbered utterances")
+    monkeypatch.setattr("align.corpus.number_utterances", refuse)
+    paths = write_fixture_inputs(tmp_path)
+    _, ingest = _runs(paths, tmp_path / "out")[0]  # into tmp_path / "out" / "corpus"
+    assert main(ingest) == 0
+    written = (tmp_path / "out" / "corpus" / "corpus.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == _golden("fixtures")["corpus/corpus.json"]
+
+
 def test_analyze_without_options_writes_what_all_writes(tmp_path):
     paths = write_seeded_inputs(tmp_path)
     corpus = str(tmp_path / "corpus")

@@ -23,10 +23,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # every name the package root exports, by the module that owns it
 EXPORTS = {
     "corpus": ["ActionEvent", "Corpus", "EditEvent", "InputError", "Network", "NetworkNode",
-               "SubmitEvent", "TeamCorpus", "TestScores", "Utterance", "assemble_corpus",
-               "build_action_stream", "check_teams", "load_corpus", "load_event_log",
-               "load_network", "load_test_scores", "load_transcript", "relative_time",
-               "save_corpus", "tokenize"],
+               "SubmitEvent", "TeamCorpus", "TestScores", "Utterance", "UtteranceRow",
+               "assemble_corpus", "build_action_stream", "check_teams", "load_corpus",
+               "load_event_log", "load_network", "load_test_scores", "load_transcript",
+               "relative_time", "save_corpus", "tokenize"],
     "instructions": ["Instruction", "MatchRecord", "check_match", "grouped_records",
                      "match_instructions_to_actions", "match_mismatch_times",
                      "recognise_instructions"],
@@ -88,7 +88,7 @@ def test_readme_library_example_runs():
 # every per-item record kind, by the module that owns it
 RECORDS = {
     "corpus": ["ActionEvent", "EditEvent", "NetworkNode", "SubmitEvent", "TestScores",
-               "Utterance", "_Records"],
+               "Utterance", "UtteranceRow", "_Records"],
     "instructions": ["AnnotatedAction", "Instruction", "MatchRecord"],
     "measures": ["TeamSuccess"],
     "routines": ["Routine", "RoutineEvent"],
@@ -141,9 +141,9 @@ def _outputs(tmp_path: Path, hash_seed: str) -> dict[str, bytes]:
             "        or main(['all', '--corpus', 'corpus', '--out', 'json', '--format', 'json'])):\n"
             "    sys.exit(1)\n"
             "corpus = load_corpus('corpus')\n"
-            "save_corpus(replace(corpus, teams=tuple(replace(team, utterances=tuple(\n"
+            "save_corpus(replace(corpus, teams=tuple(replace(team, utterance_rows=tuple(\n"
             "    u._replace(start=int(u.start)) if i % 2 else u for i, u in enumerate(\n"
-            "        team.utterances))) for team in corpus.teams)), 'mixed')")
+            "        team.utterance_rows))) for team in corpus.teams)), 'mixed')")
     cwd = tmp_path / hash_seed
     cwd.mkdir()
     result = _python(code, cwd=cwd, PYTHONHASHSEED=hash_seed)

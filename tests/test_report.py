@@ -333,6 +333,34 @@ def test_collaborative_period_singleton_and_constant():
     assert collaborative_period([7.0, 7.0, 7.0]) == (7.0, 7.0)
 
 
+# Times as the h1.1 runner passes them: finite, or infinite where a relative
+# time overflowed, never NaN; ties, -0.0, and pairs whose difference overflows.
+# A sample holds zeros of one sign only: numpy's partition may put 0.0 and
+# -0.0 in either order, and the runner's times are never -0.0.
+_quartile_samples = st.lists(
+    st.floats(allow_nan=False)
+    | st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, sys.float_info.max, math.inf, -math.inf]),
+    min_size=1, max_size=12).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1,
+                                                          max_size=40)).filter(
+    lambda times: len({math.copysign(1.0, t) for t in times if t == 0}) < 2)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_quartile_samples)
+@example([5.0]).via("n = 1")
+@example([-0.0]).via("n = 1, -0.0")
+@example([math.inf]).via("n = 1, infinite: inf - inf is nan")
+@example([-1e308, 1e308]).via("the difference overflows")
+@example([1.0, math.inf, math.inf]).via("inf at a fraction of 0: d*t is nan")
+@example([-0.0, -0.0, 3.0, 3.0]).via("ties")
+@example([2.0, 1.0] * 20).via("more values than numpy sorts by insertion")
+def test_property_collaborative_period_is_numpys_percentile_bit_for_bit(times):
+    with np.errstate(all="ignore"):  # numpy warns where a value overflows or is nan
+        expected = np.percentile(np.asarray(times, dtype=float), [25, 75])
+    # repr tells -0.0 from 0.0 and prints a nan or inf as _check_finite does
+    assert list(map(repr, collaborative_period(times))) == [repr(float(v)) for v in expected]
+
+
 def test_write_csv_formats_cells_as_before(tmp_path):
     # Tables once passed each cell through a converter: None as "", a float
     # by repr, anything else by str. csv.writer does the same by itself.
