@@ -6,10 +6,11 @@ Conventions, fixed once for every analysis:
 - Spearman p-values come from the t-approximation.
 - Kruskal-Wallis applies the standard tie correction and a chi-square tail.
 
-The normal, Student t and chi-square tails come from the `scipy.special`
-ufuncs that `scipy.stats` calls in its survival functions, so p-values carry
-the same bits without importing `scipy.stats`, whose import would take most
-of the start-up time of every `align` command.
+The normal, Student t and chi-square tails are the `scipy.special` ufuncs
+that `scipy.stats` calls in its survival functions, so p-values carry the
+same bits. They are loaded from the compiled `scipy.special._ufuncs` alone:
+neither `scipy.stats` nor `scipy/special/__init__.py` runs, as each would take
+most of the start-up time of every command that reaches this module.
 
 Every rank is counted as an exact integer over Python floats, without numpy,
 by the one `_twice_ranks`: the samples are small, and a numpy array costs
@@ -20,11 +21,32 @@ are exact, so rho keeps the bits of `numpy.corrcoef` on average ranks.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from types import ModuleType
 from typing import NamedTuple
 
-from scipy.special import chdtrc, ndtr, stdtr
+import scipy
+
+# Python runs a package's __init__ before any of its submodules. scipy.special's
+# spends two thirds of its import on scipy's array-API layer (which loads
+# numpy.f2py, numpy.testing, numpy.random, ...), so while `_ufuncs` loads, a
+# plain package with the same directory stands in for it, unless the real one is
+# already loaded. A later `import scipy.special` runs the real __init__, which
+# reuses the loaded `_ufuncs`: its ndtr, stdtr and chdtrc are these objects.
+# Until the import below returns, another thread's `import scipy.special` would
+# get the placeholder, so import align.stats before starting threads that need it.
+_placeholder = ModuleType("scipy.special")
+_placeholder.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
+sys.modules.setdefault("scipy.special", _placeholder)
+try:
+    from scipy.special._ufuncs import chdtrc, ndtr, stdtr
+finally:
+    if sys.modules.get("scipy.special") is _placeholder:
+        del sys.modules["scipy.special"]
+del _placeholder
 
 
 class TestResult(NamedTuple):

@@ -1,7 +1,8 @@
 """Process-level contracts: what the package root, `align ingest` and the
-mining, matching and measures modules import, the README's library example,
-immutable records, output independence from the hash seed, and the CLI's
-handling of the cyclic garbage collector."""
+mining, matching, measures and statistics modules import, the p-values' bits
+whether scipy.special loads before or after `align.stats`, the README's library
+example, immutable records, output independence from the hash seed, and the
+CLI's handling of the cyclic garbage collector."""
 
 from __future__ import annotations
 
@@ -128,6 +129,69 @@ def test_ingest_loads_neither_numpy_nor_scipy(tmp_path):
 def test_mining_matching_and_measures_load_neither_numpy_nor_scipy():
     assert _loaded("import align.routines, align.instructions, align.measures") == [
         "align", "align.corpus", "align.instructions", "align.measures", "align.routines"]
+
+
+def test_stats_loads_scipys_tails_without_scipy_special_init():
+    loaded = _loaded("import align.stats\n"
+                     "import sys\n"
+                     "assert 'scipy.special' not in sys.modules")
+    assert "scipy.special._ufuncs" in loaded
+    assert "scipy._lib._array_api" not in loaded
+    assert "scipy.special._support_alternative_backends" not in loaded
+
+
+# p-values through align.stats, printed, then checked against scipy.stats; the
+# real scipy.special loads after align.stats (argv[1] == "after") or before it
+TAILS = """\
+import math, sys
+if sys.argv[1] == "before":
+    import scipy.special
+import align.stats
+from align.stats import kruskal_wallis, mann_whitney_u, spearman
+
+# tie-heavy samples: low lies far below high (|z| > 5), x and y overlap
+low, high = [v % 7 for v in range(60)], [v % 5 + 6 for v in range(50)]
+x, y = [v % 9 for v in range(40)], [v % 11 for v in range(45)]
+ranks, thirds = list(range(30)), [v // 3 for v in range(30)]  # |t| > 5
+mwu = [mann_whitney_u(low, high), mann_whitney_u(x, y)]
+rho = [spearman(ranks, thirds), spearman(x, y[:40])]
+kw = [kruskal_wallis([low, high, x]), kruskal_wallis([x, y])]
+print(mwu, rho, kw)
+
+import scipy.special, scipy.stats
+assert sys.modules["scipy.special"].__file__.endswith("__init__.py")
+for name in ("ndtr", "stdtr", "chdtrc"):
+    assert getattr(align.stats, name) is getattr(scipy.special, name), name
+zs = []
+for (a, b), result in zip([(low, high), (x, y)], mwu):
+    theirs = scipy.stats.mannwhitneyu(a, b, use_continuity=False, method="asymptotic")
+    assert result.statistic == theirs.statistic
+    pooled, m, n = a + b, len(a), len(b)
+    ties = sum(pooled.count(v) ** 3 - pooled.count(v) for v in set(pooled))
+    sigma_sq = m * n * (m + n + 1) / 12.0 * (1.0 - ties / ((m + n) ** 3 - (m + n)))
+    zs.append((result.statistic - m * n / 2.0) / math.sqrt(sigma_sq))
+    assert result.p_value == 2.0 * float(scipy.stats.norm.sf(abs(zs[-1])))
+ts = []
+for (a, b), result in zip([(ranks, thirds), (x, y[:40])], rho):
+    n = len(a)
+    ts.append(result.statistic * math.sqrt((n - 2) / (1.0 - result.statistic ** 2)))
+    assert result.p_value == 2.0 * float(scipy.stats.t.sf(abs(ts[-1]), n - 2))
+for groups, result in zip([[low, high, x], [x, y]], kw):
+    theirs = scipy.stats.kruskal(*groups)
+    assert (result.statistic, result.p_value) == (theirs.statistic, theirs.pvalue)
+assert abs(zs[0]) > 5 > abs(zs[1]) and abs(ts[0]) > 5 > abs(ts[1])
+"""
+
+
+def test_p_values_keep_their_bits_in_either_load_order():
+    # pytest has imported scipy.stats by now (test_stats.py), so only a fresh
+    # interpreter meets align.stats before scipy.special
+    printed = []
+    for order in ("after", "before"):
+        result = _python(TAILS, order, PYTHONDEVMODE="1", PYTHONWARNINGS="error")
+        assert result.returncode == 0, result.stderr.decode()
+        printed.append(result.stdout)
+    assert printed[0] == printed[1]
 
 
 def _outputs(tmp_path: Path, hash_seed: str) -> dict[str, bytes]:
