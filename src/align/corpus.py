@@ -752,17 +752,35 @@ def _json(value, indent: str) -> str:
     return _SCALARS[kind](value)
 
 
+def _pieces(value, indent: str, levels: int) -> list[str]:
+    """Strings that join to _json(value, indent): the brackets, separators and keys
+    of the outer `levels` container levels, and one _json text per item below them."""
+    kind = type(value)
+    if not levels or not (kind is dict or kind is list or kind is tuple) or not value:
+        return [_json(value, indent)]
+    inner, (first, last) = indent + "  ", "{}" if kind is dict else "[]"
+    pieces, head = [], f"{first}\n{inner}"
+    for key, item in sorted(value.items()) if kind is dict else enumerate(value):
+        pieces.append(f"{head}{encode_basestring_ascii(key)}: " if kind is dict else head)
+        pieces += _pieces(item, inner, levels - 1)
+        head = f",\n{inner}"
+    return pieces + [f"\n{indent}{last}"]
+
+
 def write_json(path: Path, data) -> Path:
     """Write `data` to `path`, making its directory, as UTF-8 JSON: indented
-    by 2, keys sorted, a final newline, the bytes json.dumps writes. NaN and
-    Infinity are not JSON numbers, and only input times that overflow a
-    statistic make one: an InputError naming `path`."""
+    by 2, keys sorted, a final newline, the bytes json.dumps writes. The text
+    is encoded in full before the file is opened and then written in pieces,
+    so writing holds about one copy of it. NaN and Infinity are not JSON
+    numbers, and only input times that overflow a statistic make one: an
+    InputError naming `path`, and no file is written."""
     try:
-        text = _json(data, "")
+        pieces = _pieces(data, "", 2) + ["\n"]
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n", encoding="utf-8")
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.writelines(pieces)
     return path
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -113,4 +114,41 @@ def write_fixture_inputs(tmp: Path) -> dict[str, Path]:
         target = tmp / name
         target.write_bytes((DATA / name).read_bytes())
         paths[name.split(".")[0]] = target
+    return paths
+
+
+def write_random_raw_files(rng, directory: Path) -> dict[str, Path]:
+    """The four raw input files of a small random corpus on the fixture network,
+    written into `directory`: four teams whose dialogue holds node names, verbs
+    and markers, edits that add absent edges and remove present ones, and one or
+    two submits per team."""
+    net = network()
+    words = [node.name for node in net.nodes] + "add remove to and uh um oh yes no".split()
+    rows = {"transcripts": [["team", "speaker", "start_sec", "end_sec", "utterance"]],
+            "events": [["team", "time_sec", "event", "u", "v", "cost"]],
+            "tests": [["team", "speaker", "pre", "post"]]}
+    for team in sorted(rng.sample(range(1, 100), 4)):
+        time, built = 0.0, set()
+        for _ in range(rng.randrange(8, 25)):
+            length = rng.choice([0.5, 1.0, rng.uniform(0.2, 4)])  # equal lengths tie
+            text = " ".join(rng.choice(words) for _ in range(rng.randrange(1, 8)))
+            rows["transcripts"].append([team, rng.choice("AABBI"), time, time + length, text])
+            if rng.random() < 0.6:
+                u, v, _ = rng.choice(net.edges)
+                kind = "remove" if (u, v) in built else "add"
+                built ^= {(u, v)}
+                rows["events"].append([team, time + length, kind, net.id_to_name[u],
+                                       net.id_to_name[v], ""])
+            time += length + rng.choice([0.0, rng.uniform(0, 2)])
+        for submit in sorted(rng.uniform(1, time + 1) for _ in range(rng.randrange(1, 3))):
+            rows["events"].append([team, submit, "submit", "", "", net.optimal_cost
+                                   + rng.randrange(0, 6)])
+        for speaker in "AB":
+            rows["tests"].append([team, speaker, rng.randrange(0, 11), rng.randrange(0, 11)])
+    paths = {"network": directory / "network.json"}
+    paths["network"].write_bytes((DATA / "network.json").read_bytes())
+    for name, table in rows.items():
+        paths[name] = directory / f"{name}.csv"
+        with open(paths[name], "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(table)
     return paths

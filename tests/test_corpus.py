@@ -10,6 +10,7 @@ import json
 import math
 import sys
 import tempfile
+import tracemalloc
 from decimal import Decimal
 from operator import attrgetter
 from pathlib import Path
@@ -662,13 +663,22 @@ _json_scalars = (st.none() | st.booleans() | st.integers(-2**200, 2**200)
                  | st.floats(allow_nan=False, allow_infinity=False)
                  | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7])
                  | _json_text)
-_json_values = st.recursive(_json_scalars, lambda children: (
-    st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(_json_text, children, max_size=4)), max_leaves=20)
+
+
+def _containers(children, max_size: int):
+    return (st.lists(children, max_size=max_size) | st.lists(children, max_size=max_size).map(tuple)
+            | st.dictionaries(_json_text, children, max_size=max_size))
+
+
+_json_values = st.recursive(_json_scalars, lambda children: _containers(children, 4),
+                            max_leaves=20)
+# write_json splits the two outer container levels into pieces: there, up to 8 items
+_json_documents = _json_values | _containers(
+    _json_values | _containers(_json_scalars | _containers(_json_scalars, 4), 8), 8)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_json_values)
+@given(_json_documents)
 def test_property_write_json_writes_what_json_dumps_writes(value):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_json(Path(tmp) / "value.json", value)
@@ -701,6 +711,45 @@ def test_write_json_refuses_what_is_not_a_json_type(tmp_path, value):
         write_json(path, value)
     assert str(excinfo.value) == str(stdlib.value)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [
+    {"a": [1, 2], "b": [3, math.nan]},  # refused in the second level's last piece
+    {"a": [1, 2], "b": [{"c": [math.inf]}]},  # refused below the split
+    {1, 2},  # the document is not a JSON type
+    [[1, 2], {3}],  # nor is the top level's last item
+], ids=["NaN at the second level", "infinity below it", "set", "set at the top level"])
+def test_write_json_encodes_everything_before_it_opens_the_file(tmp_path, value):
+    """A refused value leaves an existing file's bytes as they were."""
+    path = tmp_path / "value.json"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises((InputError, TypeError)) as excinfo:
+        write_json(path, value)
+    if excinfo.type is InputError:
+        assert str(excinfo.value).startswith(f"{path}: Out of range float values")
+    assert path.read_bytes() == b"old bytes\n"
+
+
+def test_save_corpus_holds_about_one_copy_of_the_text(tmp_path):
+    """Writing corpus.json allocates at most 1.5 times its size above what the
+    built corpus holds: the text is never joined into one string or encoded at once."""
+    net = network()
+    words = "bern to zurich uh oh mount luzern basel gallen".split()
+    teams = tuple(make_team(team, net, [
+        ("AB"[i % 2], float(i), i + 0.5, " ".join(words[(team + i + k) % len(words)]
+                                                  for k in range(i % 7 + 1)))
+        for i in range(120)], submit_rows=[(200.0, net.optimal_cost)]) for team in range(60))
+    corpus = Corpus(network=net, teams=teams)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        path = save_corpus(corpus, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 500_000
+    assert peak <= 1.5 * size, f"peak {peak} bytes for a {size}-byte corpus.json"
 
 
 # --- corpus.json --------------------------------------------------------------

@@ -10,6 +10,7 @@ import gc
 import importlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from _builders import DATA
+from _builders import DATA, write_random_raw_files
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -194,16 +195,23 @@ def test_p_values_keep_their_bits_in_either_load_order():
     assert printed[0] == printed[1]
 
 
-def _outputs(tmp_path: Path, hash_seed: str) -> dict[str, bytes]:
-    """Stdout and every file of ingest + all (csv, json), run under one hash seed, and
-    the corpus saved again with every other utterance start an int, so that the
+def _outputs(tmp_path: Path, hash_seed: str, raw: list[dict[str, Path]]) -> dict[str, bytes]:
+    """Stdout and every file of ingest + all (csv, json) on the fixture and on
+    each of the `raw` input files, run under one hash seed, and the fixture
+    corpus saved again with every other utterance start an int, so that the
     writer meets columns of mixed types."""
+    runs = [(INGEST, "corpus")] + [(
+        ["ingest", *(f"--{name}={paths[name]}" for name in ("transcripts", "events", "network",
+                                                           "tests"))], f"random{i}")
+        for i, paths in enumerate(raw)]
     code = ("import sys\nfrom dataclasses import replace\nfrom align.cli import main\n"
             "from align.corpus import load_corpus, save_corpus\n"
-            f"if (main({INGEST + ['--out', 'corpus']!r})\n"
-            "        or main(['all', '--corpus', 'corpus', '--out', 'csv'])\n"
-            "        or main(['all', '--corpus', 'corpus', '--out', 'json', '--format', 'json'])):\n"
-            "    sys.exit(1)\n"
+            f"for ingest, out in {runs!r}:\n"
+            "    if (main(ingest + ['--out', out])\n"
+            "            or main(['all', '--corpus', out, '--out', out + '/csv'])\n"
+            "            or main(['all', '--corpus', out, '--out', out + '/json',\n"
+            "                     '--format', 'json'])):\n"
+            "        sys.exit(1)\n"
             "corpus = load_corpus('corpus')\n"
             "save_corpus(replace(corpus, teams=tuple(replace(team, utterance_rows=tuple(\n"
             "    u._replace(start=int(u.start)) if i % 2 else u for i, u in enumerate(\n"
@@ -229,8 +237,15 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     other = next((seed for seed in map(str, range(2, 10)) if _speaker_order(seed) != first_order),
                  None)
     assert other is not None
-    first, second = _outputs(tmp_path, "1"), _outputs(tmp_path, other)
-    assert len(first) > 20  # corpus.json twice, 3 tables and 4 analyses in two formats
+    rng = random.Random(2101)
+    raw = []
+    for i in range(3):  # three small random corpora besides the fixture
+        (tmp_path / f"raw{i}").mkdir()
+        raw.append(write_random_raw_files(rng, tmp_path / f"raw{i}"))
+    first, second = _outputs(tmp_path, "1", raw), _outputs(tmp_path, other, raw)
+    # stdout; per input, corpus.json, 3 tables in each format and 4 analyses as 3 csv
+    # files or 1 json file; the mixed corpus.json
+    assert len(first) == 1 + 4 * (1 + 2 * 3 + 4 * 3 + 4) + 1
     assert first["mixed/corpus.json"] != first["corpus/corpus.json"]
     assert first.keys() == second.keys()
     for name in first:

@@ -871,11 +871,14 @@ def _byte_mutated_raw_input(draw):
 @given(_byte_mutated_raw_input())
 @example(("transcripts.csv", _PAST_FIELD_LIMIT))
 def test_property_byte_mutated_raw_inputs_exit_0_or_2(mutated):
-    """`align ingest` on the fixture inputs, one of them byte-mutated, exits 0 or 2;
-    so does `align all` after an exit 0. On exit 2 the one error line names an input
-    file: the mutated one, or one whose rows the mutation leaves without a match (an
-    event's node renamed in network.json, a team renumbered in transcripts.csv)."""
-    name, data = mutated
+    _assert_ingest_exits_0_or_2(*mutated)
+
+
+def _assert_ingest_exits_0_or_2(name: str, data: bytes) -> None:
+    """`align ingest` on the fixture inputs, the file `name` holding `data`, exits 0
+    or 2; so does `align all` after an exit 0. On exit 2 the one error line names an
+    input file: the mutated one, or one whose rows the mutation leaves without a match
+    (an event's node renamed in network.json, a team renumbered in transcripts.csv)."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_fixture_inputs(Path(tmp))
         (Path(tmp) / name).write_bytes(data)
@@ -891,6 +894,50 @@ def test_property_byte_mutated_raw_inputs_exit_0_or_2(mutated):
         assert re.fullmatch(f"error: ({named}): [^\n]+\n", stderr.getvalue())
     else:
         assert stderr.getvalue() == ""
+
+
+@st.composite
+def _mutated_network_json(draw):
+    """The fixture network.json data with one random field mutation."""
+    data = json.loads((DATA / "network.json").read_text())
+    places = list(_places(data))
+    numbers = [p for p in places if type(_at(data, p)) in (int, float)]
+    edges = data["edges"]
+    mutation = draw(st.sampled_from(["type", "boolean", "huge", "remove", "duplicate",
+                                     "reversed", "self-loop", "end", "node"]))
+    if mutation == "type":  # a value of another JSON type
+        path = draw(st.sampled_from(places))
+        kind = type(_at(data, path))
+        return _replaced(data, path, draw(st.sampled_from(
+            [v for v in (None, True, 0, 0.5, "x", [], {}) if type(v) is not kind])))
+    if mutation == "boolean":  # a boolean where a number is
+        return _replaced(data, draw(st.sampled_from(numbers)), draw(st.booleans()))
+    if mutation == "huge":  # a number no float holds, or a big one that a float does
+        return _replaced(data, draw(st.sampled_from(numbers)), draw(st.sampled_from(
+            [10**400, -10**400, 2**53 + 1, 1e308, -1e308, 2**1024])))
+    if mutation == "remove":  # a key of an object
+        path = draw(st.sampled_from([p for p in places if p and type(p[-1]) is str]))
+        del _at(data, path[:-1])[path[-1]]
+    elif mutation == "duplicate":
+        edges.insert(draw(st.integers(0, len(edges))), dict(draw(st.sampled_from(edges))))
+    elif mutation == "reversed":  # the same edge again, its ends swapped
+        edge = draw(st.sampled_from(edges))
+        edges.append(dict(edge, u=edge["v"], v=edge["u"], cost=draw(st.integers(1, 9))))
+    elif mutation == "self-loop":
+        edge = draw(st.sampled_from(edges))
+        edge["v"] = edge["u"]
+    elif mutation == "end":  # another node, declared or not
+        draw(st.sampled_from(edges))[draw(st.sampled_from(["u", "v"]))] = draw(st.integers(0, 11))
+    else:  # a node again, under its own or another id
+        node = dict(draw(st.sampled_from(data["nodes"])))
+        data["nodes"].append(dict(node, id=draw(st.sampled_from([node["id"], 11]))))
+    return data
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_mutated_network_json())
+def test_property_mutated_network_json_exits_0_or_2(data):
+    _assert_ingest_exits_0_or_2("network.json", json.dumps(data).encode())
 
 
 _TOO_BIG = ("100000000000000000...0000000000000000000 is above the largest float "
