@@ -17,7 +17,7 @@ from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from itertools import islice, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, attrgetter, gt, itemgetter
 from pathlib import Path
@@ -86,19 +86,21 @@ class Network:
             raise InputError("duplicate node names after case-folding")
         ids = Counter(n.id for n in self.nodes)
         if len(ids) != len(self.nodes):
-            raise InputError("node id {} appears {} times".format(*ids.most_common(1)[0]))
+            node, count = ids.most_common(1)[0]
+            raise InputError(f"node id {reprlib.repr(node)} appears {count} times")
         seen = set()
         for u, v, cost in self.edges:
+            edge = f"({reprlib.repr(u)},{reprlib.repr(v)})"  # an id may be any JSON integer
             if u not in ids or v not in ids:
-                raise InputError(f"edge ({u},{v}) references undeclared node")
+                raise InputError(f"edge {edge} references undeclared node")
             if u == v:
-                raise InputError(f"edge ({u},{v}) joins node {u} to itself")
+                raise InputError(f"edge {edge} joins node {reprlib.repr(u)} to itself")
             if not u < v:
-                raise InputError(f"edge ({u},{v}) not in canonical u < v order")
+                raise InputError(f"edge {edge} not in canonical u < v order")
             if (u, v) in seen:
-                raise InputError(f"duplicate edge ({u},{v})")
-            if _check_cost(cost, f"edge ({u},{v}) cost") <= 0:
-                raise InputError(f"edge ({u},{v}) has non-positive cost")
+                raise InputError(f"duplicate edge {edge}")
+            if _check_cost(cost, f"edge {edge} cost") <= 0:
+                raise InputError(f"edge {edge} has non-positive cost")
             seen.add((u, v))
         self.optimal_cost  # an unconnected network has none: refused here, not at a submit
 
@@ -123,7 +125,7 @@ class Network:
         """The canonical edge joining nodes u and v; InputError if there is none."""
         for node in (u, v):
             if node not in self.id_to_name:
-                raise InputError(f"unknown node id {node}")
+                raise InputError(f"unknown node id {reprlib.repr(node)}")
         edge = (u, v) if u < v else (v, u)
         if edge not in self.edge_set:
             raise InputError(f"({self.id_to_name[u]},{self.id_to_name[v]}) is not a network edge")
@@ -240,8 +242,8 @@ def _read_json(path: Path, what: str, parse):
         raise InputError(f"{path}: invalid JSON ({exc})") from None
 
 
-def _field_value(field: str, kind: type, column: str):
-    """A field of `column` read as `kind`, int or float; a float must be finite."""
+def _field_value(field: str, kind: Callable, column: str):
+    """A field of `column` read as `kind`: int, float (a finite one), str.strip or str."""
     try:
         value = kind(field)
         if kind is float and not math.isfinite(value):
@@ -251,78 +253,30 @@ def _field_value(field: str, kind: type, column: str):
     return value
 
 
-class _Rows:
-    """The rows of a table, checked a column at a time, with the error that a
-    check of one row at a time meets first: the first error in file order,
-    and in one row the check that comes first.
-
-    `count` is the number of rows before the first failing row found so far.
-    Each check looks only at those rows, and the checks run in the order in
-    which one row's are made, so a later check can win only on an earlier
-    row. `where(row)`, if given, names the file and line of a failing row.
-    """
-
-    def __init__(self, count: int, where: Callable[[int], str] | None = None):
-        self.count = count
-        self.error: str | None = None
-        self.where = where
-
-    def scan(self, check: Callable, *columns: Sequence) -> None:
-        """check(*values) of each row before `count`, in order, up to the first
-        that raises an InputError: that row fails with it."""
-        for row, values in enumerate(islice(zip(*columns), self.count)):
-            try:
-                check(*values)
-            except InputError as exc:
-                self.count, self.error = row, str(exc)
-                return
-
-    def read(self, fields: Sequence[str], kind: Callable, column: str) -> Sequence:
-        """The fields of `column` read as `kind`: int, float (a finite one),
-        str.strip, or str (as they are). A field that is no such value fails
-        its row, and only the fields before the first failing row are read."""
-        if kind is str:
-            return fields
-        try:
-            values = list(map(kind, fields))
-            if kind is not float or all(map(math.isfinite, values)):
-                return values
-        except ValueError:
-            pass
-        self.scan(partial(_field_value, kind=kind, column=column), fields)
-        return list(map(kind, fields[:self.count]))
-
-    def raise_first(self) -> None:
-        """Raise the first error, if a row failed."""
-        if self.error is not None:
-            where = f"{self.where(self.count)}: " if self.where else ""
-            raise InputError(where + self.error)
-
-
-def _csv_rows(text: str, count: int | None = None) -> tuple[list[list[str]], int, str | None]:
-    """The first `count` (or all) non-blank rows after the header of CSV `text`,
-    read one at a time up to a line that the csv module cannot parse; the line
-    the reader is on then, and its error, if it met one."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader, None)  # the header, which parsed once already
-    rows = []
+def _parsed(fields: Sequence[str], kind: Callable) -> Sequence | None:
+    """_field_value of each field, a column at a time; None if any field fails."""
+    if kind is str:
+        return fields
     try:
-        for fields in islice(filter(None, reader), count):
-            rows.append(fields)
-    except csv.Error as exc:
-        return rows, reader.line_num, str(exc)
-    return rows, reader.line_num, None
+        values = list(map(kind, fields))
+    except ValueError:
+        return None
+    if kind is not float or all(map(math.isfinite, values)):
+        return values
 
 
-def _read_csv(path: str | Path, columns: dict[str, Callable]) -> tuple[_Rows, list[Sequence]]:
-    """The rows of a UTF-8 CSV file whose header is `columns`, a column at a time.
+def _read_csv(path: str | Path, columns: dict[str, Callable], row: Callable,
+              build: Callable) -> list:
+    """The records of a UTF-8 CSV file whose header is `columns`.
 
-    Each column is read as the kind that `columns` gives it (see _Rows.read).
-    A byte order mark may open the file, and blank lines are skipped. The
-    returned _Rows holds the first error in file order, whatever its kind: a
-    line that the csv module cannot parse, a wrong number of fields, or a
-    field of the wrong kind; its errors name the file and line. The caller
-    checks the rows before that error, then calls raise_first.
+    Each column is read as the kind that `columns` gives it (see _field_value).
+    A byte order mark may open the file, and blank lines are skipped. A valid
+    file is read a column at a time: build(*columns) makes its records, or
+    returns None or raises an InputError if a row fails a check. Then the file
+    is read again a row at a time, row(*values) making each row's record, up
+    to its first error, whatever its kind: a line that the csv module cannot
+    parse, a wrong number of fields, a field of the wrong kind or a failed
+    check. That error is raised, naming the file and line.
     """
     try:
         text = Path(path).read_bytes().decode("utf-8-sig")
@@ -336,31 +290,40 @@ def _read_csv(path: str | Path, columns: dict[str, Callable]) -> tuple[_Rows, li
         raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
     if [f.strip() for f in header] != list(columns):
         raise InputError(f"{path}: expected header {','.join(columns)}, got {','.join(header)}")
-    rows = _Rows(0, where=lambda row: f"{path}: line {_csv_rows(text, row + 1)[1]}")
     try:
         records = list(filter(None, reader))
-    except csv.Error:  # read again, up to the line that cannot be parsed
-        records, _, rows.error = _csv_rows(text)
-    rows.count = len(records)
-
-    def count_fields(fields: list[str]) -> None:
-        if len(fields) != len(columns):
-            raise InputError(f"expected {len(columns)} fields, got {len(fields)}")
-    if not set(map(len, records)) <= {len(columns)}:
-        rows.scan(count_fields, records)
-    del records[rows.count:]
-    raw = list(zip(*records)) or [()] * len(columns)
-    del records  # each field is now held by its column alone
-    return rows, [rows.read(fields, kind, column)
-                  for fields, (column, kind) in zip(raw, columns.items())]
+    except csv.Error:
+        records = None
+    del reader  # and its copy of the text, before the columns are built
+    if records is not None and set(map(len, records)) <= {len(columns)}:
+        raw = list(zip(*records)) or [()] * len(columns)
+        del records  # each field is now held by its column alone
+        values = list(map(_parsed, raw, columns.values()))
+        try:
+            if None not in values and (built := build(*values)) is not None:
+                return built
+        except InputError:
+            pass
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)  # the header, which parsed once already
+    built = []
+    try:
+        for fields in filter(None, reader):
+            if len(fields) != len(columns):
+                raise InputError(f"expected {len(columns)} fields, got {len(fields)}")
+            built.append(row(*map(_field_value, fields, columns.values(), columns)))
+    except (InputError, csv.Error) as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+    return built
 
 
 # Stored record kinds, each declared once: under the corpus.json list that
 # holds them, an entry's keys and JSON types in the order the kind's builder
-# takes them (after the team, for a team's records). The builder runs the
-# kind's checks and makes the records for the raw loaders and load_corpus
-# alike: a record at a time, or, for utterances and scores, a column at a time
-# through a _Rows. A check's InputError has no location; the caller adds it.
+# takes them (after the team, for a team's records). The kind's row builder
+# runs its checks and makes a record for the raw loaders and load_corpus
+# alike; a column builder (_utterances, _scores) makes the records of valid
+# rows a column at a time, and None if a row fails a check. A check's
+# InputError has no location; the caller adds it.
 _RECORDS = {
     "utterances": {"speaker": str, "start": float, "end": float, "text": str},
     "edits": {"time": float, "kind": str, "u": int, "v": int},
@@ -390,32 +353,20 @@ def _check_time(time: float, name: str) -> float:
     return time or 0.0
 
 
-def _speakers(rows: _Rows, speakers: Sequence[str], allowed: tuple[str, ...]) -> None:
-    if not frozenset(allowed).issuperset(speakers):
-        rows.scan(partial(_check_speaker, allowed=allowed), speakers)
-
-
-def _times(rows: _Rows, times: Sequence[float], name: str) -> list[float]:
-    """_check_time of each time, a column at a time."""
-    if min(times, default=0.0) < 0:
-        rows.scan(partial(_check_time, name=name), times)
-    return list(map(add, times, repeat(0.0)))  # t + 0.0 is t, but 0.0 for -0.0
-
-
-def _check_order(start: float, end: float) -> None:
+def _utterance(team: int, speaker: str, start: float, end: float, text: str) -> UtteranceRow:
+    _check_speaker(speaker, SPEAKERS)
+    start = _check_time(start, "start")
     if start > end:
         raise InputError(f"start {start} after end {end}")
+    return UtteranceRow(team, speaker, start, _check_time(end, "end"), text)
 
 
-def _utterance_rows(rows: _Rows, team: Iterable[int], speaker: Sequence[str],
-                    start: Sequence[float], end: Sequence[float],
-                    text: Sequence[str]) -> list[UtteranceRow]:
-    _speakers(rows, speaker, SPEAKERS)
-    start = _times(rows, start, "start")
-    if any(map(gt, start, end)):
-        rows.scan(_check_order, start, end)
-    end = _times(rows, end, "end")
-    return _named(UtteranceRow, team, speaker, start, end, text)
+def _utterances(team: Iterable[int], speaker: Sequence[str], start: Sequence[float],
+                end: Sequence[float], text: Sequence[str]) -> list[UtteranceRow] | None:
+    if (frozenset(SPEAKERS).issuperset(speaker) and min(start, default=0.0) >= 0
+            and not any(map(gt, start, end))):  # so no end is negative either
+        zeroed = partial(map, add, repeat(0.0))  # t + 0.0 is t, but 0.0 for -0.0
+        return _named(UtteranceRow, team, speaker, zeroed(start), zeroed(end), text)
 
 
 def _edit(team: int, network: Network, time: float, kind: str, u: int, v: int) -> EditEvent:
@@ -440,18 +391,20 @@ def _submit(team: int, network: Network, time: float, cost: int) -> SubmitEvent:
     return SubmitEvent(team=team, time=time, cost=cost)
 
 
-def _check_score(value: int, name: str) -> None:
-    if not 0 <= value <= MAX_SCORE:
-        raise InputError(f"{name} score {value} outside 0..{MAX_SCORE}")
+def _score(team: int, speaker: str, pre: int, post: int) -> TestScores:
+    _check_speaker(speaker, HUMAN_SPEAKERS)
+    for name, value in (("pre", pre), ("post", post)):
+        if not 0 <= value <= MAX_SCORE:
+            raise InputError(f"{name} score {value} outside 0..{MAX_SCORE}")
+    return TestScores(team, speaker, pre, post)
 
 
-def _score_rows(rows: _Rows, team: Iterable[int], speaker: Sequence[str], pre: Sequence[int],
-                post: Sequence[int]) -> list[TestScores]:
-    _speakers(rows, speaker, HUMAN_SPEAKERS)
-    for name, scores in (("pre", pre), ("post", post)):
-        if not frozenset(range(MAX_SCORE + 1)).issuperset(scores):
-            rows.scan(partial(_check_score, name=name), scores)
-    return _named(TestScores, team, speaker, pre, post)
+def _scores(team: Iterable[int], speaker: Sequence[str], pre: Sequence[int],
+            post: Sequence[int]) -> list[TestScores] | None:
+    scores = frozenset(range(MAX_SCORE + 1))
+    if (frozenset(HUMAN_SPEAKERS).issuperset(speaker) and scores.issuperset(pre)
+            and scores.issuperset(post)):
+        return _named(TestScores, team, speaker, pre, post)
 
 
 def load_transcript(path: str | Path) -> list[UtteranceRow]:
@@ -461,22 +414,21 @@ def load_transcript(path: str | Path) -> list[UtteranceRow]:
     rows in the order that TeamCorpus numbers their tokens. Nothing is
     tokenized here; the text of each row is kept as it is written.
     """
-    rows, columns = _read_csv(path, {"team": int, "speaker": str.strip, "start_sec": float,
-                                     "end_sec": float, "utterance": str})
-    records = _utterance_rows(rows, *columns)
-    rows.raise_first()
+    records = _read_csv(path, {"team": int, "speaker": str.strip, "start_sec": float,
+                               "end_sec": float, "utterance": str}, _utterance, _utterances)
     return sorted(records, key=itemgetter(0, 2, 3))
 
 
 def number_utterances(team: int, rows: list[tuple[str, float, float, str]]) -> list[Utterance]:
-    """Tokenize one team's (speaker, start, end, text) rows in (start, end) order.
+    """Tokenize one team's (speaker, start, end, text) rows in the order given,
+    which is (start, end) order for the rows of a TeamCorpus.
 
-    Ties keep their given order. Each utterance's global token offset is the
-    number of tokens before it, which numbers every token of the team uniquely.
+    Each utterance's global token offset is the number of tokens before it,
+    which numbers every token of the team uniquely.
     """
     utterances = []
     offset = 0
-    for speaker, start, end, text in sorted(rows, key=itemgetter(1, 2)):
+    for speaker, start, end, text in rows:
         tokens = tuple(tokenize(text))
         utterances.append(Utterance(team, speaker, start, end, text, tokens, offset))
         offset += len(tokens)
@@ -498,37 +450,32 @@ def load_event_log(path: str | Path, network: Network) -> EventLog:
     Edges are resolved against the network's node names and canonicalized
     u < v. An optional `stop` event marks the experimenter ending the task.
     """
-    edits, submits, stops = [], [], []
-    # one row layout for every event: u and v are node names, only submits set a cost,
-    # and an event leaves the fields it does not use empty
-    rows, (team, time, kind, u, v, cost) = _read_csv(path, {
-        "team": int, "time_sec": float, "event": str.strip, "u": str.strip, "v": str.strip,
-        "cost": str.strip})
     unused = {ADD: ("cost",), REMOVE: ("cost",), "submit": ("u", "v"), "stop": ("u", "v", "cost")}
 
-    def event(team: int, time: float, kind: str, u: str, v: str, cost: str) -> None:
-        kind = kind.lower()
+    def event(team: int, time: float, kind: str, u: str, v: str,
+              cost: str) -> EditEvent | SubmitEvent | tuple[int, float]:
+        time, kind = _check_time(time, "time_sec"), kind.lower()
         for name in unused.get(kind, ()):
             if value := {"u": u, "v": v, "cost": cost}[name]:
                 raise InputError(f"{kind} events leave {name} empty, got {value!r}")
         if kind in (ADD, REMOVE):
-            edits.append(_edit(team, network, time, kind, network.resolve_node(u),
-                               network.resolve_node(v)))
-        elif kind == "submit":
+            return _edit(team, network, time, kind, network.resolve_node(u),
+                         network.resolve_node(v))
+        if kind == "submit":
             if not cost:
                 raise InputError("submit without cost")
-            submits.append(_submit(team, network, time, _field_value(cost, int, "cost")))
-        elif kind == "stop":
-            stops.append((team, time))
-        else:
-            raise InputError(f"unknown event kind {kind!r}")
-    rows.scan(event, team, _times(rows, time, "time_sec"), kind, u, v, cost)
-    rows.raise_first()
-
-    edits.sort(key=attrgetter("team", "time"))
-    submits.sort(key=attrgetter("team", "time"))
-    stops.sort()
-    return EventLog(edits=tuple(edits), submits=tuple(submits), stops=tuple(stops))
+            return _submit(team, network, time, _field_value(cost, int, "cost"))
+        if kind == "stop":
+            return team, time
+        raise InputError(f"unknown event kind {kind!r}")
+    # one row layout for every event: u and v are node names, only submits set a cost,
+    # and an event leaves the fields it does not use empty
+    columns = {"team": int, "time_sec": float, "event": str.strip, "u": str.strip,
+               "v": str.strip, "cost": str.strip}
+    records = _read_csv(path, columns, event, lambda *values: list(map(event, *values)))
+    records.sort(key=itemgetter(0, 1))  # by (team, time), each kind's ties in file order
+    return EventLog(*(tuple(r for r in records if type(r) is kind)
+                      for kind in (EditEvent, SubmitEvent, tuple)))
 
 
 def load_network(path: str | Path) -> Network:
@@ -538,9 +485,8 @@ def load_network(path: str | Path) -> Network:
 
 def load_test_scores(path: str | Path) -> list[TestScores]:
     """Load the tests CSV (team,speaker,pre,post) with 0..MAX_SCORE validation."""
-    rows, columns = _read_csv(path, {"team": int, "speaker": str.strip, "pre": int, "post": int})
-    scores = _score_rows(rows, *columns)
-    rows.raise_first()
+    scores = _read_csv(path, {"team": int, "speaker": str.strip, "pre": int, "post": int},
+                       _score, _scores)
     return sorted(scores, key=attrgetter("team", "speaker"))
 
 
@@ -834,18 +780,14 @@ def _columns(entry: dict, key: str) -> list[list]:
     return [[_field(item, name, kind) for item in items] for name, kind in _RECORDS[key].items()]
 
 
-def _built(entry: dict, key: str, build, *context) -> list:
-    """build(*context, *values) for each record under `key`; map calls build."""
-    return list(map(build, *map(repeat, context), *_columns(entry, key)))
-
-
-def _checked(entry: dict, key: str, build, team: int) -> list:
-    """The records that build(rows, teams, *columns) makes of the team's records
-    under `key`, a column at a time; the first error in record order is raised."""
-    columns = _columns(entry, key)
-    rows = _Rows(len(columns[0]))
-    records = build(rows, repeat(team), *columns)
-    rows.raise_first()
+def _built(entry: dict, key: str, row, *context, build=None) -> list:
+    """row(*context, *values) for each record under `key`, in record order, so the
+    first error in that order is raised. `build`, if given, takes each item of
+    `context` repeated and the columns, and makes the same records a column at
+    a time, or None if a record fails a check."""
+    context, columns = list(map(repeat, context)), _columns(entry, key)
+    if build is None or (records := build(*context, *columns)) is None:
+        records = list(map(row, *context, *columns))
     return records
 
 
@@ -858,7 +800,7 @@ def _network_from_json(data: dict) -> Network:
 def _team_from_json(entry: dict, network: Network) -> TeamCorpus:
     """One team of corpus.json, checked like the raw rows it was saved from."""
     team = _field(entry, "team", int)
-    rows = _checked(entry, "utterances", _utterance_rows, team)
+    rows = _built(entry, "utterances", _utterance, team, build=_utterances)
     first_visual = "B"
     if "first_visual" in entry:
         first_visual = _check_speaker(_field(entry, "first_visual", str), HUMAN_SPEAKERS)
@@ -869,7 +811,7 @@ def _team_from_json(entry: dict, network: Network) -> TeamCorpus:
         submits=tuple(_built(entry, "submits", _submit, team, network)),
         stops=tuple(_check_time(_typed(time, float, "each of stops"), "stop time")
                     for time in _field(entry, "stops", list)),
-        scores=tuple(_checked(entry, "scores", _score_rows, team)),
+        scores=tuple(_built(entry, "scores", _score, team, build=_scores)),
         first_visual=first_visual,
     )
 

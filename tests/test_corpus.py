@@ -8,6 +8,7 @@ import dataclasses
 import io
 import json
 import math
+import random
 import sys
 import tempfile
 import tracemalloc
@@ -44,7 +45,7 @@ from align.corpus import (
     write_json,
 )
 from _builders import (DATA, make_edits, make_submits, make_team, network, strict_json,
-                       utterance_rows_of)
+                       utterance_rows_of, write_random_raw_files)
 from _oracles import oracle_load_event_log, oracle_load_test_scores, oracle_load_transcript
 
 
@@ -389,6 +390,82 @@ def test_property_raw_loaders_equal_the_row_at_a_time_oracle(kind, data):
             assert load(path) == expected
 
 
+@st.composite
+def _faulty_team_rows(draw, key: str) -> list[list]:
+    """Valid rows of one team's utterances or scores with zero to three value
+    faults: a speaker outside the allowed set, a negative time, a start after
+    its end, or a score outside 0..10."""
+    if key == "utterances":
+        start = st.floats(0, 100) | st.just(-0.0)
+        rows = draw(st.lists(st.tuples(st.sampled_from(SPEAKERS), start, st.floats(0, 10),
+                                       st.text("ab ,é", max_size=4)), max_size=8))
+        rows = [[speaker, start, start + length, text] for speaker, start, length, text in rows]
+        faults = {"speaker": st.sampled_from(["C", "a", "", "AB"]),
+                  "negative": st.floats(-100, -1e-3), "after": st.floats(1e-3, 10)}
+    else:
+        rows = [[speaker, draw(st.integers(0, 10)), draw(st.integers(0, 10))]
+                for speaker in draw(st.permutations(["A", "B"]))]
+        faults = {"speaker": st.sampled_from(["C", "I", "a"]),
+                  "pre": st.sampled_from([-1, 11, 100]), "post": st.sampled_from([-1, 11, 100])}
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        fault = draw(st.sampled_from(sorted(faults)))
+        value = draw(faults[fault])
+        if fault == "after":  # the start moves past the end
+            row[1] = row[2] + value
+        else:
+            row[{"speaker": 0, "negative": 1, "pre": 1, "post": 2}[fault]] = value
+    return rows
+
+
+# per kind: the CSV header, the corpus.json keys, the oracle, and the loaded team's records
+_TEAM_KINDS = {
+    "utterances": (["team", "speaker", "start_sec", "end_sec", "utterance"],
+                   ["speaker", "start", "end", "text"], oracle_load_transcript,
+                   attrgetter("utterance_rows")),
+    "scores": (["team", "speaker", "pre", "post"], ["speaker", "pre", "post"],
+               oracle_load_test_scores,
+               lambda team: tuple(sorted(team.scores, key=attrgetter("speaker")))),
+}
+
+
+def _same_rows_as_csv_and_as_a_team(rows: list[list], key: str, tmp: Path) -> tuple[Path, Path]:
+    """`rows` of team 10 written as a raw CSV file and as team 10's `key` in the
+    fixture corpus's corpus.json: the CSV path and the corpus directory."""
+    header, keys = _TEAM_KINDS[key][:2]
+    csv_path = tmp / f"{key}.csv"
+    with open(csv_path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([header] + [[10, *row] for row in rows])
+    data = json.loads(save_corpus(_load_fixture_corpus(), tmp / "corpus").read_text())
+    team = next(entry for entry in data["teams"] if entry["team"] == 10)
+    team[key] = [dict(zip(keys, row)) for row in rows]
+    (tmp / "corpus" / "corpus.json").write_text(json.dumps(data))
+    return csv_path, tmp / "corpus"
+
+
+@pytest.mark.parametrize("key", _TEAM_KINDS)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_property_load_corpus_raises_the_first_error_of_the_row_at_a_time_oracle(key, data):
+    """The same rows as a raw CSV file and as a corpus.json team: load_corpus
+    raises the oracle's first error, naming the team where the oracle names the
+    line, or reads the oracle's records."""
+    *_, oracle, records = _TEAM_KINDS[key]
+    rows = data.draw(_faulty_team_rows(key))
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, corpus_dir = _same_rows_as_csv_and_as_a_team(rows, key, Path(tmp))
+        try:
+            expected = oracle(csv_path)
+        except InputError as exc:
+            message = str(exc).split(": ", 2)[2]  # after "<path>: line <n>: "
+            with pytest.raises(InputError) as got:
+                load_corpus(corpus_dir)
+            assert str(got.value) == f"{corpus_dir / 'corpus.json'}: team 10: {message}"
+        else:
+            team = next(tc for tc in load_corpus(corpus_dir).teams if tc.team == 10)
+            assert records(team) == tuple(expected)
+
+
 # --- action stream ----------------------------------------------------------
 
 def test_four_edits_two_turns():
@@ -652,6 +729,34 @@ def test_load_corpus_reads_negative_zero_times_as_zero(tmp_path):
                                      tmp_path / "resaved").read_text()
 
 
+def test_load_corpus_reads_utterances_shuffled_within_a_team_as_the_sorted_file(tmp_path):
+    """load_corpus sorts each team's utterances by (start, end), so a corpus.json
+    that holds them in another order gives the same utterances, and `align all`
+    writes the same bytes, as the file that `align ingest` wrote."""
+    from align.cli import main
+    paths = write_random_raw_files(random.Random(3), tmp_path)
+    ingested, shuffled = tmp_path / "ingested", tmp_path / "shuffled"
+    assert main(["ingest", "--transcripts", str(paths["transcripts"]),
+                 "--events", str(paths["events"]), "--network", str(paths["network"]),
+                 "--tests", str(paths["tests"]), "--out", str(ingested)]) == 0
+    data = json.loads((ingested / "corpus.json").read_text())
+    rng = random.Random(4)
+    for team in data["teams"]:
+        rows = list(team["utterances"])
+        while len(rows) > 1 and team["utterances"] == rows:
+            rng.shuffle(team["utterances"])
+    shuffled.mkdir()
+    (shuffled / "corpus.json").write_text(json.dumps(data))
+    assert ([tc.utterances for tc in load_corpus(shuffled).teams]
+            == [tc.utterances for tc in load_corpus(ingested).teams])
+    for corpus_dir in (ingested, shuffled):
+        assert main(["all", "--corpus", str(corpus_dir), "--out", str(corpus_dir / "all")]) == 0
+    written = sorted((ingested / "all").iterdir())
+    assert len(written) > 10
+    for path in written:
+        assert path.read_bytes() == (shuffled / "all" / path.name).read_bytes(), path.name
+
+
 # --- the JSON writer ---------------------------------------------------------
 
 # Text that json.dumps escapes: quotes, backslashes, control characters,
@@ -750,6 +855,30 @@ def test_save_corpus_holds_about_one_copy_of_the_text(tmp_path):
     size = path.stat().st_size
     assert size >= 500_000
     assert peak <= 1.5 * size, f"peak {peak} bytes for a {size}-byte corpus.json"
+
+
+def test_load_transcript_frees_the_csv_reader_before_it_builds_the_columns(tmp_path):
+    """Reading a valid transcript peaks at most 2.6 times the memory of the rows
+    it returns: the csv reader and its copy of the text go before the columns
+    are built (2.4 times here; 3.0 times with the reader kept alive)."""
+    words = "bern to zurich uh oh mount luzern basel gallen".split()
+    path = tmp_path / "transcripts.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["team", "speaker", "start_sec", "end_sec", "utterance"])
+        writer.writerows([team, "AB"[i % 2], float(i), i + 0.5,
+                          " ".join(words[(team + i + k) % len(words)] for k in range(i % 7 + 1))]
+                         for team in range(80) for i in range(180))
+    assert path.stat().st_size >= 500_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = load_transcript(path)
+        kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 80 * 180
+    assert peak <= 2.6 * kept, f"peak {peak} bytes for {kept} bytes of rows"
 
 
 # --- corpus.json --------------------------------------------------------------

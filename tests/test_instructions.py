@@ -167,8 +167,9 @@ def test_property_the_stream_holds_only_says_and_edits(utterance_rows, edit_rows
     # the matcher calls check_match on every event that is not a says event,
     # so each of those must be an edit that carries its edge
     names = {n.id: n.name for n in NET.nodes}
-    utterances = number_utterances(1, [(speaker, t, t + 0.5, " ".join(words))
-                                       for speaker, t, words in utterance_rows])
+    utterances = number_utterances(1, sorted([(speaker, t, t + 0.5, " ".join(words))
+                                              for speaker, t, words in utterance_rows],
+                                             key=lambda row: row[1:3]))
     edits = make_edits(1, NET, [(t, kind, names[NET.edges[e][0]], names[NET.edges[e][1]])
                                 for t, kind, e in edit_rows])
     stream = build_action_stream(utterances, edits, make_submits(1, submit_rows), first_visual)

@@ -12,6 +12,7 @@ import json
 import math
 import operator
 import re
+import reprlib
 import sys
 import tempfile
 from pathlib import Path
@@ -605,6 +606,14 @@ def _set(entry, key, value):
     entry[key] = value
 
 
+_HUGE = 10**400  # a JSON integer of 401 digits, which reprlib shortens to 40 characters
+
+
+def _loop_on_a_huge_node(net):
+    net["nodes"].append({"id": _HUGE, "name": "Atlantis", "label": "", "x": 0, "y": 0})
+    net["edges"].append({"u": _HUGE, "v": _HUGE, "cost": 1})
+
+
 # network.json edits that load_network and load_corpus reject, with the message
 _BAD_NETWORKS = [
     (lambda net: net.update(nodes=net["nodes"][:1], edges=[]),
@@ -628,6 +637,14 @@ _BAD_NETWORKS = [
     (lambda net: net["edges"].append({"u": 2, "v": 1, "cost": 5}), "duplicate edge (1,2)"),
     (lambda net: _set(net["edges"][0], "cost", 0), "edge (1,2) has non-positive cost"),
     (lambda net: _set(net["edges"][0], "v", 99), "edge (1,99) references undeclared node"),
+    # an id may be any JSON integer; a message shows a huge one shortened, as reprlib does
+    (lambda net: _set(net["edges"][0], "v", _HUGE),
+     f"edge (1,{reprlib.repr(_HUGE)}) references undeclared node"),
+    (lambda net: [_set(node, "id", _HUGE) for node in net["nodes"][:2]],
+     f"node id {reprlib.repr(_HUGE)} appears 2 times"),
+    (_loop_on_a_huge_node,
+     f"edge ({reprlib.repr(_HUGE)},{reprlib.repr(_HUGE)}) joins node {reprlib.repr(_HUGE)} "
+     "to itself"),
     # a name that transcripts do not read as one token would never be recognised
     (lambda net: _set(net["nodes"][0], "name", "St Luzern"),
      "node name 'St Luzern' is not one token: transcripts read it as ['st', 'luzern']"),
@@ -643,8 +660,7 @@ def test_cli_ingest_rejects_bad_network_with_exit_2(tmp_path, capsys, edit, mess
     edit(data)
     paths["network"].write_text(json.dumps(data))
     assert _ingest_rc(paths, tmp_path / "c") == 2
-    err = capsys.readouterr().err
-    assert f"error: {paths['network']}: {message}" in err and "Traceback" not in err
+    assert capsys.readouterr().err == f"error: {paths['network']}: {message}\n"
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -665,6 +681,8 @@ def test_cli_ingest_rejects_bad_network_with_exit_2(tmp_path, capsys, edit, mess
     (lambda data: _set(data["teams"][0]["submits"][0], "cost", 5),
      "team 10: submitted cost 5 below optimal 12"),
     (lambda data: _set(data["teams"][0]["edits"][0], "v", 99), "team 10: unknown node id 99"),
+    (lambda data: _set(data["teams"][0]["edits"][0], "v", _HUGE),
+     f"team 10: unknown node id {reprlib.repr(_HUGE)}"),
     (lambda data: data["teams"][0]["edits"][0].update(u=1, v=3),
      "team 10: (Luzern,Montreux) is not a network edge"),
     (lambda data: data["teams"][1].update(edits=[], stops=[], submits=[{"time": 0.0, "cost": 13}]),
