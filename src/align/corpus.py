@@ -386,8 +386,8 @@ def _check_cost(cost: int, name: str) -> int:
 def _submit(team: int, network: Network, time: float, cost: int) -> SubmitEvent:
     time = _check_time(time, "time")
     if _check_cost(cost, "submitted cost") < network.optimal_cost:
-        raise InputError(f"submitted cost {cost} below optimal {network.optimal_cost} "
-                         "(a solution spans all nodes)")
+        raise InputError(f"submitted cost {reprlib.repr(cost)} below optimal "
+                         f"{reprlib.repr(network.optimal_cost)} (a solution spans all nodes)")
     return SubmitEvent(team=team, time=time, cost=cost)
 
 
@@ -395,7 +395,7 @@ def _score(team: int, speaker: str, pre: int, post: int) -> TestScores:
     _check_speaker(speaker, HUMAN_SPEAKERS)
     for name, value in (("pre", pre), ("post", post)):
         if not 0 <= value <= MAX_SCORE:
-            raise InputError(f"{name} score {value} outside 0..{MAX_SCORE}")
+            raise InputError(f"{name} score {reprlib.repr(value)} outside 0..{MAX_SCORE}")
     return TestScores(team, speaker, pre, post)
 
 
@@ -626,17 +626,18 @@ def check_teams(corpus: Corpus, *, teams_file: str | Path, scores_file: str | Pa
         raise InputError(f"{teams_file}: no teams")
     appearances = Counter(tc.team for tc in corpus.teams)
     for tc in corpus.teams:
+        team = reprlib.repr(tc.team)
         if appearances[tc.team] > 1:
-            raise InputError(f"{teams_file}: team {tc.team} appears twice")
+            raise InputError(f"{teams_file}: team {team} appears twice")
         for speaker in HUMAN_SPEAKERS:
             rows = sum(s.speaker == speaker for s in tc.scores)
             if rows != 1:
                 has = f"has {rows} test-score rows" if rows else "has no test scores"
-                raise InputError(f"{scores_file}: team {tc.team} {has} for speaker {speaker}")
+                raise InputError(f"{scores_file}: team {team} {has} for speaker {speaker}")
         if not tc.submits:
-            raise InputError(f"{events_file}: team {tc.team} submitted no solution")
+            raise InputError(f"{events_file}: team {team} submitted no solution")
         if not tc.duration > 0:
-            raise InputError(f"{events_file}: team {tc.team} has duration {tc.duration}; "
+            raise InputError(f"{events_file}: team {team} has duration {tc.duration}; "
                              "its last event must come after time 0")
 
 
@@ -775,9 +776,16 @@ def _records(entry: dict, key: str) -> list[dict]:
 
 
 def _columns(entry: dict, key: str) -> list[list]:
-    """The values of the records under `key`, a list per key that _RECORDS declares."""
-    items = _records(entry, key)
-    return [[_field(item, name, kind) for item in items] for name, kind in _RECORDS[key].items()]
+    """The values of the records under `key`, a list per key of _RECORDS. A column with
+    a value of another kind, or none, is read again an item at a time for its first error."""
+    items, columns = _records(entry, key), []
+    for name, kind in _RECORDS[key].items():
+        column = list(map(dict.get, items, repeat(name)))
+        if not (set(map(type, column)) <= {kind}
+                and (kind is not float or all(map(math.isfinite, column)))):
+            column = [_field(item, name, kind) for item in items]
+        columns.append(column)
+    return columns
 
 
 def _built(entry: dict, key: str, row, *context, build=None) -> list:
@@ -833,7 +841,7 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
             teams.append(_team_from_json(entry, network))
         except InputError as exc:
             team = entry.get("team")
-            where = f"team {team}" if type(team) is int else f"teams[{index}]"
+            where = f"team {reprlib.repr(team)}" if type(team) is int else f"teams[{index}]"
             raise InputError(f"{path}: {where}: {exc}") from None
     corpus = Corpus(network=network, teams=tuple(teams))
     check_teams(corpus, teams_file=path, scores_file=path, events_file=path)

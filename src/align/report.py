@@ -18,15 +18,14 @@ learning groups, or a mean). Two helpers build the cells:
 
 from __future__ import annotations
 
-import csv
 import math
-from collections.abc import Iterable
+import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, groupby, islice, repeat
 from operator import attrgetter
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -379,16 +378,50 @@ RUNNERS = {"h1.1": run_h11, "h1.2": run_h12, "h2.1": run_h21, "h2.2": run_h22}
 # Emission. Identical inputs produce byte-identical files: fixed column
 # orders, shortest-roundtrip float repr, LF newlines, sorted JSON keys.
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list | tuple]) -> None:
-    """A CSV table; csv.writer writes None as an empty cell, a float by repr
-    and any other value by str. It quotes a cell holding a character of its
-    line terminator, and LF alone would leave a bare CR unquoted, so rows are
-    written with the terminator CR LF, which then goes out as LF."""
+_SPECIAL = re.compile('[,"\r\n]').search  # a character that csv.writer quotes
+_PLAIN = frozenset({float, int, bool})  # the types "%s" writes as csv.writer does
+_BATCH = 256  # rows formatted and written at a time
+
+
+def _column_cells(column: list) -> list | None:
+    """The column with None as "" and each str cell that holds a comma, a quote, CR
+    or LF in double quotes, its quotes doubled (csv.writer quotes a character of
+    its line terminator, CR LF); None if "%s" writes every cell as it is."""
+    kinds = set(map(type, column))
+    if kinds <= _PLAIN or kinds == {str} and not _SPECIAL("".join(column)):
+        return None
+    if not kinds <= _PLAIN | {str, type(None)}:
+        raise TypeError(f"a CSV cell is a str, float, int, bool or None, not {kinds}")
+    if type(None) in kinds:
+        column = ["" if cell is None else cell for cell in column]
+    for index in compress(range(len(column)), map(_SPECIAL, map(str, column))):
+        column[index] = '"%s"' % column[index].replace('"', '""')
+    return column
+
+
+def _text(rows: list) -> str:
+    """The lines of `rows`, a column at a time; a lone empty cell is "", as csv.writer writes it."""
+    text = []
+    for width, group in groupby(rows, len):
+        cells = list(chain.from_iterable(group))
+        for column in range(width):
+            if (fixed := _column_cells(cells[column::width])) is not None:
+                cells[column::width] = fixed
+        if width == 1:
+            cells = [cell if cell != "" else '""' for cell in cells]
+        text.append((",".join(["%s"] * width) + "\n") * (len(cells) // width) % tuple(cells))
+    return "".join(text)
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
+    """A CSV table, byte for byte as csv.writer with the line terminator CR LF writes
+    it but with LF for each row's CR LF: "%s" writes a float and an int by repr and a
+    bool as True or False. Rows are written as they come, a batch at a time."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = iter(rows)
+    batches = iter(lambda: list(islice(rows, _BATCH)), [])
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        write = handle.write  # csv.writer writes one whole row per call
-        csv.writer(SimpleNamespace(write=lambda row: write(row[:-2] + "\n")),
-                   lineterminator="\r\n").writerows(chain([header], rows))
+        handle.writelines(map(_text, chain([[header]], batches)))
 
 
 def _check_finite(path: Path, values) -> None:
@@ -411,21 +444,17 @@ def emit(report: HypothesisReport, fmt: str, out_dir: str | Path) -> list[Path]:
         return [write_json(out / f"{stem}.json", report.to_dict())]
 
     per_team = out / f"{stem}_per_team.csv"
-    team_rows = [list(row.values()) for row in report.per_team_rows]
-    _check_finite(per_team, [cell for row in team_rows for cell in row if type(cell) is float])
-
+    _check_finite(per_team, [cell for row in report.per_team_rows for cell in row.values()
+                             if type(cell) is float])
     dist_path = out / f"{stem}_distributions.csv"
-    dist_rows = []
-    for series in sorted(report.distributions):
-        by_team = report.distributions[series]
-        for team in sorted(by_team):
-            _check_finite(dist_path, by_team[team])
-            for value in by_team[team]:
-                dist_rows.append([series, team, value])
+    dist_values = [(name, team, values) for name, by_team in sorted(report.distributions.items())
+                   for team, values in sorted(by_team.items())]
+    _check_finite(dist_path, list(chain.from_iterable(values for *_, values in dist_values)))
     # the summary first: write_json refuses a non-finite value before any file is written
     summary = write_json(out / f"{stem}_summary.json", report.summary)
-    _write_csv(per_team, list(report.per_team_rows[0]), team_rows)
-    _write_csv(dist_path, ["series", "team", "value"], dist_rows)
+    _write_csv(per_team, list(report.per_team_rows[0]), map(dict.values, report.per_team_rows))
+    _write_csv(dist_path, ["series", "team", "value"], chain.from_iterable(
+        zip(repeat(name), repeat(team), values) for name, team, values in dist_values))
     return [per_team, dist_path, summary]
 
 
@@ -433,48 +462,37 @@ def emit_routine_table(pipeline: Pipeline, path: str | Path, task_only: bool = F
     """Routine table CSV across all teams."""
     path = Path(path)
     names = pipeline.corpus.network.node_names
-    rows = []
-    for tp in pipeline.teams:
-        routines = tp.task_routines if task_only else tp.routines
-        for r in routines:
-            rows.append([
-                tp.corpus.team, r.text, r.initiator,
-                r.priming.time, r.establishment.time,
-                r.priming.token_position, r.establishment.token_position,
-                any(tok in names for tok in r.expression),
-            ])
     _write_csv(path, ["team", "expression", "initiator", "priming_time", "establishment_time",
-                      "priming_token_pos", "establishment_token_pos", "contains_referent"], rows)
+                      "priming_token_pos", "establishment_token_pos", "contains_referent"],
+               ((tp.corpus.team, r.text, r.initiator, r.priming.time, r.establishment.time,
+                 r.priming.token_position, r.establishment.token_position,
+                 r.contains_referent(names))
+                for tp in pipeline.teams
+                for r in (tp.task_routines if task_only else tp.routines)))
     return path
 
 
 def emit_annotated_corpus(pipeline: Pipeline, path: str | Path) -> Path:
-    """Annotated corpus CSV: the stream with instructions and verdicts, a row at a time."""
+    """Annotated corpus CSV: the stream with instructions and verdicts, a row per
+    event. A says row's subject is its speaker, I for the robot, and its object
+    the utterance text; an edit row's object is its edge's node names, `u-v`."""
     path = Path(path)
     name = pipeline.corpus.network.id_to_name
+    edges = {edge: f"{name[edge[0]]}-{name[edge[1]]}" for edge in pipeline.corpus.network.edge_set}
 
     def rows():
         for tp in pipeline.teams:
-            for ann in tp.annotated:
-                action = ann.action
-                subject = action.subject
-                if subject is None and action.utterance is not None:
-                    subject = action.utterance.speaker
-                record = ann.record
-                yield [
-                    tp.corpus.team,
-                    subject,
-                    action.verb,
-                    action.utterance.text if action.utterance
-                    else "-".join(name[n] for n in action.edge),
-                    action.time,
-                    action.turn,
-                    action.attempt,
-                    " ".join(str(i) for i in ann.instructions),
-                    record.verdict if record else "-",
-                    str(record.instruction) if record and record.instruction else "",
-                    record.instruction.agent if record and record.instruction else "",
-                ]
+            team = tp.corpus.team
+            for action, instructions, record, *_ in tp.annotated:
+                subject, verb, time, turn, attempt, utterance, edge = action
+                if record is None:  # a says event
+                    yield (team, utterance.speaker, verb, utterance.text, time, turn, attempt,
+                           " ".join(map(str, instructions)) if instructions else "", "-", "", "")
+                else:
+                    instruction = record.instruction
+                    yield (team, subject, verb, edges[edge], time, turn, attempt, "",
+                           record.verdict, instruction and str(instruction),
+                           instruction and instruction.agent)
 
     _write_csv(path, ["team", "subject", "verb", "object", "time", "turn", "attempt",
                       "instructions", "verdict", "matched_instruction", "matched_agent"], rows())

@@ -35,6 +35,10 @@ class Routine(NamedTuple):
     def text(self) -> str:
         return " ".join(self.expression)
 
+    def contains_referent(self, names: frozenset[str]) -> bool:
+        """True when the expression holds at least one node name of `names`."""
+        return not names.isdisjoint(self.expression)
+
 
 def extract_routines(utterances: list[Utterance]) -> list[Routine]:
     """Mine every routine expression from one team's utterances.
@@ -104,9 +108,9 @@ def extract_routines(utterances: list[Utterance]) -> list[Routine]:
 
 
 def filter_task_routines(routines: list[Routine], network: Network) -> list[Routine]:
-    """Keep routines whose expression contains at least one node-name token."""
+    """Keep the routines that contain a referent: the task routines."""
     names = network.node_names
-    return [r for r in routines if any(tok in names for tok in r.expression)]
+    return [r for r in routines if r.contains_referent(names)]
 
 
 @dataclass(frozen=True)

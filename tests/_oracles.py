@@ -6,7 +6,7 @@ enumeration, routines from literal span-containment checks, instructions
 from the documented draft rules, matcher verdicts from a
 replay-from-scratch reconstruction of the pending cache, and the raw CSV
 loaders' records and first errors from reading and checking one row at a
-time.
+time, and CSV tables from the stdlib's csv.writer.
 """
 
 from __future__ import annotations
@@ -441,7 +441,8 @@ def oracle_load_event_log(path, network):
                 raise InputError(f"submitted cost {reprlib.repr(cost)} is above the largest "
                                  f"float {sys.float_info.max!r}")
             if cost < network.optimal_cost:
-                raise InputError(f"submitted cost {cost} below optimal {network.optimal_cost} "
+                raise InputError(f"submitted cost {reprlib.repr(cost)} below optimal "
+                                 f"{reprlib.repr(network.optimal_cost)} "
                                  "(a solution spans all nodes)")
             submits.append(SubmitEvent(team, time, cost))
         elif kind == "stop":
@@ -463,7 +464,23 @@ def oracle_load_test_scores(path):
         _oracle_speaker(speaker, ("A", "B"))
         for name, value in (("pre", pre), ("post", post)):
             if not 0 <= value <= 10:
-                raise InputError(f"{name} score {value} outside 0..10")
+                raise InputError(f"{name} score {reprlib.repr(value)} outside 0..10")
         scores.append(TestScores(team, speaker, pre, post))
     _oracle_rows(path, ["team", "speaker", "pre", "post"], row)
     return sorted(scores, key=attrgetter("team", "speaker"))
+
+
+# --- tables -------------------------------------------------------------------
+
+def oracle_csv(rows) -> bytes:
+    """The bytes that csv.writer with the line terminator CR LF writes for `rows`,
+    with each row's CR LF as LF; a CR LF inside a quoted cell stays."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    lines = []
+    for row in rows:
+        writer.writerow(row)
+        lines.append(buffer.getvalue()[:-2] + "\n")
+        buffer.seek(0)
+        buffer.truncate()
+    return "".join(lines).encode()

@@ -46,7 +46,8 @@ from align.corpus import (
 )
 from _builders import (DATA, make_edits, make_submits, make_team, network, strict_json,
                        utterance_rows_of, write_random_raw_files)
-from _oracles import oracle_load_event_log, oracle_load_test_scores, oracle_load_transcript
+from _oracles import (oracle_csv, oracle_load_event_log, oracle_load_test_scores,
+                      oracle_load_transcript)
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -634,7 +635,9 @@ def test_property_valid_corpora_round_trip(corpus):
 
 
 def _all_runs_in_both_formats(corpus_dir: Path) -> None:
-    """`align all` exits 0 in both formats and writes no NaN or Infinity into a JSON file."""
+    """`align all` exits 0 in both formats and writes no NaN or Infinity into a JSON
+    file. Each CSV file holds the bytes csv.writer writes for the rows csv.reader
+    reads from it, and the annotated corpus has a row per utterance and per edit."""
     from align.cli import main
     for fmt in ("csv", "json"):
         out = corpus_dir / fmt
@@ -643,6 +646,15 @@ def _all_runs_in_both_formats(corpus_dir: Path) -> None:
         assert len(written) == 4
         for path in written:
             strict_json(path)
+    tables = sorted((corpus_dir / "csv").glob("*.csv"))
+    assert len(tables) == 11
+    for path in tables:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert path.read_bytes() == oracle_csv(rows), path.name
+        if path.name == "annotated_corpus.csv":
+            teams = load_corpus(corpus_dir).teams
+            assert len(rows) == 1 + sum(len(tc.utterance_rows) + len(tc.edits) for tc in teams)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -37,6 +37,7 @@ from align.report import (
     run_h22,
 )
 from _builders import DATA, make_team, network, strict_json, write_fixture_inputs
+from _oracles import oracle_csv
 
 NET = network()
 
@@ -380,6 +381,37 @@ def test_write_csv_quotes_a_bare_carriage_return(tmp_path):
         assert list(csv.reader(handle)) == [["n", "text"], *([str(n), text] for n, text in rows)]
 
 
+_CSV_CELLS = {
+    "text": st.text('ab ,"\r\n', max_size=5),
+    "float": st.sampled_from([-0.0, 1e16, 1e-07]) | st.floats(allow_nan=False,
+                                                              allow_infinity=False),
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "none": st.none(),
+}
+
+
+@st.composite
+def _csv_tables(draw):
+    """A header and rows of 2 to 5 columns, each column of one kind of cell or of any."""
+    kinds = draw(st.lists(st.sampled_from([*_CSV_CELLS, "any"]), min_size=2, max_size=5))
+    cells = [st.one_of(*_CSV_CELLS.values()) if kind == "any" else _CSV_CELLS[kind]
+             for kind in kinds]
+    header = draw(st.lists(_CSV_CELLS["text"], min_size=len(kinds), max_size=len(kinds)))
+    return header, draw(st.lists(st.tuples(*cells), max_size=20))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_csv_tables())
+@example((["n", "x"], [(n % 3 or None, f"{n},\r" if n % 2 else n / 7) for n in range(5000)]))
+def test_property_write_csv_writes_what_csv_writer_writes(table):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        _write_csv(path, header, iter(rows))
+        assert path.read_bytes() == oracle_csv([header, *rows])
+
+
 def test_emit_h12_csv_schema(tmp_path):
     team = make_team(1, NET, [("A", 1.0, 2.0, "mount bern"), ("B", 3.0, 4.0, "mount bern")],
                      submit_rows=[(10.0, 12)])
@@ -681,6 +713,11 @@ def test_cli_ingest_rejects_bad_network_with_exit_2(tmp_path, capsys, edit, mess
     (lambda data: _set(data["teams"][0]["submits"][0], "cost", 5),
      "team 10: submitted cost 5 below optimal 12"),
     (lambda data: _set(data["teams"][0]["edits"][0], "v", 99), "team 10: unknown node id 99"),
+    # a team id may be any JSON integer: load_corpus and check_teams show a huge one shortened
+    (lambda data: data["teams"][0].update(team=_HUGE, edits=[{}]),
+     f"team {reprlib.repr(_HUGE)}: missing key 'time'"),
+    (lambda data: data["teams"][0].update(team=_HUGE, submits=[]),
+     f"team {reprlib.repr(_HUGE)} submitted no solution"),
     (lambda data: _set(data["teams"][0]["edits"][0], "v", _HUGE),
      f"team 10: unknown node id {reprlib.repr(_HUGE)}"),
     (lambda data: data["teams"][0]["edits"][0].update(u=1, v=3),
@@ -743,14 +780,21 @@ def test_cli_ingest_rejects_non_finite_numbers_with_exit_2(tmp_path, capsys, fil
         assert str(paths["network"]) in err
 
 
-def test_cli_rejects_non_finite_numbers_in_corpus_with_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("old, new, message", [
+    ('"start": 10.0', '"start": NaN', "invalid JSON (NaN is not a JSON number)"),
+    # a number too large for a float reads as infinity
+    ('"start": 10.0', '"start": 1e999', "team 10: start must be a finite number, got inf"),
+    ('"x": 90.0', '"x": -1e999', "x must be a finite number, got -inf"),
+])
+def test_cli_rejects_non_finite_numbers_in_corpus_with_exit_2(tmp_path, capsys, old, new,
+                                                               message):
     corpus_dir = _ingest(tmp_path)
     path = corpus_dir / "corpus.json"
     text = path.read_text()
-    assert "NaN" not in text and "Infinity" not in text
-    path.write_text(text.replace('"start": 10.0', '"start": NaN', 1))
+    assert "NaN" not in text and "Infinity" not in text and old in text
+    path.write_text(text.replace(old, new, 1))
     assert main(["all", "--corpus", str(corpus_dir)]) == 2
-    assert f"{path}: invalid JSON (NaN is not a JSON number)" in capsys.readouterr().err
+    assert f"{path}: {message}" in capsys.readouterr().err
 
 
 @functools.cache
@@ -1004,6 +1048,10 @@ _BAD_VALUES = [
      f"line 4: submitted cost {_TOO_BIG}",
      lambda teams: _set(teams[0]["submits"][0], "cost", 10**400),
      f"team 10: submitted cost {_TOO_BIG}"),
+    ("events", "10,40.0,submit,,,14", "10,40.0,submit,,,-1" + "0" * 400,
+     f"line 4: submitted cost {reprlib.repr(-_HUGE)} below optimal 12",
+     lambda teams: _set(teams[0]["submits"][0], "cost", -_HUGE),
+     f"team 10: submitted cost {reprlib.repr(-_HUGE)} below optimal 12"),
     ("events", "10,40.0,submit,,,14", "10,40.0,submit,,,", "line 4: submit without cost",
      lambda teams: teams[0]["submits"][0].pop("cost"), "team 10: missing key 'cost'"),
     ("events", "20,18.0,submit", "20,-5.0,submit", "line 13: time_sec -5.0 is negative",
@@ -1015,6 +1063,10 @@ _BAD_VALUES = [
      "team 10: speaker must be one of A, B, got 'I'"),
     ("tests", "10,A,6,8", "10,A,11,8", "line 2: pre score 11 outside 0..10",
      lambda teams: _set(teams[0]["scores"][0], "pre", 11), "team 10: pre score 11 outside 0..10"),
+    ("tests", "10,A,6,8", "10,A,1" + "0" * 400 + ",8",
+     f"line 2: pre score {reprlib.repr(_HUGE)} outside 0..10",
+     lambda teams: _set(teams[0]["scores"][0], "pre", _HUGE),
+     f"team 10: pre score {reprlib.repr(_HUGE)} outside 0..10"),
     ("tests", "10,A,6,8", "10,A,6,-1", "line 2: post score -1 outside 0..10",
      lambda teams: _set(teams[0]["scores"][0], "post", -1),
      "team 10: post score -1 outside 0..10"),
@@ -1028,20 +1080,25 @@ _BAD_VALUES = [
                          ids=[f"{case[0]}: {case[3]}" for case in _BAD_VALUES])
 def test_cli_rejects_bad_value_in_raw_file_and_corpus_with_exit_2(
         tmp_path, capsys, file, row, bad_row, raw_message, edit, json_message):
+    """Exit 2 with the message, which shows a huge number shortened, as reprlib does."""
     corpus_dir = _ingest(tmp_path)
     path = corpus_dir / "corpus.json"
     data = json.loads(path.read_text())
     edit(data["teams"])
     path.write_text(json.dumps(data))
     assert main(["all", "--corpus", str(corpus_dir)]) == 2
-    assert f"error: {path}: {json_message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {path}: {json_message}" in err
+    assert max(len(line.removeprefix(f"error: {path}: ")) for line in err.splitlines()) < 150
 
     paths = write_fixture_inputs(tmp_path)
     text = paths[file].read_text()
     assert row in text
     paths[file].write_text(text.replace(row, bad_row, 1))
     assert _ingest_rc(paths, tmp_path / "c") == 2
-    assert f"error: {paths[file]}: {raw_message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {paths[file]}: {raw_message}" in err
+    assert max(len(line.removeprefix(f"error: {paths[file]}: ")) for line in err.splitlines()) < 150
 
 
 def _replace_bytes(old, new):
