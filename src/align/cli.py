@@ -31,8 +31,9 @@ from .corpus import (
 # the statistics (numpy, scipy). A name already set on this module, such as a
 # wrapper patched in by a tracer, wins over the one in .report; a name deleted
 # after the binding stays deleted.
-_REPORT_NAMES = ("RUNNERS", "Pipeline", "emit", "emit_annotated_corpus", "emit_measures",
-                 "emit_routine_table", "summary_lines")
+_REPORT_NAMES = ("ANALYSES", "RUNNERS", "Pipeline", "annotated_table", "emit",
+                 "emit_annotated_corpus", "emit_measures", "emit_routine_table", "measures_table",
+                 "routine_table", "summary_lines")
 
 # each `align analyze` hypothesis, with the options its runner takes as keyword arguments
 HYPOTHESES = {"h1.1": ("window",), "h1.2": ("markers",), "h2.1": ("window", "grouped"),
@@ -195,11 +196,14 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"wrote {path}")
             print("\n".join(summary_lines(report)))
         elif args.command == "all":
-            emit_routine_table(pipeline, out / "routines.csv")
-            emit_annotated_corpus(pipeline, out / "annotated_corpus.csv")
-            emit_measures(pipeline, out / "task_features.csv")
-            for hypothesis in RUNNERS:
-                report = RUNNERS[hypothesis](pipeline)
+            # one pass over the teams writes the three tables and keeps the analyses' rows
+            analyses = [analysis(pipeline) for analysis in ANALYSES.values()]
+            with routine_table(pipeline, out / "routines.csv") as routines, \
+                    annotated_table(pipeline, out / "annotated_corpus.csv") as annotated, \
+                    measures_table(pipeline, out / "task_features.csv") as measures:
+                pipeline.run(routines, annotated, measures, *analyses)
+            for analysis in analyses:
+                report = analysis.report()
                 emit(report, args.format, out)
                 print("\n".join(summary_lines(report)))
             print(f"wrote outputs to {out}")

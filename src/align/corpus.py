@@ -551,7 +551,8 @@ class TeamCorpus:
 
     `utterance_rows` are the team's transcript rows in (start, end) order, as
     load_transcript sorts them and corpus.json stores them. `utterances`
-    tokenizes and numbers them (number_utterances) on first use.
+    tokenizes and numbers them (number_utterances) afresh on each access: a
+    report's TeamPipeline keeps them for as long as it needs them.
     """
 
     team: int
@@ -562,14 +563,14 @@ class TeamCorpus:
     scores: tuple[TestScores, ...] = ()
     first_visual: str = "B"
 
-    @cached_property
+    @property
     def utterances(self) -> tuple[Utterance, ...]:
         return tuple(number_utterances(self.team, [row[1:] for row in self.utterance_rows]))
 
-    @cached_property
-    def stream(self) -> tuple[ActionEvent, ...]:
-        return tuple(build_action_stream(list(self.utterances), list(self.edits),
-                                         list(self.submits), self.first_visual))
+    def stream(self, utterances: Sequence[Utterance]) -> list[ActionEvent]:
+        """The action stream of the team's edits, submits and numbered `utterances`."""
+        return build_action_stream(list(utterances), list(self.edits), list(self.submits),
+                                   self.first_visual)
 
     @cached_property
     def duration(self) -> float:

@@ -6,10 +6,12 @@ Four analyses mirror the measurement pipeline end to end:
 - h2.1: when instructions are matched/mismatched by actions, vs task success;
 - h2.2: "oh" marker times vs match/mismatch action times.
 
-They share one recipe, `_analysis`: each runner gives a team's row cells
+They share one recipe, `_Analysis`: each analysis gives a team's row cells
 and distribution series, and names each summary key with the test it runs
 over a row column (Spearman against task error, Kruskal-Wallis across
-learning groups, or a mean). Two helpers build the cells:
+learning groups, or a mean). An analysis and each table writer is a step of a
+pass (`Pipeline.run`) that derives one team at a time, so `align all` writes
+its tables and keeps its analyses' rows in one pass. Two helpers build the cells:
 - `_views` turns event times (h1.1, h2.1) into absolute, common-window and
   normalized times, whose medians are the row's cells;
 - `_compared` tests a marker sample against a comparison sample (h1.2, h2.2)
@@ -22,14 +24,14 @@ import math
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import chain, compress, groupby, islice, repeat
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, InputError, TeamCorpus, relative_time, write_json
+from .corpus import Corpus, InputError, TeamCorpus, Utterance, relative_time, write_json
 from .instructions import (
     MATCH,
     MISMATCH,
@@ -72,7 +74,8 @@ class HypothesisReport:
 
 
 class TeamPipeline:
-    """Derived analysis artifacts for one team, computed on demand."""
+    """One team's derived data: its numbered utterances, routines, matcher run and
+    success measures, each computed on first use and kept until the pipeline is dropped."""
 
     def __init__(self, team_corpus: TeamCorpus, corpus: Corpus, clear_on_verdict: bool = False):
         self.corpus = team_corpus
@@ -84,8 +87,12 @@ class TeamPipeline:
         return team_success(self.corpus, self.network.optimal_cost)
 
     @cached_property
+    def utterances(self) -> tuple[Utterance, ...]:
+        return self.corpus.utterances
+
+    @cached_property
     def routines(self) -> list[Routine]:
-        return extract_routines(list(self.corpus.utterances))
+        return extract_routines(list(self.utterances))
 
     @cached_property
     def task_routines(self) -> list[Routine]:
@@ -94,7 +101,7 @@ class TeamPipeline:
     @cached_property
     def matched(self) -> tuple[list[MatchRecord], list[AnnotatedAction]]:
         """(records, annotated) from the team's one matcher run."""
-        return match_instructions_to_actions(self.corpus.stream, self.network,
+        return match_instructions_to_actions(self.corpus.stream(self.utterances), self.network,
                                              self.clear_on_verdict)
 
     @property
@@ -118,25 +125,25 @@ class TeamPipeline:
 
 
 class Pipeline:
-    """All per-team pipelines for a corpus, in team-id order; `ordered` is report row order."""
+    """A corpus's analyses, run as passes over its teams in team-id order."""
 
     def __init__(self, corpus: Corpus, clear_on_verdict: bool = False):
         self.corpus = corpus
-        self.teams = [TeamPipeline(tc, corpus, clear_on_verdict)
-                      for tc in sorted(corpus.teams, key=attrgetter("team"))]
-
-    @cached_property
-    def ordered(self) -> list[TeamPipeline]:
-        return sorted(self.teams, key=lambda tp: (tp.success.error, tp.success.duration,
-                                                  tp.success.team))
-
-    @cached_property
-    def successes(self) -> list[TeamSuccess]:
-        return [tp.success for tp in self.ordered]
+        self.clear_on_verdict = clear_on_verdict
 
     @cached_property
     def window(self) -> float:
-        return common_window([tp.corpus.duration for tp in self.teams])
+        return common_window([tc.duration for tc in self.corpus.teams])
+
+    def run(self, *steps) -> None:
+        """One pass: each step takes each team's TeamPipeline in turn, in team-id order.
+        A team's pipeline, and all that is derived from it, is dropped as soon as the
+        next team's is built, before a step derives anything of that team; the steps
+        keep only the rows and cells that they take from it."""
+        for tc in sorted(self.corpus.teams, key=attrgetter("team")):
+            tp = TeamPipeline(tc, self.corpus, self.clear_on_verdict)
+            for step in steps:
+                step(tp)
 
 
 def _median(values: list[float]) -> float | None:
@@ -223,31 +230,42 @@ def _compared(marker: list[float], sample: list[float], suffix: str) -> dict:
     return {f"U{suffix}": u, f"p{suffix}": p, f"delta{suffix}": delta}
 
 
-def _analysis(hypothesis: str, pipeline: Pipeline, team, tests: dict,
-              summary: dict) -> HypothesisReport:
-    """The one analysis recipe: a row and distribution series per team, then tests over the rows.
+class _Analysis:
+    """The one analysis recipe, as a step of a pass: a row and distribution series
+    per team, then tests over the rows.
 
     `team(tp)` returns the team's row cells after `team`, in the order of the
-    csv columns, and its series by name. The summary holds `summary`, then
-    each key of `tests`, in order, set to `test(successes, {team: the row's
-    column})` for its `(test, column)`.
+    csv columns, and its series by name. The report's rows are in report order;
+    its summary holds `summary`, then each key of `tests`, in order, set to
+    `test(successes, {team: the row's column})` for its `(test, column)`.
     """
-    rows = []
-    by_series: dict[str, dict[int, tuple[float, ...]]] = {}
-    for tp in pipeline.ordered:
-        cells, team_series = team(tp)
-        rows.append({"team": tp.corpus.team, **cells})
-        for name, values in team_series.items():
-            by_series.setdefault(name, {})[tp.corpus.team] = tuple(values)
 
-    successes = pipeline.successes
-    summary = dict(summary)
-    for key, (test, column) in tests.items():
-        summary[key] = test(successes, {row["team"]: row[column] for row in rows})
-    return HypothesisReport(hypothesis, tuple(rows), summary, by_series)
+    def __init__(self, hypothesis: str, team, tests: dict, summary: dict):
+        self.hypothesis, self.team, self.tests, self.summary = hypothesis, team, tests, summary
+        self.kept: list[tuple[TeamSuccess, dict, dict[str, tuple[float, ...]]]] = []
+
+    def __call__(self, tp: TeamPipeline) -> None:
+        cells, team_series = self.team(tp)
+        self.kept.append((tp.success, cells,
+                          {name: tuple(values) for name, values in team_series.items()}))
+
+    def report(self) -> HypothesisReport:
+        self.kept.sort(key=lambda kept: (kept[0].error, kept[0].duration, kept[0].team))
+        rows = []
+        by_series: dict[str, dict[int, tuple[float, ...]]] = {}
+        for success, cells, team_series in self.kept:
+            rows.append({"team": success.team, **cells})
+            for name, values in team_series.items():
+                by_series.setdefault(name, {})[success.team] = values
+
+        successes = [success for success, *_ in self.kept]
+        summary = dict(self.summary)
+        for key, (test, column) in self.tests.items():
+            summary[key] = test(successes, {row["team"]: row[column] for row in rows})
+        return HypothesisReport(self.hypothesis, tuple(rows), summary, by_series)
 
 
-def run_h11(pipeline: Pipeline, window: float | None = None) -> HypothesisReport:
+def _h11(pipeline: Pipeline, window: float | None = None) -> _Analysis:
     """Establishment-time analysis: medians vs error, learning-group split."""
     window = pipeline.window if window is None else window
 
@@ -259,7 +277,7 @@ def run_h11(pipeline: Pipeline, window: float | None = None) -> HypothesisReport
                "median_norm": _median(times["norm"]), "q1_norm": q1, "q3_norm": q3}
         return row, {f"establishment_{view}": values for view, values in times.items()}
 
-    return _analysis("h1.1", pipeline, team, {
+    return _Analysis("h1.1", team, {
         "spearman_median_abs_vs_error": (_spearman_vs_error, "median_abs"),
         "spearman_median_common_vs_error": (_spearman_vs_error, "median_common"),
         "spearman_median_norm_vs_error": (_spearman_vs_error, "median_norm"),
@@ -269,15 +287,15 @@ def run_h11(pipeline: Pipeline, window: float | None = None) -> HypothesisReport
     }, {"common_window_sec": window})
 
 
-def run_h12(pipeline: Pipeline, markers: frozenset[str] = FILLERS) -> HypothesisReport:
+def _h12(pipeline: Pipeline, markers: frozenset[str] = FILLERS) -> _Analysis:
     """Filler-position analysis against priming and establishment positions."""
 
     def team(tp: TeamPipeline):
-        events = token_events(list(tp.corpus.utterances), tp.task_routines, markers)
+        events = token_events(list(tp.utterances), tp.task_routines, markers)
         fillers = [float(p) for p in events.marker_positions]
         priming = [float(p) for p in events.priming_positions]
         estab = [float(p) for p in events.establishment_positions]
-        total = sum(len(u.tokens) for u in tp.corpus.utterances)
+        total = sum(len(u.tokens) for u in tp.utterances)
 
         def median_pct(positions: list[float]) -> float | None:
             return _median([relative_time(p, total) for p in positions])
@@ -289,7 +307,7 @@ def run_h12(pipeline: Pipeline, markers: frozenset[str] = FILLERS) -> Hypothesis
         return row, {"filler_positions": fillers, "priming_positions": priming,
                      "establishment_positions": estab}
 
-    return _analysis("h1.2", pipeline, team, {
+    return _Analysis("h1.2", team, {
         "spearman_delta_priming_vs_error": (_spearman_vs_error, "delta_priming"),
         "kruskal_learning_delta_priming": (_kruskal_by_learning, "delta_priming"),
         "spearman_delta_establishment_vs_error": (_spearman_vs_error, "delta_estab"),
@@ -297,7 +315,7 @@ def run_h12(pipeline: Pipeline, markers: frozenset[str] = FILLERS) -> Hypothesis
     }, {})
 
 
-def run_h21(pipeline: Pipeline, window: float | None = None, grouped: bool = False) -> HypothesisReport:
+def _h21(pipeline: Pipeline, window: float | None = None, grouped: bool = False) -> _Analysis:
     """Match/mismatch timing analysis: h1.1's time views of the verdicts' times.
 
     `grouped` switches the time series from per-action records to one event
@@ -323,7 +341,7 @@ def run_h21(pipeline: Pipeline, window: float | None = None, grouped: bool = Fal
         return row, {"match_abs": match["abs"], "match_norm": match["norm"],
                      "mismatch_abs": mismatch["abs"], "mismatch_norm": mismatch["norm"]}
 
-    return _analysis("h2.1", pipeline, team, {
+    return _Analysis("h2.1", team, {
         "spearman_median_match_abs_vs_error": (_spearman_vs_error, "median_match_abs"),
         "spearman_median_match_common_vs_error": (_spearman_vs_error, "median_match_common"),
         "spearman_median_match_norm_vs_error": (_spearman_vs_error, "median_match_norm"),
@@ -335,7 +353,7 @@ def run_h21(pipeline: Pipeline, window: float | None = None, grouped: bool = Fal
     }, {"common_window_sec": window, "grouped_times": grouped})
 
 
-def run_h22(pipeline: Pipeline, oh_events: str = "token", mm_events: str = "action") -> HypothesisReport:
+def _h22(pipeline: Pipeline, oh_events: str = "token", mm_events: str = "action") -> _Analysis:
     """"oh" marker times vs pooled match+mismatch action times.
 
     An "oh" event takes the end time of its containing utterance;
@@ -349,7 +367,7 @@ def run_h22(pipeline: Pipeline, oh_events: str = "token", mm_events: str = "acti
 
     def team(tp: TeamPipeline):
         duration = tp.corpus.duration
-        oh_counts = [(utt.end, utt.tokens.count(OH)) for utt in tp.corpus.utterances
+        oh_counts = [(utt.end, utt.tokens.count(OH)) for utt in tp.utterances
                      if utt.is_human and OH in utt.tokens]
         oh_times = [end for end, count in oh_counts
                     for _ in range(count if per_token else 1)]
@@ -365,13 +383,28 @@ def run_h22(pipeline: Pipeline, oh_events: str = "token", mm_events: str = "acti
                **_compared(oh_times, match_times + mismatch_times, "")}
         return row, norm
 
-    return _analysis("h2.2", pipeline, team, {
+    return _Analysis("h2.2", team, {
         "spearman_delta_vs_error": (_spearman_vs_error, "delta"),
         "kruskal_learning_delta": (_kruskal_by_learning, "delta"),
     }, {"oh_events": oh_events, "mm_events": mm_events})
 
 
-RUNNERS = {"h1.1": run_h11, "h1.2": run_h12, "h2.1": run_h21, "h2.2": run_h22}
+# each hypothesis's analysis, a step of a pass; `align all` runs the four in one pass
+ANALYSES = {"h1.1": _h11, "h1.2": _h12, "h2.1": _h21, "h2.2": _h22}
+
+
+def _runner(analysis):
+    """The runner of an analysis: its report after a pass of its own over the teams."""
+    @wraps(analysis)  # so the runner's signature names the analysis's options
+    def run(pipeline: Pipeline, **options) -> HypothesisReport:
+        step = analysis(pipeline, **options)
+        pipeline.run(step)
+        return step.report()
+    return run
+
+
+RUNNERS = {hypothesis: _runner(analysis) for hypothesis, analysis in ANALYSES.items()}
+run_h11, run_h12, run_h21, run_h22 = RUNNERS.values()
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +446,45 @@ def _text(rows: list) -> str:
     return "".join(text)
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
+class _CsvTable:
     """A CSV table, byte for byte as csv.writer with the line terminator CR LF writes
     it but with LF for each row's CR LF: "%s" writes a float and an int by repr and a
-    bool as True or False. Rows are written as they come, a batch at a time."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    rows = iter(rows)
-    batches = iter(lambda: list(islice(rows, _BATCH)), [])
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.writelines(map(_text, chain([[header]], batches)))
+    bool as True or False. `write` takes rows as they come and writes them a batch at
+    a time, batches running across calls; the last rows go out when the table closes.
+
+    As a step of a pass, the table writes `rows(tp)` for each team. Entering the
+    table opens its file and writes the header.
+    """
+
+    def __init__(self, path: str | Path, header: list[str], rows=None):
+        self.path, self.header, self.rows = Path(path), header, rows
+        self.batch: list = []
+
+    def write(self, rows: Iterable[Sequence]) -> None:
+        rows = chain(self.batch, rows)
+        while len(batch := list(islice(rows, _BATCH))) == _BATCH:
+            self.handle.write(_text(batch))
+        self.batch = batch
+
+    def __call__(self, tp: TeamPipeline) -> None:
+        self.write(self.rows(tp))
+
+    def __enter__(self) -> _CsvTable:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.handle = open(self.path, "w", newline="", encoding="utf-8")
+        self.handle.write(_text([self.header]))
+        return self
+
+    def __exit__(self, kind, *_) -> None:
+        with self.handle:
+            if kind is None:
+                self.handle.write(_text(self.batch))
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
+    """A CSV table of `rows` (see _CsvTable)."""
+    with _CsvTable(path, header) as table:
+        table.write(rows)
 
 
 def _check_finite(path: Path, values) -> None:
@@ -458,58 +521,67 @@ def emit(report: HypothesisReport, fmt: str, out_dir: str | Path) -> list[Path]:
     return [per_team, dist_path, summary]
 
 
-def emit_routine_table(pipeline: Pipeline, path: str | Path, task_only: bool = False) -> Path:
+def routine_table(pipeline: Pipeline, path: str | Path, task_only: bool = False) -> _CsvTable:
     """Routine table CSV across all teams."""
-    path = Path(path)
     names = pipeline.corpus.network.node_names
-    _write_csv(path, ["team", "expression", "initiator", "priming_time", "establishment_time",
-                      "priming_token_pos", "establishment_token_pos", "contains_referent"],
-               ((tp.corpus.team, r.text, r.initiator, r.priming.time, r.establishment.time,
-                 r.priming.token_position, r.establishment.token_position,
-                 r.contains_referent(names))
-                for tp in pipeline.teams
-                for r in (tp.task_routines if task_only else tp.routines)))
-    return path
+    return _CsvTable(path, ["team", "expression", "initiator", "priming_time",
+                            "establishment_time", "priming_token_pos", "establishment_token_pos",
+                            "contains_referent"],
+                     lambda tp: ((tp.corpus.team, r.text, r.initiator, r.priming.time,
+                                  r.establishment.time, r.priming.token_position,
+                                  r.establishment.token_position, r.contains_referent(names))
+                                 for r in (tp.task_routines if task_only else tp.routines)))
 
 
-def emit_annotated_corpus(pipeline: Pipeline, path: str | Path) -> Path:
+def annotated_table(pipeline: Pipeline, path: str | Path) -> _CsvTable:
     """Annotated corpus CSV: the stream with instructions and verdicts, a row per
     event. A says row's subject is its speaker, I for the robot, and its object
     the utterance text; an edit row's object is its edge's node names, `u-v`."""
-    path = Path(path)
     name = pipeline.corpus.network.id_to_name
     edges = {edge: f"{name[edge[0]]}-{name[edge[1]]}" for edge in pipeline.corpus.network.edge_set}
 
-    def rows():
-        for tp in pipeline.teams:
-            team = tp.corpus.team
-            for action, instructions, record, *_ in tp.annotated:
-                subject, verb, time, turn, attempt, utterance, edge = action
-                if record is None:  # a says event
-                    yield (team, utterance.speaker, verb, utterance.text, time, turn, attempt,
-                           " ".join(map(str, instructions)) if instructions else "", "-", "", "")
-                else:
-                    instruction = record.instruction
-                    yield (team, subject, verb, edges[edge], time, turn, attempt, "",
-                           record.verdict, instruction and str(instruction),
-                           instruction and instruction.agent)
+    def rows(tp: TeamPipeline):
+        team = tp.corpus.team
+        for action, instructions, record, *_ in tp.annotated:
+            subject, verb, time, turn, attempt, utterance, edge = action
+            if record is None:  # a says event
+                yield (team, utterance.speaker, verb, utterance.text, time, turn, attempt,
+                       " ".join(map(str, instructions)) if instructions else "", "-", "", "")
+            else:
+                instruction = record.instruction
+                yield (team, subject, verb, edges[edge], time, turn, attempt, "",
+                       record.verdict, instruction and str(instruction),
+                       instruction and instruction.agent)
 
-    _write_csv(path, ["team", "subject", "verb", "object", "time", "turn", "attempt",
-                      "instructions", "verdict", "matched_instruction", "matched_agent"], rows())
-    return path
+    return _CsvTable(path, ["team", "subject", "verb", "object", "time", "turn", "attempt",
+                            "instructions", "verdict", "matched_instruction", "matched_agent"],
+                     rows)
 
 
 # task_features.csv column names that differ from the TeamSuccess field names
 _MEASURE_COLUMNS = {"learn_a": "learn_A", "learn_b": "learn_B", "duration": "duration_sec"}
 
 
-def emit_measures(pipeline: Pipeline, path: str | Path) -> Path:
+def measures_table(pipeline: Pipeline, path: str | Path) -> _CsvTable:
     """Task-level features CSV, one row per team."""
-    path = Path(path)
     # a row is a TeamSuccess, so its fields name the columns, in order
-    _write_csv(path, [_MEASURE_COLUMNS.get(f, f) for f in TeamSuccess._fields],
-               [tp.success for tp in pipeline.teams])
-    return path
+    return _CsvTable(path, [_MEASURE_COLUMNS.get(f, f) for f in TeamSuccess._fields],
+                     lambda tp: [tp.success])
+
+
+def _emitter(table):
+    """The emitter of a table: the table, written by a pass of its own over the teams."""
+    @wraps(table)  # the table's signature and docstring
+    def emit_table(pipeline: Pipeline, *args, **kwargs) -> Path:
+        with table(pipeline, *args, **kwargs) as step:
+            pipeline.run(step)
+        return step.path
+    return emit_table
+
+
+emit_routine_table = _emitter(routine_table)
+emit_annotated_corpus = _emitter(annotated_table)
+emit_measures = _emitter(measures_table)
 
 
 def format_p(p: float | None) -> str:

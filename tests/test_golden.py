@@ -18,6 +18,8 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from align.cli import main
 from align.corpus import load_corpus
 from align.report import RUNNERS, Pipeline, emit
@@ -154,12 +156,17 @@ def test_golden_outputs_fixtures(tmp_path, capsys):
     assert golden_digests(paths, tmp_path / "out", capsys) == _golden("fixtures")
 
 
+def _refuse(what: str):
+    def refuse(*args, **kwargs):
+        raise AssertionError(what)
+    return refuse
+
+
 def test_ingest_numbers_no_utterance(tmp_path, monkeypatch):
     """`align ingest` stores the transcript rows as they are: it tokenizes and
     numbers no utterance, and still writes the golden corpus.json."""
-    def refuse(*args):
-        raise AssertionError("align ingest numbered utterances")
-    monkeypatch.setattr("align.corpus.number_utterances", refuse)
+    monkeypatch.setattr("align.corpus.number_utterances",
+                        _refuse("align ingest numbered utterances"))
     paths = write_fixture_inputs(tmp_path)
     _, ingest = _runs(paths, tmp_path / "out")[0]  # into tmp_path / "out" / "corpus"
     assert main(ingest) == 0
@@ -167,7 +174,15 @@ def test_ingest_numbers_no_utterance(tmp_path, monkeypatch):
     assert hashlib.sha256(written).hexdigest() == _golden("fixtures")["corpus/corpus.json"]
 
 
+# (command, options, the files it writes) for each command that writes a part of what all writes
+_PARTS = [("routines", [], ["routines.csv"]), ("annotate", [], ["annotated_corpus.csv"]),
+          ("annotate", ["--clear-on-verdict"], ["annotated_corpus.csv"]),
+          ("measures", [], ["task_features.csv"])]
+
+
 def test_analyze_without_options_writes_what_all_writes(tmp_path):
+    """`analyze` without options, `routines`, `annotate` and `measures` each write the
+    bytes that `all` (with the same `--clear-on-verdict`) writes."""
     paths = write_seeded_inputs(tmp_path)
     corpus = str(tmp_path / "corpus")
     _, ingest = _runs(paths, tmp_path)[0]  # into tmp_path / "corpus"
@@ -183,6 +198,39 @@ def test_analyze_without_options_writes_what_all_writes(tmp_path):
             assert len(written) == (3 if fmt == "csv" else 1)
             for path in written:
                 assert path.read_bytes() == (every / path.name).read_bytes(), path.name
+    every = tmp_path / "all-clear-on-verdict"
+    assert main(["all", "--corpus", corpus, "--clear-on-verdict", "--out", str(every)]) == 0
+    for command, options, names in _PARTS:
+        out = tmp_path / "-".join([command, *options])
+        assert main([command, "--corpus", corpus, "--out", str(out)] + options) == 0
+        assert sorted(path.name for path in out.iterdir()) == names
+        for name in names:
+            expected = every if options else tmp_path / "all-csv"
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), (command, options)
+    assert (every / "annotated_corpus.csv").read_bytes() != \
+        (tmp_path / "all-csv" / "annotated_corpus.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, refused", [
+    ("measures", ["align.corpus.number_utterances", "align.report.extract_routines",
+                  "align.report.match_instructions_to_actions"]),
+    ("routines", ["align.report.match_instructions_to_actions"]),
+    ("annotate", ["align.report.extract_routines"]),
+])
+def test_each_command_computes_only_what_it_writes(tmp_path, monkeypatch, command, refused):
+    """`measures` numbers no utterance and runs neither the miner nor the matcher,
+    `routines` runs no matcher and `annotate` mines no routine; each still writes
+    the golden bytes of its file."""
+    paths = write_fixture_inputs(tmp_path)
+    _, ingest = _runs(paths, tmp_path / "out")[0]  # into tmp_path / "out" / "corpus"
+    assert main(ingest) == 0
+    for target in refused:
+        monkeypatch.setattr(target, _refuse(f"align {command} called {target}"))
+    out = tmp_path / command
+    assert main([command, "--corpus", str(tmp_path / "out" / "corpus"), "--out", str(out)]) == 0
+    [written] = out.iterdir()
+    digest = hashlib.sha256(written.read_bytes()).hexdigest()
+    assert digest == _golden("fixtures")[f"all-csv/{written.name}"]
 
 
 def test_rows_hold_the_csv_columns_in_order(tmp_path):

@@ -15,6 +15,7 @@ import re
 import reprlib
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from align.cli import main
-from align.corpus import Corpus, InputError, load_corpus
+from align.corpus import Corpus, InputError, load_corpus, save_corpus
 from align.report import (
     HypothesisReport,
     Pipeline,
@@ -301,12 +302,12 @@ def test_u_delta_relation_in_reports():
 def test_h22_counts_equal_matcher_records():
     team = _matching_team(1, 12, [0.25, 0.75])
     corpus = _corpus([team])
-    pipeline = Pipeline(corpus)
-    report = run_h22(pipeline)
+    report = run_h22(Pipeline(corpus))
     from align.instructions import MATCH, grouped_records
+    from align.report import TeamPipeline
 
     assert report.per_team_rows[0]["n_match"] == \
-        len(grouped_records(pipeline.teams[0].records, MATCH))
+        len(grouped_records(TeamPipeline(team, corpus).records, MATCH))
 
 
 # --- medians and emission ---------------------------------------------------------
@@ -478,6 +479,36 @@ def _ingest(tmp_path, out_name="corpus"):
     corpus_dir = tmp_path / out_name
     assert _ingest_rc(write_fixture_inputs(tmp_path), corpus_dir) == 0
     return corpus_dir
+
+
+def test_all_holds_one_team_pipeline_at_a_time(tmp_path, monkeypatch):
+    """`align all` derives one team at a time: when it mines a team's routines, the
+    pipeline of every earlier team is gone. `main` runs with the GC off, so a team
+    pipeline held in a reference cycle stays alive and fails this too."""
+    from align import report
+
+    pipelines = []
+
+    class Recorded(report.TeamPipeline):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pipelines.append(weakref.ref(self))
+
+    extract_routines = report.extract_routines
+    alive_at_mining = []
+
+    def extract_one_team(utterances):
+        alive_at_mining.append(sum(ref() is not None for ref in pipelines))
+        return extract_routines(utterances)
+
+    monkeypatch.setattr(report, "TeamPipeline", Recorded)
+    monkeypatch.setattr(report, "extract_routines", extract_one_team)
+    teams = [_matching_team(team, 12 + team, [0.25, 0.5, 0.75]) if team % 2 else
+             _team_with_establishments(team, 12 + team, [0.2, 0.6, 0.9]) for team in range(1, 10)]
+    save_corpus(_corpus(teams), tmp_path / "corpus")
+    assert main(["all", "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "out")]) == 0
+    assert len(pipelines) == 9
+    assert alive_at_mining == [1] * 9
 
 
 def test_cli_ingest_and_all(tmp_path, capsys):
