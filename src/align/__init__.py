@@ -1,7 +1,8 @@
 """Automatic verbal and behavioural alignment measures for situated dialogues.
 
-`from align import X` imports only the submodule that owns X (PEP 562), so
-code that ingests a corpus never loads the statistics' numpy and scipy.
+`from align import X` imports only the submodule that owns X (PEP 562). No
+submodule imports numpy or scipy: only a p-value loads scipy's tails, and
+numpy with them.
 """
 
 import importlib

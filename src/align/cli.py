@@ -27,10 +27,11 @@ from .corpus import (
     tokenize,
 )
 
-# Bound from .report once, on first use, so that `align ingest` never imports
-# the statistics (numpy, scipy). A name already set on this module, such as a
-# wrapper patched in by a tracer, wins over the one in .report; a name deleted
-# after the binding stays deleted.
+# Bound from .report once, on first use, so that `align ingest` neither compiles
+# nor imports it. (`report` imports neither numpy nor scipy: only a p-value loads
+# scipy's tails, and numpy with them.) A name already set on this module, such
+# as a wrapper patched in by a tracer, wins over the one in .report; a name
+# deleted after the binding stays deleted.
 _REPORT_NAMES = ("ANALYSES", "RUNNERS", "Pipeline", "annotated_table", "emit",
                  "emit_annotated_corpus", "emit_measures", "emit_routine_table", "measures_table",
                  "routine_table", "summary_lines")

@@ -24,12 +24,10 @@ import math
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property, reduce, wraps
 from itertools import chain, compress, groupby, islice, repeat
-from operator import attrgetter
+from operator import add, attrgetter
 from pathlib import Path
-
-import numpy as np
 
 from .corpus import Corpus, InputError, TeamCorpus, Utterance, relative_time, write_json
 from .instructions import (
@@ -182,11 +180,30 @@ def collaborative_period(times: list[float]) -> tuple[float, float]:
     return quantile(0.25), quantile(0.75)
 
 
+def _pairwise_sum(values: list[float]) -> float:
+    """numpy's pairwise sum of the floats: left to right from -0.0 below 8 values;
+    up to 128, eight running sums over every eighth value, combined pairwise, then
+    the values after the last multiple of 8; above 128, the sums of two halves,
+    the first rounded down to a multiple of 8."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, -0.0)
+    if n <= 128:
+        end = n - n % 8
+        r = [reduce(add, values[j:end:8]) for j in range(8)]
+        return reduce(add, values[end:],
+                      ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
 def _mean_of(teams: list[TeamSuccess], values: dict[int, float | None]) -> float | None:
-    """The mean of the teams' values, over teams with a value; the summary tests
-    all take `teams`, which this one does not need."""
+    """The mean of the teams' values, over teams with a value: np.mean's value, bit
+    for bit, which adds numpy's pairwise sum to 0.0 and divides it once by the
+    count. A sum that overflows is inf (or nan), without a warning. The summary
+    tests all take `teams`, which this one does not need."""
     present = [v for v in values.values() if v is not None]
-    return float(np.mean(present)) if present else None
+    return (0.0 + _pairwise_sum(present)) / len(present) if present else None
 
 
 def _spearman_vs_error(teams: list[TeamSuccess], values: dict[int, float | None]) -> dict | None:

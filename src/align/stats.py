@@ -8,9 +8,12 @@ Conventions, fixed once for every analysis:
 
 The normal, Student t and chi-square tails are the `scipy.special` ufuncs
 that `scipy.stats` calls in its survival functions, so p-values carry the
-same bits. They are loaded from the compiled `scipy.special._ufuncs` alone:
-neither `scipy.stats` nor `scipy/special/__init__.py` runs, as each would take
-most of the start-up time of every command that reaches this module.
+same bits. They are loaded, and numpy with them, on the first p-value, from
+the compiled `scipy.special._ufuncs` alone: importing this module loads
+neither scipy nor numpy, and neither `scipy.stats` nor
+`scipy/special/__init__.py` runs, as each would take most of the start-up
+time of a command that computes a p-value. `align.stats.ndtr`, `.stdtr` and
+`.chdtrc` name the three tails, loading them on first access.
 
 Every rank is counted as an exact integer over Python floats, without numpy,
 by the one `_twice_ranks`: the samples are small, and a numpy array costs
@@ -20,6 +23,7 @@ are exact, so rho keeps the bits of `numpy.corrcoef` on average ranks.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -28,25 +32,38 @@ from collections import Counter
 from types import ModuleType
 from typing import NamedTuple
 
-import scipy
 
-# Python runs a package's __init__ before any of its submodules. scipy.special's
-# spends two thirds of its import on scipy's array-API layer (which loads
-# numpy.f2py, numpy.testing, numpy.random, ...), so while `_ufuncs` loads, a
-# plain package with the same directory stands in for it, unless the real one is
-# already loaded. A later `import scipy.special` runs the real __init__, which
-# reuses the loaded `_ufuncs`: its ndtr, stdtr and chdtrc are these objects.
-# Until the import below returns, another thread's `import scipy.special` would
-# get the placeholder, so import align.stats before starting threads that need it.
-_placeholder = ModuleType("scipy.special")
-_placeholder.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
-sys.modules.setdefault("scipy.special", _placeholder)
-try:
-    from scipy.special._ufuncs import chdtrc, ndtr, stdtr
-finally:
-    if sys.modules.get("scipy.special") is _placeholder:
-        del sys.modules["scipy.special"]
-del _placeholder
+@functools.cache
+def _ufuncs() -> ModuleType:
+    """`scipy.special._ufuncs`, which holds the three tails, imported on first use.
+
+    Python runs a package's __init__ before any of its submodules. scipy.special's
+    spends two thirds of its import on scipy's array-API layer (which loads
+    numpy.f2py, numpy.testing, numpy.random, ...), so while `_ufuncs` loads, a
+    plain package with the same directory stands in for it, unless the real one is
+    already loaded. A later `import scipy.special` runs the real __init__, which
+    reuses the loaded `_ufuncs`: its ndtr, stdtr and chdtrc are these objects.
+    Until this returns, another thread's `import scipy.special` would get the
+    placeholder, so compute one p-value, or read `align.stats.ndtr`, before
+    starting threads that import `scipy.special`.
+    """
+    import scipy
+
+    placeholder = ModuleType("scipy.special")
+    placeholder.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
+    sys.modules.setdefault("scipy.special", placeholder)
+    try:
+        from scipy.special import _ufuncs
+    finally:
+        if sys.modules.get("scipy.special") is placeholder:
+            del sys.modules["scipy.special"]
+    return _ufuncs
+
+
+def __getattr__(name: str):
+    if name in ("chdtrc", "ndtr", "stdtr"):
+        return getattr(_ufuncs(), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class TestResult(NamedTuple):
@@ -93,7 +110,7 @@ def spearman(x: list[float], y: list[float]) -> TestResult:
         p = 0.0
     else:
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = 2.0 * float(stdtr(n - 2, -abs(t)))
+        p = 2.0 * float(_ufuncs().stdtr(n - 2, -abs(t)))
     return TestResult(statistic=rho, p_value=p, n=(n,))
 
 
@@ -127,7 +144,7 @@ def mann_whitney_u(x: list[float], y: list[float]) -> TestResult:
     if sigma_sq == 0.0:
         return TestResult(statistic=u, p_value=1.0, n=(m, n))
     z = (u - m * n / 2.0) / math.sqrt(sigma_sq)
-    p = 2.0 * float(ndtr(-abs(z)))
+    p = 2.0 * float(_ufuncs().ndtr(-abs(z)))
     return TestResult(statistic=u, p_value=p, n=(m, n))
 
 
@@ -170,7 +187,7 @@ def kruskal_wallis(groups: list[list[float]]) -> TestResult:
         h /= correction
     h = max(h, 0.0)  # guard tiny negative rounding
     df = len(groups) - 1
-    p = float(chdtrc(df, h))
+    p = float(_ufuncs().chdtrc(df, h))
     return TestResult(statistic=h, p_value=p, n=tuple(sizes))
 
 

@@ -1,6 +1,6 @@
-"""Process-level contracts: what the package root, `align ingest` and the
-mining, matching, measures and statistics modules import, the p-values' bits
-whether scipy.special loads before or after `align.stats`, the README's library
+"""Process-level contracts: what the package root, each command and the
+mining, matching, measures, report and statistics modules import, the p-values'
+bits whether scipy.special loads before or after `align.stats`, the README's library
 example, immutable records, output independence from the hash seed, and the
 CLI's handling of the cyclic garbage collector."""
 
@@ -132,9 +132,36 @@ def test_mining_matching_and_measures_load_neither_numpy_nor_scipy():
         "align", "align.corpus", "align.instructions", "align.measures", "align.routines"]
 
 
+# every module of the package but the CLI
+MODULES = ["align", "align.corpus", "align.instructions", "align.measures", "align.report",
+           "align.routines", "align.stats"]
+
+
+def test_report_and_stats_load_neither_numpy_nor_scipy():
+    assert _loaded("import align.report, align.stats") == MODULES
+
+
+def test_commands_that_compute_no_p_value_load_neither_numpy_nor_scipy(tmp_path):
+    run = ("from align.cli import main\n"
+           f"assert main({INGEST + ['--out', str(tmp_path)]!r}) == 0\n"
+           "for command in ('routines', 'annotate', 'measures'):\n"
+           f"    assert main([command, '--corpus', {str(tmp_path)!r}]) == 0")
+    assert _loaded(run) == sorted([*MODULES, "align.cli"])
+
+
+def test_all_loads_scipys_tails_without_scipy_special_init(tmp_path):
+    run = ("from align.cli import main\n"
+           f"assert main({INGEST + ['--out', str(tmp_path)]!r}) == 0\n"
+           f"assert main({['all', '--corpus', str(tmp_path)]!r}) == 0")
+    loaded = _loaded(run)
+    assert "scipy.special._ufuncs" in loaded
+    assert "scipy._lib._array_api" not in loaded
+
+
 def test_stats_loads_scipys_tails_without_scipy_special_init():
-    loaded = _loaded("import align.stats\n"
-                     "import sys\n"
+    loaded = _loaded("import align.stats, sys\n"
+                     "assert 'scipy' not in sys.modules\n"
+                     "align.stats.mann_whitney_u([1.0, 2.0], [3.0])\n"
                      "assert 'scipy.special' not in sys.modules")
     assert "scipy.special._ufuncs" in loaded
     assert "scipy._lib._array_api" not in loaded

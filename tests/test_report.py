@@ -11,8 +11,10 @@ import io
 import json
 import math
 import operator
+import os
 import re
 import reprlib
+import subprocess
 import sys
 import tempfile
 import weakref
@@ -28,6 +30,7 @@ from align.corpus import Corpus, InputError, load_corpus, save_corpus
 from align.report import (
     HypothesisReport,
     Pipeline,
+    _mean_of,
     _median,
     _write_csv,
     collaborative_period,
@@ -325,6 +328,32 @@ def test_property_median_is_numpys_bit_for_bit(values):
     with np.errstate(over="ignore"):  # two huge middle values sum to inf in both
         expected = float(np.median(values))
     assert repr(_median(values)) == repr(expected)
+
+
+# Lengths about numpy's unroll of 8 and its block of 128 (a sum above 128 values
+# splits in halves). Values of one scale, up to 1e300 or to the float maximum,
+# whose sum may overflow, so that the order of the additions shows in the
+# rounding; and -0.0 among them or alone.
+_mean_samples = st.tuples(st.sampled_from([*range(1, 10), 127, 128, 129, 255, 256, 257]),
+                          st.sampled_from([1.0, 1e-300, 1e300, sys.float_info.max])).flatmap(
+    lambda size: st.lists(st.floats(min_value=-1.0, max_value=1.0).map(size[1].__mul__)
+                          | st.just(-0.0), min_size=size[0], max_size=size[0]))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_mean_samples)
+@example([-0.0]).via("-0.0 alone")
+@example([-0.0] * 9).via("-0.0 alone, 8 values and one more")
+@example([-0.0] * 129).via("-0.0 alone, over the block of 128")
+@example([-0.0, 0.0, -0.0]).via("-0.0 mixed with 0.0")
+@example([1e300, 3.0, -1e300, 0.1] * 32).via("cancellation within the block")
+@example([sys.float_info.max] * 2).via("the sum overflows")
+@example([sys.float_info.max, -sys.float_info.max] * 64 + [1.0]).via("halves of inf and -inf")
+def test_property_mean_of_is_numpys_mean_bit_for_bit(values):
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow, or be inf - inf
+        expected = float(np.mean(values))
+    # repr tells -0.0 from 0.0 and prints inf and nan alike
+    assert repr(_mean_of([], dict(enumerate(values)))) == repr(expected)
 
 
 def test_collaborative_period_linear_interpolation():
@@ -1254,6 +1283,24 @@ def test_cli_refuses_to_write_an_overflowed_statistic_to_csv_with_exit_2(tmp_pat
         with open(written_path, newline="", encoding="utf-8") as handle:
             cells = {cell for row in csv.reader(handle) for cell in row}
         assert not cells & {"inf", "-inf", "nan"}, written_path.name
+
+
+@pytest.mark.parametrize("flags", [[], ["-X", "dev", "-W", "error"]], ids=["default", "W-error"])
+def test_cli_refuses_an_overflowed_mean_with_one_error_line(tmp_path, flags):
+    # each team's one establishment ends at 1e306 and its submit comes at 1.0: the
+    # h1.1 norm medians are 1e308, finite, and their mean overflows to inf, without
+    # a warning before the error line or a traceback under -W error
+    teams = [_team_with_establishments(team, 12, [1e306], duration=1.0) for team in (1, 2)]
+    save_corpus(_corpus(teams), tmp_path / "corpus")
+    out = tmp_path / "out"
+    result = subprocess.run([sys.executable, *flags, "-m", "align.cli", "all",
+                             "--corpus", str(tmp_path / "corpus"), "--out", str(out)],
+                            capture_output=True, text=True, timeout=300,
+                            env={**os.environ,
+                                 "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert result.returncode == 2
+    assert result.stderr == (f"error: {out / 'h11_summary.json'}: Out of range float values are "
+                             "not JSON compliant: inf\n")
 
 
 _H11_ROW = {"team": 1, "n_routine": 1, "n_common": 1, "median_abs": 1.0, "median_common": 1.0,
