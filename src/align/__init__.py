@@ -19,7 +19,8 @@ _EXPORTS = {
     "report": """HypothesisReport Pipeline collaborative_period emit run_h11 run_h12 run_h21
         run_h22""",
     "routines": "Routine TokenEvents extract_routines filter_task_routines token_events",
-    "stats": "TestResult cliffs_delta interpret_rho kruskal_wallis mann_whitney_u spearman",
+    "stats": """TestResult cliffs_delta interpret_rho kruskal_wallis mann_whitney_delta
+        mann_whitney_u spearman""",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

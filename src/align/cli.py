@@ -166,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
             corpus = assemble_corpus(
                 network=network,
                 utterances=load_transcript(args.transcripts),
-                event_log=load_event_log(args.events, network),
+                events=load_event_log(args.events, network),
                 scores=load_test_scores(args.tests),
                 first_visual=args.first_visual,
             )

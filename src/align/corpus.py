@@ -15,9 +15,8 @@ import reprlib
 import sys
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
-from functools import cache, cached_property, partial
-from itertools import repeat
+from functools import cache, partial
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, attrgetter, gt, itemgetter
 from pathlib import Path
@@ -62,64 +61,73 @@ class NetworkNode(NamedTuple):
     y: float
 
 
-@dataclass(frozen=True)
 class Network:
     """Activity network: nodes with display info, edges with build costs.
 
     Edges are stored canonically with u < v (node ids). A network is valid
     once built: its ids and names are unique, its edges join two declared
     nodes with a positive cost that a float holds, and it is connected.
+    Building it also makes its lookups once: `name_to_id` (by case-folded
+    name), `node_names` (that lexicon, the task-specific referents),
+    `id_to_name`, `edge_set` and `optimal_cost`. Its attributes cannot be set,
+    and two networks with equal nodes and edges are equal.
     """
 
-    nodes: tuple[NetworkNode, ...]
-    edges: tuple[tuple[int, int, int], ...]  # (u, v, cost)
+    __slots__ = ("nodes", "edges", "name_to_id", "node_names", "id_to_name", "edge_set",
+                 "optimal_cost")
 
-    def __post_init__(self) -> None:
-        if len(self.nodes) < 2:
-            raise InputError(f"a network needs at least two nodes, got {len(self.nodes)}")
-        for node in self.nodes:  # a name is recognised only as one transcript token
+    def __init__(self, nodes: tuple[NetworkNode, ...], edges: tuple[tuple[int, int, int], ...]):
+        if len(nodes) < 2:
+            raise InputError(f"a network needs at least two nodes, got {len(nodes)}")
+        for node in nodes:  # a name is recognised only as one transcript token
             if (tokens := tokenize(node.name)) != [node.name.lower()]:
                 raise InputError(f"node name {node.name!r} is not one token: "
                                  f"transcripts read it as {tokens}")
-        names = [n.name.lower() for n in self.nodes]
-        if len(set(names)) != len(names):
+        name_to_id = {n.name.lower(): n.id for n in nodes}
+        if len(name_to_id) != len(nodes):
             raise InputError("duplicate node names after case-folding")
-        ids = Counter(n.id for n in self.nodes)
-        if len(ids) != len(self.nodes):
-            node, count = ids.most_common(1)[0]
+        id_to_name = {n.id: n.name for n in nodes}
+        if len(id_to_name) != len(nodes):
+            node, count = Counter(n.id for n in nodes).most_common(1)[0]
             raise InputError(f"node id {reprlib.repr(node)} appears {count} times")
-        seen = set()
-        for u, v, cost in self.edges:
+        edge_set = set()
+        for u, v, cost in edges:
             edge = f"({reprlib.repr(u)},{reprlib.repr(v)})"  # an id may be any JSON integer
-            if u not in ids or v not in ids:
+            if u not in id_to_name or v not in id_to_name:
                 raise InputError(f"edge {edge} references undeclared node")
             if u == v:
                 raise InputError(f"edge {edge} joins node {reprlib.repr(u)} to itself")
             if not u < v:
                 raise InputError(f"edge {edge} not in canonical u < v order")
-            if (u, v) in seen:
+            if (u, v) in edge_set:
                 raise InputError(f"duplicate edge {edge}")
             if _check_cost(cost, f"edge {edge} cost") <= 0:
                 raise InputError(f"edge {edge} has non-positive cost")
-            seen.add((u, v))
-        self.optimal_cost  # an unconnected network has none: refused here, not at a submit
+            edge_set.add((u, v))
+        # an unconnected network has no optimal cost: refused here, not at a submit
+        for name, value in zip(self.__slots__, (
+                nodes, edges, name_to_id, frozenset(name_to_id), id_to_name, frozenset(edge_set),
+                _spanning_cost(id_to_name, edges))):
+            object.__setattr__(self, name, value)
 
-    @cached_property
-    def name_to_id(self) -> dict[str, int]:
-        return {n.name.lower(): n.id for n in self.nodes}
+    def __setattr__(self, name: str, *_) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: a Network is immutable")
 
-    @cached_property
-    def node_names(self) -> frozenset[str]:
-        """Case-folded node-name lexicon (the task-specific referents)."""
-        return frozenset(self.name_to_id)
+    __delattr__ = __setattr__
 
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, v, _ in self.edges)
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Network:
+            return NotImplemented
+        return (self.nodes, self.edges) == (other.nodes, other.edges)
 
-    @cached_property
-    def id_to_name(self) -> dict[int, str]:
-        return {n.id: n.name for n in self.nodes}
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Network(nodes={self.nodes!r}, edges={self.edges!r})"
+
+    def __reduce__(self):  # copy and pickle build a copy as its constructor builds one
+        return Network, (self.nodes, self.edges)
 
     def edge(self, u: int, v: int) -> tuple[int, int]:
         """The canonical edge joining nodes u and v; InputError if there is none."""
@@ -137,28 +145,28 @@ class Network:
             raise InputError(f"unknown node name: {name!r}")
         return node_id
 
-    @cached_property
-    def optimal_cost(self) -> int:
-        """Cost of a minimum spanning tree (Kruskal)."""
-        parent = {n.id: n.id for n in self.nodes}
 
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
+def _spanning_cost(ids: Iterable[int], edges: Iterable[tuple[int, int, int]]) -> int:
+    """Cost of a minimum spanning tree of the nodes `ids` (Kruskal)."""
+    parent = {node: node for node in ids}
 
-        total = 0
-        joined = 0
-        for u, v, cost in sorted(self.edges, key=lambda e: (e[2], e[0], e[1])):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                total += cost
-                joined += 1
-        if joined != len(self.nodes) - 1:
-            raise InputError("network is not connected; no spanning solution exists")
-        return total
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    total = 0
+    joined = 0
+    for u, v, cost in sorted(edges, key=lambda e: (e[2], e[0], e[1])):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            total += cost
+            joined += 1
+    if joined != len(parent) - 1:
+        raise InputError("network is not connected; no spanning solution exists")
+    return total
 
 
 class UtteranceRow(NamedTuple):
@@ -435,20 +443,13 @@ def number_utterances(team: int, rows: list[tuple[str, float, float, str]]) -> l
     return utterances
 
 
-@dataclass(frozen=True)
-class EventLog:
-    """Parsed event log, each kind sorted by (team, time)."""
-
-    edits: tuple[EditEvent, ...]
-    submits: tuple[SubmitEvent, ...]
-    stops: tuple[tuple[int, float], ...] = ()  # (team, time) experimenter stop records
-
-
-def load_event_log(path: str | Path, network: Network) -> EventLog:
-    """Load an events CSV (team,time_sec,event,u,v,cost), chronologically sorted.
+def load_event_log(path: str | Path, network: Network) -> list[EditEvent | SubmitEvent | tuple]:
+    """Load an events CSV (team,time_sec,event,u,v,cost): its edits, submits
+    and stops, sorted by (team, time), records of equal (team, time) in file order.
 
     Edges are resolved against the network's node names and canonicalized
-    u < v. An optional `stop` event marks the experimenter ending the task.
+    u < v. An optional `stop` event marks the experimenter ending the task;
+    its record is the pair (team, time).
     """
     unused = {ADD: ("cost",), REMOVE: ("cost",), "submit": ("u", "v"), "stop": ("u", "v", "cost")}
 
@@ -473,9 +474,8 @@ def load_event_log(path: str | Path, network: Network) -> EventLog:
     columns = {"team": int, "time_sec": float, "event": str.strip, "u": str.strip,
                "v": str.strip, "cost": str.strip}
     records = _read_csv(path, columns, event, lambda *values: list(map(event, *values)))
-    records.sort(key=itemgetter(0, 1))  # by (team, time), each kind's ties in file order
-    return EventLog(*(tuple(r for r in records if type(r) is kind)
-                      for kind in (EditEvent, SubmitEvent, tuple)))
+    records.sort(key=itemgetter(0, 1))
+    return records
 
 
 def load_network(path: str | Path) -> Network:
@@ -545,14 +545,13 @@ def relative_time(time: float, team_duration: float) -> float:
     return 100.0 * time / team_duration
 
 
-@dataclass(frozen=True)
-class TeamCorpus:
+class TeamCorpus(NamedTuple):
     """All ingested data for one team, with derived utterances, stream and duration.
 
     `utterance_rows` are the team's transcript rows in (start, end) order, as
     load_transcript sorts them and corpus.json stores them. `utterances`
-    tokenizes and numbers them (number_utterances) afresh on each access: a
-    report's TeamPipeline keeps them for as long as it needs them.
+    tokenizes and numbers them (number_utterances), and `duration` scans the
+    events, afresh on each access: a reader that needs either twice keeps it.
     """
 
     team: int
@@ -572,7 +571,7 @@ class TeamCorpus:
         return build_action_stream(list(utterances), list(self.edits), list(self.submits),
                                    self.first_visual)
 
-    @cached_property
+    @property
     def duration(self) -> float:
         """Time of the last logged event; a team that `check_teams` accepted has a submit."""
         return max([e.time for e in self.edits] + [s.time for s in self.submits] + list(self.stops))
@@ -582,8 +581,7 @@ class TeamCorpus:
         return 1 + len(self.edits) // 2
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     """A network plus per-team corpora, keyed by team id."""
 
     network: Network
@@ -593,26 +591,24 @@ class Corpus:
 def assemble_corpus(
     network: Network,
     utterances: list[UtteranceRow],
-    event_log: EventLog,
+    events: list[EditEvent | SubmitEvent | tuple],
     scores: list[TestScores],
     first_visual: str = "B",
 ) -> Corpus:
     """Group loaded rows by team into a Corpus, keeping each team's row order.
-    `utterances` are the rows that load_transcript returns."""
-    by_team: dict[int, dict[str, list]] = defaultdict(
-        lambda: {"utterance_rows": [], "edits": [], "submits": [], "stops": [], "scores": []})
-    for name, rows in (("utterance_rows", utterances), ("edits", event_log.edits),
-                       ("submits", event_log.submits), ("scores", scores)):
-        for row in rows:
-            by_team[row.team][name].append(row)
-    for team_id, time in event_log.stops:
-        by_team[team_id]["stops"].append(time)
+    `utterances` and `events` are the rows that load_transcript and
+    load_event_log return: a stop's record is its (team, time)."""
+    by_team: dict[int, dict[type, list]] = defaultdict(
+        lambda: {UtteranceRow: [], EditEvent: [], SubmitEvent: [], tuple: [], TestScores: []})
+    for row in chain(utterances, events, scores):
+        by_team[row[0]][type(row)].append(row)
     teams = tuple(
-        TeamCorpus(team=team_id, first_visual=first_visual,
-                   **{name: tuple(rows) for name, rows in fields.items()})
-        for team_id, fields in sorted(by_team.items())
+        TeamCorpus(team_id, tuple(rows[UtteranceRow]), tuple(rows[EditEvent]),
+                   tuple(rows[SubmitEvent]), tuple(time for _, time in rows[tuple]),
+                   tuple(rows[TestScores]), first_visual)
+        for team_id, rows in sorted(by_team.items())
     )
-    return Corpus(network=network, teams=teams)
+    return Corpus(network, teams)
 
 
 def check_teams(corpus: Corpus, *, teams_file: str | Path, scores_file: str | Path,
@@ -637,8 +633,8 @@ def check_teams(corpus: Corpus, *, teams_file: str | Path, scores_file: str | Pa
                 raise InputError(f"{scores_file}: team {team} {has} for speaker {speaker}")
         if not tc.submits:
             raise InputError(f"{events_file}: team {team} submitted no solution")
-        if not tc.duration > 0:
-            raise InputError(f"{events_file}: team {team} has duration {tc.duration}; "
+        if not (duration := tc.duration) > 0:
+            raise InputError(f"{events_file}: team {team} has duration {duration}; "
                              "its last event must come after time 0")
 
 

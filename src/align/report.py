@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import cached_property, reduce, wraps
 from itertools import chain, compress, groupby, islice, repeat
 from operator import add, attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Corpus, InputError, TeamCorpus, Utterance, relative_time, write_json
 from .instructions import (
@@ -41,13 +41,13 @@ from .instructions import (
 )
 from .measures import TeamSuccess, common_window, learning_groups, team_success
 from .routines import Routine, extract_routines, filter_task_routines, token_events
-from .stats import cliffs_delta, interpret_rho, kruskal_wallis, mann_whitney_u, spearman
+from .stats import interpret_rho, kruskal_wallis, mann_whitney_delta, spearman
 
 FILLERS = frozenset({"uh", "um"})
 OH = "oh"
 
-@dataclass(frozen=True)
-class HypothesisReport:
+
+class HypothesisReport(NamedTuple):
     """Per-team rows plus dialogue-level summary for one hypothesis.
 
     Rows are sorted by decreasing task performance: increasing error, with
@@ -242,8 +242,7 @@ def _compared(marker: list[float], sample: list[float], suffix: str) -> dict:
     against `sample`: Mann-Whitney U and Cliff's delta, None unless both have values."""
     u = p = delta = None
     if marker and sample:
-        result = mann_whitney_u(marker, sample)
-        u, p, delta = result.statistic, result.p_value, cliffs_delta(marker, sample)
+        (u, p, _), delta = mann_whitney_delta(marker, sample)
     return {f"U{suffix}": u, f"p{suffix}": p, f"delta{suffix}": delta}
 
 
@@ -287,7 +286,8 @@ def _h11(pipeline: Pipeline, window: float | None = None) -> _Analysis:
     window = pipeline.window if window is None else window
 
     def team(tp: TeamPipeline):
-        times = _views([r.establishment.time for r in tp.task_routines], window, tp.corpus.duration)
+        times = _views([r.establishment.time for r in tp.task_routines], window,
+                       tp.success.duration)
         q1, q3 = collaborative_period(times["norm"]) if times["norm"] else (None, None)
         row = {"n_routine": len(times["abs"]), "n_common": len(times["common"]),
                "median_abs": _median(times["abs"]), "median_common": _median(times["common"]),
@@ -341,7 +341,7 @@ def _h21(pipeline: Pipeline, window: float | None = None, grouped: bool = False)
     window = pipeline.window if window is None else window
 
     def team(tp: TeamPipeline):
-        duration = tp.corpus.duration
+        duration = tp.success.duration
         match = _views(tp.verdict_times(MATCH, grouped), window, duration)
         mismatch = _views(tp.verdict_times(MISMATCH, grouped), window, duration)
         n_match, n_mismatch = len(tp.grouped[MATCH]), len(tp.grouped[MISMATCH])
@@ -383,7 +383,7 @@ def _h22(pipeline: Pipeline, oh_events: str = "token", mm_events: str = "action"
     mm_per_utterance = {"action": False, "utterance": True}[mm_events]
 
     def team(tp: TeamPipeline):
-        duration = tp.corpus.duration
+        duration = tp.success.duration
         oh_counts = [(utt.end, utt.tokens.count(OH)) for utt in tp.utterances
                      if utt.is_human and OH in utt.tokens]
         oh_times = [end for end, count in oh_counts

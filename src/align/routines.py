@@ -8,7 +8,6 @@ the other interlocutor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .corpus import Network, Utterance
@@ -113,8 +112,7 @@ def filter_task_routines(routines: list[Routine], network: Network) -> list[Rout
     return [r for r in routines if r.contains_referent(names)]
 
 
-@dataclass(frozen=True)
-class TokenEvents:
+class TokenEvents(NamedTuple):
     """Global token positions of routine events and marker tokens."""
 
     priming_positions: tuple[int, ...]

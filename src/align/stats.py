@@ -138,14 +138,7 @@ def mann_whitney_u(x: list[float], y: list[float]) -> TestResult:
     uses the tie-corrected variance. When every pooled value is identical the
     variance vanishes and p is 1 by convention.
     """
-    m, n = len(x), len(y)
-    u = _twice_u(x, y) / 2
-    sigma_sq = m * n * (m + n + 1) / 12.0 * _tie_correction([*map(float, x), *map(float, y)])
-    if sigma_sq == 0.0:
-        return TestResult(statistic=u, p_value=1.0, n=(m, n))
-    z = (u - m * n / 2.0) / math.sqrt(sigma_sq)
-    p = 2.0 * float(_ufuncs().ndtr(-abs(z)))
-    return TestResult(statistic=u, p_value=p, n=(m, n))
+    return mann_whitney_delta(x, y)[0]
 
 
 def cliffs_delta(x: list[float], y: list[float]) -> float:
@@ -156,6 +149,18 @@ def cliffs_delta(x: list[float], y: list[float]) -> float:
     """
     pairs = len(x) * len(y)
     return (_twice_u(x, y) - pairs) / pairs
+
+
+def mann_whitney_delta(x: list[float], y: list[float]) -> tuple[TestResult, float]:
+    """mann_whitney_u(x, y) and cliffs_delta(x, y), both from one exact count of 2U."""
+    m, n = len(x), len(y)
+    twice_u = _twice_u(x, y)
+    u, p = twice_u / 2, 1.0
+    sigma_sq = m * n * (m + n + 1) / 12.0 * _tie_correction([*map(float, x), *map(float, y)])
+    if sigma_sq != 0.0:
+        z = (u - m * n / 2.0) / math.sqrt(sigma_sq)
+        p = 2.0 * float(_ufuncs().ndtr(-abs(z)))
+    return TestResult(statistic=u, p_value=p, n=(m, n)), (twice_u - m * n) / (m * n)
 
 
 def kruskal_wallis(groups: list[list[float]]) -> TestResult:

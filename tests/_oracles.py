@@ -20,7 +20,7 @@ from itertools import combinations, groupby, permutations
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
-from align.corpus import EditEvent, EventLog, InputError, SubmitEvent, TestScores, UtteranceRow
+from align.corpus import EditEvent, InputError, SubmitEvent, TestScores, UtteranceRow
 
 
 # --- statistics ---------------------------------------------------------------
@@ -419,7 +419,9 @@ def oracle_load_transcript(path):
 
 
 def oracle_load_event_log(path, network):
-    edits, submits, stops = [], [], []
+    """Edits, submits and (team, time) stops, sorted by team and then, within a
+    team, by time, events of equal time in file order."""
+    events = []
     unused = {"add": ("cost",), "remove": ("cost",), "submit": ("u", "v"),
               "stop": ("u", "v", "cost")}
 
@@ -432,7 +434,7 @@ def oracle_load_event_log(path, network):
                 raise InputError(f"{kind} events leave {name} empty, got {value!r}")
         if kind in ("add", "remove"):
             edge = network.edge(network.resolve_node(u.strip()), network.resolve_node(v.strip()))
-            edits.append(EditEvent(team, time, kind, edge))
+            events.append(EditEvent(team, time, kind, edge))
         elif kind == "submit":
             if not cost.strip():
                 raise InputError("submit without cost")
@@ -444,15 +446,15 @@ def oracle_load_event_log(path, network):
                 raise InputError(f"submitted cost {reprlib.repr(cost)} below optimal "
                                  f"{reprlib.repr(network.optimal_cost)} "
                                  "(a solution spans all nodes)")
-            submits.append(SubmitEvent(team, time, cost))
+            events.append(SubmitEvent(team, time, cost))
         elif kind == "stop":
-            stops.append((team, time))
+            events.append((team, time))
         else:
             raise InputError(f"unknown event kind {kind!r}")
     _oracle_rows(path, ["team", "time_sec", "event", "u", "v", "cost"], row)
-    return EventLog(edits=tuple(sorted(edits, key=attrgetter("team", "time"))),
-                    submits=tuple(sorted(submits, key=attrgetter("team", "time"))),
-                    stops=tuple(sorted(stops)))
+    events.sort(key=itemgetter(0))
+    return [e for _, team in groupby(events, key=itemgetter(0))
+            for e in sorted(team, key=itemgetter(1))]
 
 
 def oracle_load_test_scores(path):

@@ -292,7 +292,7 @@ def dataset_pipeline():
     corpus = assemble_corpus(
         network=net,
         utterances=load_transcript(base / "transcripts.csv"),
-        event_log=load_event_log(base / "events.csv", net),
+        events=load_event_log(base / "events.csv", net),
         scores=load_test_scores(base / "tests.csv"),
     )
     return Pipeline(corpus)

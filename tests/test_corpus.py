@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import codecs
+import copy
 import csv
-import dataclasses
 import io
 import json
 import math
+import pickle
 import random
 import sys
 import tempfile
@@ -115,6 +116,26 @@ def test_network_built_directly_rejects_bad_edges(edge, message):
     assert str(excinfo.value) == message
 
 
+def test_network_is_checked_when_built_immutable_and_equal_by_value():
+    nodes = tuple(NetworkNode(id=i, name=f"node{i}", label="", x=0.0, y=0.0) for i in (1, 2, 3))
+    net = Network(nodes, ((1, 2, 4), (2, 3, 5)))
+    assert (net.optimal_cost, net.edge_set, net.id_to_name[3]) == (9, {(1, 2), (2, 3)}, "node3")
+    assert net == Network(nodes=tuple(nodes), edges=((1, 2, 4), (2, 3, 5)))
+    assert hash(net) == hash(Network(nodes, ((1, 2, 4), (2, 3, 5))))
+    assert net != Network(nodes, ((1, 2, 4), (2, 3, 6))) and net != (nodes, net.edges)
+    for name in ("nodes", "edges", "optimal_cost", "edge_set", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(net, name, None)
+        with pytest.raises(AttributeError):
+            delattr(net, name)
+    assert net.optimal_cost == 9 and not hasattr(net, "extra")
+    assert copy.deepcopy(net) == pickle.loads(pickle.dumps(net)) == net
+    with pytest.raises(InputError, match="^network is not connected"):
+        Network(nodes, ((1, 2, 4),))
+    with pytest.raises(InputError, match="^duplicate node names after case-folding$"):
+        Network((*nodes, nodes[0]._replace(id=4, name="NODE1")), ((1, 2, 4), (2, 3, 5)))
+
+
 def test_network_rejects_duplicate_names(tmp_path):
     data = json.loads((DATA / "network.json").read_text())
     data["nodes"][1]["name"] = "luzern"  # case-folded duplicate of node 1
@@ -188,8 +209,9 @@ def test_global_offsets_cumulative(tmp_path):
 # --- event log --------------------------------------------------------------
 
 def test_load_event_log_parses_and_canonicalizes():
-    log = load_event_log(DATA / "events.csv", network())
-    edits, submits = log.edits, log.submits
+    events = load_event_log(DATA / "events.csv", network())
+    edits = [e for e in events if type(e) is EditEvent]
+    submits = [s for s in events if type(s) is SubmitEvent]
     team10 = [e for e in edits if e.team == 10]
     assert team10[0].edge == (4, 7)  # Gallen,Davos written in either order
     assert all(e.edge[0] < e.edge[1] for e in edits)
@@ -226,8 +248,9 @@ def test_load_event_log_rejects_below_optimal_cost(tmp_path):
 
 
 def test_load_event_log_stop_records():
-    log = load_event_log(DATA / "events.csv", network())
-    assert (20, 20.0) in log.stops
+    events = load_event_log(DATA / "events.csv", network())
+    assert (20, 20.0) in events
+    assert events == sorted(events, key=lambda event: event[:2])
 
 
 # --- test scores ------------------------------------------------------------
@@ -561,7 +584,7 @@ def _load_fixture_corpus():
     return assemble_corpus(
         network=net,
         utterances=load_transcript(DATA / "transcripts.csv"),
-        event_log=load_event_log(DATA / "events.csv", net),
+        events=load_event_log(DATA / "events.csv", net),
         scores=load_test_scores(DATA / "tests.csv"),
     )
 
@@ -719,8 +742,8 @@ def test_property_valid_raw_files_run_end_to_end(corpus):
         ingested = load_corpus(corpus_dir)
         assert ingested.network == corpus.network
         # the raw loaders sort each event kind by time and the scores by speaker
-        assert ingested.teams == tuple(dataclasses.replace(
-            tc, edits=tuple(sorted(tc.edits, key=by_time)),
+        assert ingested.teams == tuple(tc._replace(
+            edits=tuple(sorted(tc.edits, key=by_time)),
             submits=tuple(sorted(tc.submits, key=by_time)), stops=tuple(sorted(tc.stops)),
             scores=tuple(sorted(tc.scores, key=attrgetter("speaker"))),
             first_visual=first_visual) for tc in corpus.teams)
@@ -978,13 +1001,13 @@ def _with_value(corpus: Corpus, kind: str, key: str, value) -> Corpus:
     without one gets `value` as its stop."""
     if kind == "nodes":
         nodes = (*corpus.network.nodes[:-1], corpus.network.nodes[-1]._replace(**{key: value}))
-        return dataclasses.replace(corpus, network=Network(nodes, corpus.network.edges))
+        return corpus._replace(network=Network(nodes, corpus.network.edges))
     team, *others = corpus.teams
     field = "utterance_rows" if kind == "utterances" else kind
     records = getattr(team, field)
     last = value if kind == "stops" else records[-1]._replace(**{key: value})
-    team = dataclasses.replace(team, **{field: (*records[:-1], last)})
-    return dataclasses.replace(corpus, teams=(team, *others))
+    team = team._replace(**{field: (*records[:-1], last)})
+    return corpus._replace(teams=(team, *others))
 
 
 _FLOAT_COLUMNS = [("utterances", "start"), ("utterances", "end"), ("edits", "time"),
@@ -1009,7 +1032,7 @@ def test_save_corpus_raises_the_error_json_dumps_meets_first(tmp_path, later):
     corpus = _load_fixture_corpus()
     first, second, *others = corpus.network.nodes
     nodes = (first._replace(y=math.inf), second._replace(**dict([later])), *others)
-    corpus = dataclasses.replace(corpus, network=Network(nodes, corpus.network.edges))
+    corpus = corpus._replace(network=Network(nodes, corpus.network.edges))
     with pytest.raises(ValueError, match="inf$") as stdlib:
         _dumped(corpus)
     with pytest.raises(InputError) as excinfo:

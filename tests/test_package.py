@@ -39,7 +39,7 @@ EXPORTS = {
     "routines": ["Routine", "TokenEvents", "extract_routines", "filter_task_routines",
                  "token_events"],
     "stats": ["TestResult", "cliffs_delta", "interpret_rho", "kruskal_wallis",
-              "mann_whitney_u", "spearman"],
+              "mann_whitney_delta", "mann_whitney_u", "spearman"],
 }
 
 INGEST = ["ingest", "--transcripts", str(DATA / "transcripts.csv"),
@@ -54,11 +54,11 @@ def _python(code: str, *args: str, cwd: Path = ROOT, **env: str) -> subprocess.C
                           timeout=300)
 
 
-def _loaded(code: str) -> list[str]:
-    """The align, numpy and scipy modules loaded after `code` runs."""
+def _loaded(code: str, packages: tuple[str, ...] = ("align", "numpy", "scipy")) -> list[str]:
+    """The modules of `packages` loaded after `code` runs."""
     result = _python(code + "\nimport json, sys\n"
                      "print(json.dumps(sorted(m for m in sys.modules\n"
-                     "      if m.split('.')[0] in ('align', 'numpy', 'scipy'))))")
+                     f"      if m.split('.')[0] in {packages!r})))")
     assert result.returncode == 0, result.stderr.decode()
     return json.loads(result.stdout.decode().splitlines()[-1])
 
@@ -87,13 +87,14 @@ def test_readme_library_example_runs():
     assert result.returncode == 0, result.stderr.decode()
 
 
-# every per-item record kind, by the module that owns it
+# every record kind, per item or per corpus, team or report, by the module that owns it
 RECORDS = {
-    "corpus": ["ActionEvent", "EditEvent", "NetworkNode", "SubmitEvent", "TestScores",
-               "Utterance", "UtteranceRow", "_Records"],
+    "corpus": ["ActionEvent", "Corpus", "EditEvent", "NetworkNode", "SubmitEvent", "TeamCorpus",
+               "TestScores", "Utterance", "UtteranceRow", "_Records"],
     "instructions": ["AnnotatedAction", "Instruction", "MatchRecord"],
     "measures": ["TeamSuccess"],
-    "routines": ["Routine", "RoutineEvent"],
+    "report": ["HypothesisReport"],
+    "routines": ["Routine", "RoutineEvent", "TokenEvents"],
     "stats": ["TestResult"],
 }
 
@@ -147,6 +148,17 @@ def test_commands_that_compute_no_p_value_load_neither_numpy_nor_scipy(tmp_path)
            "for command in ('routines', 'annotate', 'measures'):\n"
            f"    assert main([command, '--corpus', {str(tmp_path)!r}]) == 0")
     assert _loaded(run) == sorted([*MODULES, "align.cli"])
+
+
+def test_commands_that_compute_no_p_value_load_neither_dataclasses_nor_inspect(tmp_path):
+    # dataclasses imports inspect, which imports ast, dis and tokenize: a few ms of each start-up
+    unwanted = ("dataclasses", "inspect")
+    assert _loaded("import align.cli", unwanted) == []
+    run = ("from align.cli import main\n"
+           f"assert main({INGEST + ['--out', str(tmp_path)]!r}) == 0\n"
+           "for command in ('routines', 'annotate', 'measures'):\n"
+           f"    assert main([command, '--corpus', {str(tmp_path)!r}]) == 0")
+    assert _loaded(run, unwanted) == []
 
 
 def test_all_loads_scipys_tails_without_scipy_special_init(tmp_path):
@@ -231,7 +243,7 @@ def _outputs(tmp_path: Path, hash_seed: str, raw: list[dict[str, Path]]) -> dict
         ["ingest", *(f"--{name}={paths[name]}" for name in ("transcripts", "events", "network",
                                                            "tests"))], f"random{i}")
         for i, paths in enumerate(raw)]
-    code = ("import sys\nfrom dataclasses import replace\nfrom align.cli import main\n"
+    code = ("import sys\nfrom align.cli import main\n"
             "from align.corpus import load_corpus, save_corpus\n"
             f"for ingest, out in {runs!r}:\n"
             "    if (main(ingest + ['--out', out])\n"
@@ -240,7 +252,7 @@ def _outputs(tmp_path: Path, hash_seed: str, raw: list[dict[str, Path]]) -> dict
             "                     '--format', 'json'])):\n"
             "        sys.exit(1)\n"
             "corpus = load_corpus('corpus')\n"
-            "save_corpus(replace(corpus, teams=tuple(replace(team, utterance_rows=tuple(\n"
+            "save_corpus(corpus._replace(teams=tuple(team._replace(utterance_rows=tuple(\n"
             "    u._replace(start=int(u.start)) if i % 2 else u for i, u in enumerate(\n"
             "        team.utterance_rows))) for team in corpus.teams)), 'mixed')")
     cwd = tmp_path / hash_seed

@@ -16,6 +16,7 @@ from align.stats import (
     cliffs_delta,
     interpret_rho,
     kruskal_wallis,
+    mann_whitney_delta,
     mann_whitney_u,
     spearman,
 )
@@ -208,6 +209,20 @@ def test_u_and_delta_equal_pair_counts_exactly():
     x, y = [2**53 + 1], [2.0**53]
     assert mann_whitney_u(x, y).statistic == u_direct(x, y) == 0.5
     assert cliffs_delta(x, y) == delta_direct(x, y) == 0.0
+
+
+def test_mann_whitney_delta_keeps_the_bits_of_both_functions():
+    # one count of 2U gives the test and delta; p = 1 where every pooled value is one value
+    rng = random.Random(29)
+    for _ in range(300):
+        levels = rng.choice([1, 2, 5, 1000])
+        x = [rng.randrange(levels) / 4 for _ in range(rng.randrange(1, 41))]
+        y = [rng.randrange(levels) / 4 for _ in range(rng.randrange(1, 41))]
+        assert mann_whitney_delta(x, y) == (mann_whitney_u(x, y), cliffs_delta(x, y))
+    for _ in range(30):
+        x, y = _mixed_samples(rng, rng.randrange(1, 101)), _mixed_samples(rng, rng.randrange(1, 101))
+        assert mann_whitney_delta(x, y) == (mann_whitney_u(x, y), cliffs_delta(x, y))
+    assert mann_whitney_delta([1.0, 1.0], [1]) == ((1.0, 1.0, (2, 1)), 0.0)
 
 
 def test_delta_u_relation_without_ties():
