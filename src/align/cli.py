@@ -221,5 +221,23 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run() -> None:
+    """The `align` process: `python -m align.cli` and the installed console script.
+
+    Once the command has returned or failed, the objects left in the heap are
+    frozen, so the interpreter's collections at exit skip them instead of
+    tracing the whole module graph for cycles: the OS takes the memory back
+    either way, and atexit handlers and the flushes of stdout and stderr still
+    run. Objects left in reference cycles are not finalized; every file the
+    command opens is closed before `main` returns. `main` leaves the heap as
+    it was, for callers that run it in-process.
+    """
+    try:
+        status = main()
+    finally:
+        gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,9 +6,14 @@ import csv
 import json
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from align.corpus import (
+    SPEAKERS,
+    Corpus,
     EditEvent,
     Network,
+    NetworkNode,
     SubmitEvent,
     TeamCorpus,
     UtteranceRow,
@@ -70,6 +75,52 @@ def make_team(
                      for s, pre, post in scores),
         first_visual=first_visual,
     )
+
+
+_coordinates = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def valid_corpora(draw, texts=st.text(max_size=30), teams: tuple[int, int] = (1, 3),
+                  utterances: tuple[int, int] = (0, 6), max_time: float = 1e6,
+                  subnormal: bool = True):
+    """A random corpus that passes every load_corpus check. It has `teams[0]` to
+    `teams[1]` teams, each with `utterances[0]` to `utterances[1]` utterances
+    drawn from `texts`. Utterances start, and events happen, at most `max_time`
+    seconds in; the times include subnormal floats unless `subnormal` is false."""
+    from align.corpus import TestScores  # imported here so pytest does not collect it
+    times = st.floats(min_value=0, max_value=max_time, allow_subnormal=subnormal)
+    size = draw(st.integers(2, 5))
+    nodes = tuple(NetworkNode(id=i, name=f"node{i}", label=draw(st.text(max_size=6)),
+                              x=draw(_coordinates), y=draw(_coordinates)) for i in range(1, size + 1))
+    # a chain keeps the network connected; any other pair may add an edge
+    ids = st.integers(1, size)
+    pairs = {(i, i + 1) for i in range(1, size)}
+    pairs |= {(u, v) for u, v in draw(st.sets(st.tuples(ids, ids), max_size=4)) if u < v}
+    network = Network(nodes=nodes, edges=tuple(sorted(
+        (u, v, draw(st.integers(1, 9))) for u, v in pairs)))
+    team_corpora = []
+    for team in sorted(draw(st.sets(st.integers(0, 999), min_size=teams[0], max_size=teams[1]))):
+        rows = [(speaker, start, start + length, text) for speaker, start, length, text in draw(
+            st.lists(st.tuples(st.sampled_from(SPEAKERS), times,
+                               st.floats(0, 100, allow_subnormal=subnormal), texts),
+                     min_size=utterances[0], max_size=utterances[1]))]
+        team_corpora.append(TeamCorpus(
+            team=team,
+            utterance_rows=utterance_rows_of(team, rows),
+            edits=tuple(EditEvent(team, time, kind, (u, v)) for time, kind, (u, v, _) in draw(
+                st.lists(st.tuples(times, st.sampled_from(["add", "remove"]),
+                                   st.sampled_from(network.edges)), max_size=4))),
+            submits=tuple(SubmitEvent(team, time, network.optimal_cost + extra)
+                          for time, extra in draw(st.lists(
+                              st.tuples(st.floats(1e-3, max_time), st.integers(0, 5)),
+                              min_size=1, max_size=3))),
+            stops=tuple(draw(st.lists(times, max_size=2))),
+            scores=tuple(TestScores(team, speaker, draw(st.integers(0, 10)),
+                                    draw(st.integers(0, 10))) for speaker in ("B", "A")),
+            first_visual=draw(st.sampled_from("AB")),
+        ))
+    return Corpus(network=network, teams=tuple(team_corpora))
 
 
 MICRO_VOCAB = ("bern", "zurich", "mount", "to", "uh", "oh")

@@ -46,7 +46,7 @@ from align.corpus import (
     write_json,
 )
 from _builders import (DATA, make_edits, make_submits, make_team, network, strict_json,
-                       utterance_rows_of, write_random_raw_files)
+                       valid_corpora, write_random_raw_files)
 from _oracles import (oracle_csv, oracle_load_event_log, oracle_load_test_scores,
                       oracle_load_transcript)
 
@@ -603,48 +603,8 @@ def test_corpus_round_trip(tmp_path):
         assert restored.duration == original.duration
 
 
-_times = st.floats(min_value=0, max_value=1e6)
-_coordinates = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-@st.composite
-def _valid_corpora(draw, texts=st.text(max_size=30)):
-    """A random corpus that passes every load_corpus check, its utterances drawn from `texts`."""
-    from align.corpus import TestScores  # imported here so pytest does not collect it
-    size = draw(st.integers(2, 5))
-    nodes = tuple(NetworkNode(id=i, name=f"node{i}", label=draw(st.text(max_size=6)),
-                              x=draw(_coordinates), y=draw(_coordinates)) for i in range(1, size + 1))
-    # a chain keeps the network connected; any other pair may add an edge
-    ids = st.integers(1, size)
-    pairs = {(i, i + 1) for i in range(1, size)}
-    pairs |= {(u, v) for u, v in draw(st.sets(st.tuples(ids, ids), max_size=4)) if u < v}
-    network = Network(nodes=nodes, edges=tuple(sorted(
-        (u, v, draw(st.integers(1, 9))) for u, v in pairs)))
-    teams = []
-    for team in sorted(draw(st.sets(st.integers(0, 999), min_size=1, max_size=3))):
-        rows = [(speaker, start, start + length, text) for speaker, start, length, text in draw(
-            st.lists(st.tuples(st.sampled_from(SPEAKERS), _times, st.floats(0, 100),
-                               texts), max_size=6))]
-        teams.append(TeamCorpus(
-            team=team,
-            utterance_rows=utterance_rows_of(team, rows),
-            edits=tuple(EditEvent(team, time, kind, (u, v)) for time, kind, (u, v, _) in draw(
-                st.lists(st.tuples(_times, st.sampled_from(["add", "remove"]),
-                                   st.sampled_from(network.edges)), max_size=4))),
-            submits=tuple(SubmitEvent(team, time, network.optimal_cost + extra)
-                          for time, extra in draw(st.lists(
-                              st.tuples(st.floats(1e-3, 1e6), st.integers(0, 5)),
-                              min_size=1, max_size=3))),
-            stops=tuple(draw(st.lists(_times, max_size=2))),
-            scores=tuple(TestScores(team, speaker, draw(st.integers(0, 10)),
-                                    draw(st.integers(0, 10))) for speaker in ("B", "A")),
-            first_visual=draw(st.sampled_from("AB")),
-        ))
-    return Corpus(network=network, teams=tuple(teams))
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(_valid_corpora())
+@given(valid_corpora())
 def test_property_valid_corpora_round_trip(corpus):
     with tempfile.TemporaryDirectory() as tmp:
         first = save_corpus(corpus, Path(tmp) / "first")
@@ -682,7 +642,7 @@ def _all_runs_in_both_formats(corpus_dir: Path) -> None:
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(_valid_corpora())
+@given(valid_corpora())
 def test_property_valid_corpora_run_end_to_end(corpus):
     """`align all` exits 0 on every corpus load_corpus accepts, in both formats,
     and writes no NaN or Infinity into a JSON file."""
@@ -724,7 +684,7 @@ def _write_raw_files(corpus: Corpus, tmp: Path) -> dict[str, Path]:
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 # Python 3.10's csv reader refuses a NUL character (ingest exits 2 naming the line)
-@given(_valid_corpora(texts=st.text(st.characters(exclude_characters="\x00"), max_size=30)))
+@given(valid_corpora(texts=st.text(st.characters(exclude_characters="\x00"), max_size=30)))
 def test_property_valid_raw_files_run_end_to_end(corpus):
     """`align ingest` reads the raw files of every valid corpus back as that
     corpus, and `align all` exits 0 on it in both formats, writing no NaN or

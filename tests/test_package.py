@@ -1,11 +1,12 @@
 """Process-level contracts: what the package root, each command and the
 mining, matching, measures, report and statistics modules import, the p-values'
 bits whether scipy.special loads before or after `align.stats`, the README's library
-example, immutable records, output independence from the hash seed, and the
-CLI's handling of the cyclic garbage collector."""
+example, immutable records, output independence from the hash seed, the
+CLI's handling of the cyclic garbage collector, and its process entry."""
 
 from __future__ import annotations
 
+import ast
 import gc
 import importlib
 import json
@@ -346,6 +347,7 @@ def test_main_runs_with_the_gc_off_and_restores_its_state(corpora, tmp_path, mon
     monkeypatch.setattr(cli, "load_corpus",
                         lambda path: during.append(gc.isenabled()) or load_corpus(path))
     argv = [arg.format(small=corpora[0], out=tmp_path) for arg in argv]
+    frozen = gc.get_freeze_count()
     (gc.enable if enabled else gc.disable)()
     try:
         try:
@@ -357,3 +359,37 @@ def test_main_runs_with_the_gc_off_and_restores_its_state(corpora, tmp_path, mon
     finally:
         gc.enable()
     assert not any(during)
+    assert gc.get_freeze_count() == frozen  # only the process entry freezes the heap
+
+
+# runs align.cli as `python -m` does; an atexit handler reports whether the heap is frozen
+_EXIT_PROBE = """import atexit, gc, runpy
+atexit.register(lambda: print(f"frozen at exit: {gc.get_freeze_count() > 0}"))
+runpy.run_module("align.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, code, stdout", [
+    (["measures", "--corpus", "{small}", "--out", "{out}"], 0, "wrote {out}/task_features.csv\n"),
+    (["measures", "--corpus", "{out}/missing"], 2, ""),  # an InputError
+], ids=["exit-0", "input-error"])
+def test_process_exit_freezes_the_heap_after_the_command(corpora, tmp_path, argv, code, stdout):
+    argv = [arg.format(small=corpora[0], out=tmp_path) for arg in argv]
+    result = _python(_EXIT_PROBE, *argv, PYTHONDEVMODE="1", PYTHONWARNINGS="error")  # -X dev -W error
+    assert result.returncode == code
+    assert result.stdout.decode() == stdout.format(out=tmp_path) + "frozen at exit: True\n"
+    if code:
+        assert re.fullmatch(r"error: [^\n]+\n", result.stderr.decode())
+    else:
+        assert result.stderr == b""
+
+
+def test_console_script_runs_the_entry_of_python_m():
+    # read without tomllib, which Python 3.10 lacks
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    [entry] = re.findall(r'^align = "align\.cli:(\w+)"$', scripts, re.M)
+    tree = ast.parse((ROOT / "src" / "align" / "cli.py").read_text(encoding="utf-8"))
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert ast.unparse(block.body) == f"{entry}()"
