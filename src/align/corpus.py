@@ -26,6 +26,10 @@ HUMAN_SPEAKERS = ("A", "B")
 ROBOT_SPEAKER = "I"
 SPEAKERS = (*HUMAN_SPEAKERS, ROBOT_SPEAKER)
 MAX_SCORE = 10  # top mark of the pre- and post-tests
+# the bounds of input times: a normalized time, 100 * t / duration, is then at most
+# 1e14, and no statistic overflows
+MAX_TIME = 1e9  # seconds: the latest input time
+MIN_DURATION = 1e-3  # seconds: the shortest team duration
 
 ADD = "add"
 REMOVE = "remove"
@@ -355,9 +359,11 @@ def _check_speaker(speaker: str, allowed: tuple[str, ...]) -> str:
 
 
 def _check_time(time: float, name: str) -> float:
-    """`time`, counted from the task's start at 0; -0.0 reads as 0.0."""
+    """`time`, counted from the task's start at 0 up to MAX_TIME; -0.0 reads as 0.0."""
     if time < 0:
         raise InputError(f"{name} {time} is negative; times count from the task's start at 0")
+    if time > MAX_TIME:
+        raise InputError(f"{name} {time} is above {MAX_TIME}")
     return time or 0.0
 
 
@@ -372,7 +378,8 @@ def _utterance(team: int, speaker: str, start: float, end: float, text: str) -> 
 def _utterances(team: Iterable[int], speaker: Sequence[str], start: Sequence[float],
                 end: Sequence[float], text: Sequence[str]) -> list[UtteranceRow] | None:
     if (frozenset(SPEAKERS).issuperset(speaker) and min(start, default=0.0) >= 0
-            and not any(map(gt, start, end))):  # so no end is negative either
+            and max(end, default=0.0) <= MAX_TIME
+            and not any(map(gt, start, end))):  # so no end is negative, nor start above MAX_TIME
         zeroed = partial(map, add, repeat(0.0))  # t + 0.0 is t, but 0.0 for -0.0
         return _named(UtteranceRow, team, speaker, zeroed(start), zeroed(end), text)
 
@@ -541,7 +548,8 @@ def build_action_stream(
 
 def relative_time(time: float, team_duration: float) -> float:
     """Map an absolute time to percent progress through the team's activity;
-    `team_duration` is positive, as `check_teams` makes every team's."""
+    `team_duration` is at least MIN_DURATION, as `check_teams` makes every
+    team's, so a time of at most MAX_TIME maps to at most 1e14."""
     return 100.0 * time / team_duration
 
 
@@ -615,9 +623,9 @@ def check_teams(corpus: Corpus, *, teams_file: str | Path, scores_file: str | Pa
                 events_file: str | Path) -> None:
     """Reject a corpus without teams, or a team the success measures cannot score.
 
-    Every team appears once, with one test-score row for each interlocutor,
-    at least one submitted solution and a positive duration (its last event's
-    time). Each message names the file that holds the rows or times at fault.
+    Every team appears once, with one test-score row for each interlocutor, at
+    least one submitted solution and a duration (its last event's time) of at
+    least MIN_DURATION. Each message names the file that holds the rows or times at fault.
     """
     if not corpus.teams:
         raise InputError(f"{teams_file}: no teams")
@@ -633,9 +641,9 @@ def check_teams(corpus: Corpus, *, teams_file: str | Path, scores_file: str | Pa
                 raise InputError(f"{scores_file}: team {team} {has} for speaker {speaker}")
         if not tc.submits:
             raise InputError(f"{events_file}: team {team} submitted no solution")
-        if not (duration := tc.duration) > 0:
+        if not (duration := tc.duration) >= MIN_DURATION:
             raise InputError(f"{events_file}: team {team} has duration {duration}; "
-                             "its last event must come after time 0")
+                             f"its last event must come at least {MIN_DURATION} s after time 0")
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +724,7 @@ def write_json(path: Path, data) -> Path:
     by 2, keys sorted, a final newline, the bytes json.dumps writes. The text
     is encoded in full before the file is opened and then written in pieces,
     so writing holds about one copy of it. NaN and Infinity are not JSON
-    numbers, and only input times that overflow a statistic make one: an
-    InputError naming `path`, and no file is written."""
+    numbers: an InputError naming `path`, and no file is written."""
     try:
         pieces = _pieces(data, "", 2) + ["\n"]
     except ValueError as exc:

@@ -9,6 +9,8 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from align.corpus import (
+    MAX_TIME,
+    MIN_DURATION,
     SPEAKERS,
     Corpus,
     EditEvent,
@@ -53,6 +55,17 @@ def utterance_rows_of(team: int, rows) -> tuple[UtteranceRow, ...]:
     return tuple(sorted((UtteranceRow(team, *row) for row in rows), key=lambda r: (r.start, r.end)))
 
 
+def times_mapped(corpus: Corpus, said, logged) -> Corpus:
+    """The corpus with `said` applied to every utterance start and end, and `logged`
+    to every edit, submit and stop time."""
+    return corpus._replace(teams=tuple(tc._replace(
+        utterance_rows=tuple(row._replace(start=said(row.start), end=said(row.end))
+                             for row in tc.utterance_rows),
+        edits=tuple(edit._replace(time=logged(edit.time)) for edit in tc.edits),
+        submits=tuple(submit._replace(time=logged(submit.time)) for submit in tc.submits),
+        stops=tuple(map(logged, tc.stops))) for tc in corpus.teams))
+
+
 def make_team(
     team: int,
     net: Network,
@@ -87,7 +100,9 @@ def valid_corpora(draw, texts=st.text(max_size=30), teams: tuple[int, int] = (1,
     """A random corpus that passes every load_corpus check. It has `teams[0]` to
     `teams[1]` teams, each with `utterances[0]` to `utterances[1]` utterances
     drawn from `texts`. Utterances start, and events happen, at most `max_time`
-    seconds in; the times include subnormal floats unless `subnormal` is false."""
+    seconds in, and utterances last up to 100 s but end by MAX_TIME; submits come
+    from MIN_DURATION on. The times include subnormal floats unless `subnormal`
+    is false."""
     from align.corpus import TestScores  # imported here so pytest does not collect it
     times = st.floats(min_value=0, max_value=max_time, allow_subnormal=subnormal)
     size = draw(st.integers(2, 5))
@@ -101,10 +116,11 @@ def valid_corpora(draw, texts=st.text(max_size=30), teams: tuple[int, int] = (1,
         (u, v, draw(st.integers(1, 9))) for u, v in pairs)))
     team_corpora = []
     for team in sorted(draw(st.sets(st.integers(0, 999), min_size=teams[0], max_size=teams[1]))):
-        rows = [(speaker, start, start + length, text) for speaker, start, length, text in draw(
-            st.lists(st.tuples(st.sampled_from(SPEAKERS), times,
-                               st.floats(0, 100, allow_subnormal=subnormal), texts),
-                     min_size=utterances[0], max_size=utterances[1]))]
+        drawn = draw(st.lists(st.tuples(st.sampled_from(SPEAKERS), times,
+                                        st.floats(0, 100, allow_subnormal=subnormal), texts),
+                              min_size=utterances[0], max_size=utterances[1]))
+        rows = [(speaker, start, min(start + length, MAX_TIME), text)
+                for speaker, start, length, text in drawn]
         team_corpora.append(TeamCorpus(
             team=team,
             utterance_rows=utterance_rows_of(team, rows),
@@ -113,7 +129,7 @@ def valid_corpora(draw, texts=st.text(max_size=30), teams: tuple[int, int] = (1,
                                    st.sampled_from(network.edges)), max_size=4))),
             submits=tuple(SubmitEvent(team, time, network.optimal_cost + extra)
                           for time, extra in draw(st.lists(
-                              st.tuples(st.floats(1e-3, max_time), st.integers(0, 5)),
+                              st.tuples(st.floats(MIN_DURATION, max_time), st.integers(0, 5)),
                               min_size=1, max_size=3))),
             stops=tuple(draw(st.lists(times, max_size=2))),
             scores=tuple(TestScores(team, speaker, draw(st.integers(0, 10)),

@@ -395,8 +395,11 @@ def _oracle_speaker(speaker: str, allowed: str) -> None:
 
 
 def _oracle_time(time: float, name: str) -> float:
+    """A time in 0..1e9 s, the bound spelled out rather than read from align.corpus."""
     if time < 0:
         raise InputError(f"{name} {time} is negative; times count from the task's start at 0")
+    if time > 1e9:
+        raise InputError(f"{name} {time} is above 1000000000.0")
     return time or 0.0
 
 

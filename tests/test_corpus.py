@@ -18,10 +18,12 @@ from operator import attrgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from align.corpus import (
+    MAX_TIME,
+    MIN_DURATION,
     SPEAKERS,
     Corpus,
     EditEvent,
@@ -46,7 +48,7 @@ from align.corpus import (
     write_json,
 )
 from _builders import (DATA, make_edits, make_submits, make_team, network, strict_json,
-                       valid_corpora, write_random_raw_files)
+                       times_mapped, valid_corpora, write_random_raw_files)
 from _oracles import (oracle_csv, oracle_load_event_log, oracle_load_test_scores,
                       oracle_load_transcript)
 
@@ -312,6 +314,8 @@ _FIELD_LIMIT = csv.field_size_limit()
 _text = st.text(st.sampled_from('ab ,"\n\r\ufeffé'), max_size=6)
 _seconds = st.floats(0, 100).map(repr) | st.sampled_from(["0", "-0.0", " 7 ", "1e2"])
 _teams = st.sampled_from(["1", "2", " 3", "-4", "10"])
+# times above the bound of 1e9 s: the next float after it, and two far beyond
+_ABOVE_BOUND = [math.nextafter(1e9, math.inf), 1e16, 1.7e308]
 
 
 @st.composite
@@ -341,10 +345,11 @@ _score_row = st.tuples(_teams, st.sampled_from(["A", "B", " B"]), _score, _score
 # per raw file: header, a valid row, and the bad values of each column
 _RAW_FILES = {
     "transcripts": (["team", "speaker", "start_sec", "end_sec", "utterance"], _transcript_row(), [
-        ["x", "1.5", "", "nan"], ["C", "a", ""], ["nan", "inf", "-inf", "abc", "-1.0", "1e999"],
-        ["-2.5", "-0.0", "inf", "x"], []]),
+        ["x", "1.5", "", "nan"], ["C", "a", ""],
+        ["nan", "inf", "-inf", "abc", "-1.0", "1e999", *map(repr, _ABOVE_BOUND)],
+        ["-2.5", "-0.0", "inf", "x", *map(repr, _ABOVE_BOUND)], []]),
     "events": (["team", "time_sec", "event", "u", "v", "cost"], _event_row(), [
-        ["x", ""], ["nan", "-1.0", "x", "-Infinity"], ["jump", ""],
+        ["x", ""], ["nan", "-1.0", "x", "-Infinity", *map(repr, _ABOVE_BOUND)], ["jump", ""],
         ["Atlantis", "", "Montreux"], ["Atlantis", "", "Davos"],
         ["5", "12.5", "", "1" + "0" * 400, " 14 "]]),
     "tests": (["team", "speaker", "pre", "post"], _score_row, [
@@ -417,15 +422,17 @@ def test_property_raw_loaders_equal_the_row_at_a_time_oracle(kind, data):
 @st.composite
 def _faulty_team_rows(draw, key: str) -> list[list]:
     """Valid rows of one team's utterances or scores with zero to three value
-    faults: a speaker outside the allowed set, a negative time, a start after
-    its end, or a score outside 0..10."""
+    faults: a speaker outside the allowed set, a negative time, an end (and
+    maybe its start) above the bound, a start after its end, or a score
+    outside 0..10."""
     if key == "utterances":
         start = st.floats(0, 100) | st.just(-0.0)
         rows = draw(st.lists(st.tuples(st.sampled_from(SPEAKERS), start, st.floats(0, 10),
                                        st.text("ab ,é", max_size=4)), max_size=8))
         rows = [[speaker, start, start + length, text] for speaker, start, length, text in rows]
         faults = {"speaker": st.sampled_from(["C", "a", "", "AB"]),
-                  "negative": st.floats(-100, -1e-3), "after": st.floats(1e-3, 10)}
+                  "negative": st.floats(-100, -1e-3), "after": st.floats(1e-3, 10),
+                  "above": st.sampled_from(_ABOVE_BOUND)}
     else:
         rows = [[speaker, draw(st.integers(0, 10)), draw(st.integers(0, 10))]
                 for speaker in draw(st.permutations(["A", "B"]))]
@@ -437,6 +444,9 @@ def _faulty_team_rows(draw, key: str) -> list[list]:
         value = draw(faults[fault])
         if fault == "after":  # the start moves past the end
             row[1] = row[2] + value
+        elif fault == "above":  # the end, and the start with it or not
+            row[2] = value
+            row[1] = value if draw(st.booleans()) else row[1]
         else:
             row[{"speaker": 0, "negative": 1, "pre": 1, "post": 2}[fault]] = value
     return rows
@@ -620,8 +630,9 @@ def test_property_valid_corpora_round_trip(corpus):
 
 def _all_runs_in_both_formats(corpus_dir: Path) -> None:
     """`align all` exits 0 in both formats and writes no NaN or Infinity into a JSON
-    file. Each CSV file holds the bytes csv.writer writes for the rows csv.reader
-    reads from it, and the annotated corpus has a row per utterance and per edit."""
+    file, nor into an analysis's CSV table. Each CSV file holds the bytes csv.writer
+    writes for the rows csv.reader reads from it, and the annotated corpus has a row
+    per utterance and per edit."""
     from align.cli import main
     for fmt in ("csv", "json"):
         out = corpus_dir / fmt
@@ -636,6 +647,8 @@ def _all_runs_in_both_formats(corpus_dir: Path) -> None:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
         assert path.read_bytes() == oracle_csv(rows), path.name
+        if path.name.startswith("h"):  # series names and numbers, all finite
+            assert not {cell for row in rows for cell in row} & {"inf", "-inf", "nan"}, path.name
         if path.name == "annotated_corpus.csv":
             teams = load_corpus(corpus_dir).teams
             assert len(rows) == 1 + sum(len(tc.utterance_rows) + len(tc.edits) for tc in teams)
@@ -708,6 +721,53 @@ def test_property_valid_raw_files_run_end_to_end(corpus):
             scores=tuple(sorted(tc.scores, key=attrgetter("speaker"))),
             first_visual=first_visual) for tc in corpus.teams)
         _all_runs_in_both_formats(corpus_dir)
+
+
+def _at_the_bounds(corpus: Corpus) -> Corpus:
+    """The corpus with its last utterance ending at MAX_TIME and its shortest team
+    lasting MIN_DURATION: its normalized times reach 1e14."""
+    last_end = max(row.end for tc in corpus.teams for row in tc.utterance_rows)
+    shortest = min(tc.duration for tc in corpus.teams)
+    return times_mapped(corpus, lambda t: t / last_end * MAX_TIME,
+                         lambda t: t / shortest * MIN_DURATION)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(valid_corpora(max_time=MAX_TIME))
+@example(_at_the_bounds(_load_fixture_corpus())).via("the fixture at both bounds")
+def test_property_corpora_at_the_time_bounds_run_end_to_end(corpus):
+    """Times drawn up to MAX_TIME and submits from MIN_DURATION on, so that a
+    normalized time reaches 1e14: `align all` exits 0 in both formats, with strict
+    JSON and no inf or nan cell in an analysis's CSV table."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _all_runs_in_both_formats(save_corpus(corpus, tmp).parent)
+
+
+# the fixture with its transcript times scaled by 1e7 (every time at most 4.9e8 s)
+# and its event times by 1e-300: team 10 lasts 5.5e-299 s, and 100 * t / duration
+# would overflow
+_PROBE = times_mapped(_load_fixture_corpus(), lambda t: t * 1e7, lambda t: t * 1e-300)
+_PROBE_REFUSED = ("team 10 has duration 5.5e-299; its last event must come at least 0.001 s "
+                  "after time 0")
+
+
+def test_ingest_refuses_a_near_zero_duration_naming_the_events_file(tmp_path, capsys):
+    from align.cli import main
+    paths = _write_raw_files(_PROBE, tmp_path)
+    assert main(["ingest", "--transcripts", str(paths["transcripts"]),
+                 "--events", str(paths["events"]), "--network", str(paths["network"]),
+                 "--tests", str(paths["tests"]), "--out", str(tmp_path / "corpus")]) == 2
+    assert capsys.readouterr().err == f"error: {paths['events']}: {_PROBE_REFUSED}\n"
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_all_refuses_a_near_zero_duration_naming_corpus_json(tmp_path, capsys):
+    from align.cli import main
+    path = save_corpus(_PROBE, tmp_path / "corpus")
+    out = tmp_path / "out"
+    assert main(["all", "--corpus", str(path.parent), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {_PROBE_REFUSED}\n"
+    assert not out.exists()
 
 
 def test_load_corpus_reads_negative_zero_times_as_zero(tmp_path):

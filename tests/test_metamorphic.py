@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from align.corpus import Corpus
 from align.report import ANALYSES, Pipeline
 
-from _builders import valid_corpora
+from _builders import times_mapped, valid_corpora
 
 # few phrases, of node names, instruction verbs, fillers and "oh", so that most
 # teams repeat expressions, instruct, get verdicts and say every marker the
@@ -60,17 +60,6 @@ def _analyses(corpus: Corpus, window: float) -> dict[str, str]:
     return texts
 
 
-def _times_doubled(corpus: Corpus) -> Corpus:
-    """Every time in the corpus doubled: utterance starts and ends, edits, submits
-    and stops."""
-    return corpus._replace(teams=tuple(tc._replace(
-        utterance_rows=tuple(row._replace(start=2 * row.start, end=2 * row.end)
-                             for row in tc.utterance_rows),
-        edits=tuple(edit._replace(time=2 * edit.time) for edit in tc.edits),
-        submits=tuple(submit._replace(time=2 * submit.time) for submit in tc.submits),
-        stops=tuple(2 * stop for stop in tc.stops)) for tc in corpus.teams))
-
-
 def _doubled_times(document: dict) -> dict:
     """A `h*.json` document with every float under a time key doubled: the row
     cells, summary values and distribution series named `*_abs`, `*_common` and
@@ -95,7 +84,7 @@ def test_property_doubling_every_time_doubles_the_time_values_bit_for_bit(corpus
     `common_window_sec` value doubles and every other value keeps its bits: the
     normalized views, token positions, ranks, U, Cliff's delta and the p-values."""
     original = _analyses(corpus, window)
-    doubled = _analyses(_times_doubled(corpus), 2 * window)
+    doubled = _analyses(times_mapped(corpus, lambda t: 2 * t, lambda t: 2 * t), 2 * window)
     for (run, before), after in zip(original.items(), doubled.values()):
         # the JSON text of a float is its shortest repr, so equal texts are equal bits
         assert (json.dumps(_doubled_times(json.loads(before)), sort_keys=True)
@@ -122,3 +111,55 @@ def test_property_swapping_the_interlocutors_keeps_every_analysis_byte_identical
     """Who is A and who is B is a label: the routines, instructions, verdicts,
     learning groups and so every value of every analysis stay as they were."""
     assert _analyses(_speakers_swapped(corpus), window) == _analyses(corpus, window)
+
+
+def _teams_relabelled(corpus: Corpus, ids: dict[int, int]) -> Corpus:
+    """Every team id, of the team and of each of its records, mapped by `ids`."""
+    return corpus._replace(teams=tuple(tc._replace(
+        team=ids[tc.team],
+        **{kind: tuple(record._replace(team=ids[tc.team]) for record in getattr(tc, kind))
+           for kind in ("utterance_rows", "edits", "submits", "scores")})
+        for tc in corpus.teams))
+
+
+def _with_a_twin(corpus: Corpus) -> Corpus:
+    """The corpus plus a copy of its first team under the next free id: the two
+    teams tie on error and duration, so their ids order their rows."""
+    first = corpus.teams[0]
+    twin = _teams_relabelled(corpus._replace(teams=(first,)),
+                             {first.team: corpus.teams[-1].team + 1})
+    return corpus._replace(teams=corpus.teams + twin.teams)
+
+
+def _team_ids_mapped(document: dict, ids: dict[int, int]) -> dict:
+    """A `h*.json` document with the `team` cell of every row and the team keys
+    of every distribution series mapped by `ids`."""
+    return {**document,
+            "per_team_rows": [{**row, "team": ids[row["team"]]}
+                              for row in document["per_team_rows"]],
+            "distributions": {series: {str(ids[int(team)]): values
+                                       for team, values in by_team.items()}
+                              for series, by_team in document["distributions"].items()}}
+
+
+# ids of one to thirteen digits, either sign, so that their order as strings often
+# differs from their order as numbers
+_team_ids = st.integers(0, 12).flatmap(lambda digits: st.integers(-10**digits, 10**digits))
+
+
+@_examples
+@given(_corpora | _corpora.map(_with_a_twin), _windows, st.data())
+def test_property_relabelling_the_teams_in_order_changes_only_the_team_ids(corpus, window, data):
+    """Team ids are labels whose order breaks ties: under a monotone relabelling,
+    every analysis changes only in its rows' `team` cells and its series' team keys.
+    The documents are compared parsed, with the ids mapped back, since `sort_keys`
+    orders the team keys as strings ("10" before "9")."""
+    old = [tc.team for tc in corpus.teams]
+    new = sorted(data.draw(st.lists(_team_ids, min_size=len(old), max_size=len(old),
+                                    unique=True)))
+    relabelled = _analyses(_teams_relabelled(corpus, dict(zip(old, new))), window)
+    back = dict(zip(new, old))
+    for (run, before), after in zip(_analyses(corpus, window).items(), relabelled.values()):
+        # the JSON text of a float is its shortest repr, so equal texts are equal bits
+        assert (json.dumps(_team_ids_mapped(json.loads(after), back), sort_keys=True)
+                == json.dumps(json.loads(before), sort_keys=True)), run

@@ -40,7 +40,7 @@ from align.report import (
     run_h21,
     run_h22,
 )
-from _builders import DATA, make_team, network, strict_json, write_fixture_inputs
+from _builders import DATA, make_team, network, write_fixture_inputs
 from _oracles import oracle_csv
 
 NET = network()
@@ -365,8 +365,8 @@ def test_collaborative_period_singleton_and_constant():
     assert collaborative_period([7.0, 7.0, 7.0]) == (7.0, 7.0)
 
 
-# Times as the h1.1 runner passes them: finite, or infinite where a relative
-# time overflowed, never NaN; ties, -0.0, and pairs whose difference overflows.
+# Any times but NaN, infinite ones included, though the h1.1 runner passes at
+# most 1e14; ties, -0.0, and pairs whose difference overflows.
 # A sample holds zeros of one sign only: numpy's partition may put 0.0 and
 # -0.0 in either order, and the runner's times are never -0.0.
 _quartile_samples = st.lists(
@@ -389,7 +389,7 @@ _quartile_samples = st.lists(
 def test_property_collaborative_period_is_numpys_percentile_bit_for_bit(times):
     with np.errstate(all="ignore"):  # numpy warns where a value overflows or is nan
         expected = np.percentile(np.asarray(times, dtype=float), [25, 75])
-    # repr tells -0.0 from 0.0 and prints a nan or inf as _check_finite does
+    # repr tells -0.0 from 0.0, and inf from nan
     assert list(map(repr, collaborative_period(times))) == [repr(float(v)) for v in expected]
 
 
@@ -650,8 +650,14 @@ def test_cli_ingest_rejects_incomplete_rows_with_exit_2(tmp_path, capsys, file, 
     ("events", "10,25.0,add", "10,-25.0,add", "line 2: time_sec -25.0 is negative"),
     ("events", "20,18.0,submit", "20,-5.0,submit", "line 13: time_sec -5.0 is negative"),
     ("events", "20,20.0,stop", "20,-1.0,stop", "line 14: time_sec -1.0 is negative"),
+    # above the bound of 1e9 s: an end alone, which the column-at-a-time read checks too
+    ("transcripts", "10,A,10.0,13.0", "10,A,10.0,1e10",
+     "line 3: end 10000000000.0 is above 1000000000.0"),
+    ("events", "10,25.0,add", "10,1000000000.0000001,add",
+     "line 2: time_sec 1000000000.0000001 is above 1000000000.0"),
 ])
-def test_cli_ingest_rejects_negative_times_with_exit_2(tmp_path, capsys, file, old, new, message):
+def test_cli_ingest_rejects_out_of_range_times_with_exit_2(tmp_path, capsys, file, old, new,
+                                                           message):
     paths = write_fixture_inputs(tmp_path)
     text = paths[file].read_text()
     assert old in text
@@ -792,6 +798,8 @@ def test_cli_ingest_rejects_bad_network_with_exit_2(tmp_path, capsys, edit, mess
     (lambda data: _set(data["teams"][0]["edits"][0], "time", -25.0),
      "team 10: time -25.0 is negative"),
     (lambda data: _set(data["teams"][1], "stops", [-1.0]), "team 20: stop time -1.0 is negative"),
+    (lambda data: _set(data["teams"][0]["submits"][0], "time", 1000000000.0000001),
+     "team 10: time 1000000000.0000001 is above 1000000000.0"),
     *[(lambda data, edit=edit: edit(data["network"]), message) for edit, message in _BAD_NETWORKS],
 ])
 def test_cli_all_rejects_malformed_corpus_with_exit_2(tmp_path, capsys, edit, message):
@@ -1235,8 +1243,9 @@ def test_cli_rejects_duplicate_team_in_corpus_with_exit_2(tmp_path, capsys):
     assert f"error: {path}: team 20 appears twice" in capsys.readouterr().err
 
 
-def test_cli_refuses_to_write_an_overflowed_statistic_with_exit_2(tmp_path, capsys):
-    # 100 * t / duration overflows to inf for an "oh" this close to the float maximum
+def test_cli_refuses_a_corpus_time_above_the_bound_with_exit_2(tmp_path, capsys):
+    # an "oh" this close to the float maximum would overflow 100 * t / duration to inf;
+    # it is refused where corpus.json is read, before any file is written
     corpus_dir = _ingest(tmp_path)
     path = corpus_dir / "corpus.json"
     data = json.loads(path.read_text())
@@ -1244,9 +1253,11 @@ def test_cli_refuses_to_write_an_overflowed_statistic_with_exit_2(tmp_path, caps
                                            "text": "oh"})
     data["teams"][0]["stops"].append(1.7e308)
     path.write_text(json.dumps(data))
-    assert main(["all", "--corpus", str(corpus_dir), "--format", "json"]) == 2
-    assert (f"error: {corpus_dir / 'h22.json'}: Out of range float values are not JSON "
-            "compliant: inf" in capsys.readouterr().err)
+    out = tmp_path / "out"
+    assert main(["all", "--corpus", str(corpus_dir), "--format", "json", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: team 10: start 1.7e+308 is above "
+                                       "1000000000.0\n")
+    assert not out.exists()
 
 
 def test_cli_accepts_a_cost_at_the_largest_float(tmp_path):
@@ -1259,37 +1270,29 @@ def test_cli_accepts_a_cost_at_the_largest_float(tmp_path):
     assert main(["all", "--corpus", str(corpus_dir)]) == 0
 
 
-def test_cli_refuses_to_write_an_overflowed_statistic_to_csv_with_exit_2(tmp_path, capsys):
-    # an "oh" and a stop this close to the float maximum in every team: 100 * t / duration
-    # overflows to inf in h2.2's distributions
+def test_cli_refuses_a_corpus_stop_above_the_bound_before_writing_csv_with_exit_2(tmp_path,
+                                                                                 capsys):
+    # a stop this close to the float maximum in every team, as the last event that sets
+    # the team's duration: the first team's is refused where corpus.json is read
     corpus_dir = _ingest(tmp_path)
     path = corpus_dir / "corpus.json"
     data = json.loads(path.read_text())
     for team in data["teams"]:
-        team["utterances"].append({"speaker": "A", "start": 1.7e308, "end": 1.7e308,
-                                   "text": "oh"})
         team["stops"].append(1.7e308)
     path.write_text(json.dumps(data))
     out = tmp_path / "out"
     assert main(["all", "--corpus", str(corpus_dir), "--out", str(out)]) == 2
-    assert (f"error: {out / 'h22_distributions.csv'}: out of range float value inf"
-            in capsys.readouterr().err)
-    written = sorted(out.iterdir())
-    assert written and not any(p.name.startswith("h22") for p in written)
-    for written_path in written:
-        if written_path.suffix == ".json":
-            strict_json(written_path)
-            continue
-        with open(written_path, newline="", encoding="utf-8") as handle:
-            cells = {cell for row in csv.reader(handle) for cell in row}
-        assert not cells & {"inf", "-inf", "nan"}, written_path.name
+    assert capsys.readouterr().err == (f"error: {path}: team 10: stop time 1.7e+308 is above "
+                                       "1000000000.0\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["-X", "dev", "-W", "error"]], ids=["default", "W-error"])
-def test_cli_refuses_an_overflowed_mean_with_one_error_line(tmp_path, flags):
-    # each team's one establishment ends at 1e306 and its submit comes at 1.0: the
-    # h1.1 norm medians are 1e308, finite, and their mean overflows to inf, without
-    # a warning before the error line or a traceback under -W error
+def test_cli_refuses_times_that_would_overflow_a_mean_with_one_error_line(tmp_path, flags):
+    # each team's one establishment ends at 1e306 and its submit comes at 1.0, so the
+    # h1.1 norm medians would be 1e308 and their mean inf: the first time above the
+    # bound is refused where corpus.json is read, with no warning before the error line
+    # and no traceback under -W error
     teams = [_team_with_establishments(team, 12, [1e306], duration=1.0) for team in (1, 2)]
     save_corpus(_corpus(teams), tmp_path / "corpus")
     out = tmp_path / "out"
@@ -1299,8 +1302,9 @@ def test_cli_refuses_an_overflowed_mean_with_one_error_line(tmp_path, flags):
                             env={**os.environ,
                                  "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
     assert result.returncode == 2
-    assert result.stderr == (f"error: {out / 'h11_summary.json'}: Out of range float values are "
-                             "not JSON compliant: inf\n")
+    assert result.stderr == (f"error: {tmp_path / 'corpus' / 'corpus.json'}: team 1: start "
+                             "1e+306 is above 1000000000.0\n")
+    assert not out.exists()
 
 
 _H11_ROW = {"team": 1, "n_routine": 1, "n_common": 1, "median_abs": 1.0, "median_common": 1.0,
@@ -1308,12 +1312,11 @@ _H11_ROW = {"team": 1, "n_routine": 1, "n_common": 1, "median_abs": 1.0, "median
 
 
 @pytest.mark.parametrize("rows, distributions, summary, refused", [
-    (({**_H11_ROW, "median_abs": math.inf},), {}, {}, "h11_per_team.csv"),
-    ((_H11_ROW,), {"establishment_abs": {1: (1.0, math.inf)}}, {}, "h11_distributions.csv"),
     ((_H11_ROW,), {}, {"mean_of_medians_norm": math.inf}, "h11_summary.json"),
-], ids=["per-team row", "distribution", "summary"])
+], ids=["summary"])
 def test_emit_csv_writes_no_file_when_a_value_overflowed(tmp_path, rows, distributions,
                                                         summary, refused):
+    # write_json refuses a non-finite value, and emit writes the summary first
     report = HypothesisReport("h1.1", rows, summary, distributions)
     with pytest.raises(InputError, match=f"^{re.escape(str(tmp_path / refused))}: .*inf$"):
         emit(report, "csv", tmp_path)
