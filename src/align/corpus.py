@@ -16,8 +16,8 @@ import sys
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from functools import cache, partial
-from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
+from itertools import accumulate, chain, count, repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import add, attrgetter, gt, itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -73,11 +73,12 @@ class Network:
     nodes with a positive cost that a float holds, and it is connected.
     Building it also makes its lookups once: `name_to_id` (by case-folded
     name), `node_names` (that lexicon, the task-specific referents),
-    `id_to_name`, `edge_set` and `optimal_cost`. Its attributes cannot be set,
-    and two networks with equal nodes and edges are equal.
+    `id_to_name`, `edge_of` (each canonical edge u < v, by (u, v) and by
+    (v, u)) and `optimal_cost`. Its attributes cannot be set, and two networks
+    with equal nodes and edges are equal.
     """
 
-    __slots__ = ("nodes", "edges", "name_to_id", "node_names", "id_to_name", "edge_set",
+    __slots__ = ("nodes", "edges", "name_to_id", "node_names", "id_to_name", "edge_of",
                  "optimal_cost")
 
     def __init__(self, nodes: tuple[NetworkNode, ...], edges: tuple[tuple[int, int, int], ...]):
@@ -94,7 +95,7 @@ class Network:
         if len(id_to_name) != len(nodes):
             node, count = Counter(n.id for n in nodes).most_common(1)[0]
             raise InputError(f"node id {reprlib.repr(node)} appears {count} times")
-        edge_set = set()
+        edge_of = {}
         for u, v, cost in edges:
             edge = f"({reprlib.repr(u)},{reprlib.repr(v)})"  # an id may be any JSON integer
             if u not in id_to_name or v not in id_to_name:
@@ -103,14 +104,14 @@ class Network:
                 raise InputError(f"edge {edge} joins node {reprlib.repr(u)} to itself")
             if not u < v:
                 raise InputError(f"edge {edge} not in canonical u < v order")
-            if (u, v) in edge_set:
+            if (u, v) in edge_of:
                 raise InputError(f"duplicate edge {edge}")
             if _check_cost(cost, f"edge {edge} cost") <= 0:
                 raise InputError(f"edge {edge} has non-positive cost")
-            edge_set.add((u, v))
+            edge_of[u, v] = edge_of[v, u] = (u, v)
         # an unconnected network has no optimal cost: refused here, not at a submit
         for name, value in zip(self.__slots__, (
-                nodes, edges, name_to_id, frozenset(name_to_id), id_to_name, frozenset(edge_set),
+                nodes, edges, name_to_id, frozenset(name_to_id), id_to_name, edge_of,
                 _spanning_cost(id_to_name, edges))):
             object.__setattr__(self, name, value)
 
@@ -138,8 +139,7 @@ class Network:
         for node in (u, v):
             if node not in self.id_to_name:
                 raise InputError(f"unknown node id {reprlib.repr(node)}")
-        edge = (u, v) if u < v else (v, u)
-        if edge not in self.edge_set:
+        if (edge := self.edge_of.get((u, v))) is None:
             raise InputError(f"({self.id_to_name[u]},{self.id_to_name[v]}) is not a network edge")
         return edge
 
@@ -333,7 +333,7 @@ def _read_csv(path: str | Path, columns: dict[str, Callable], row: Callable,
 # holds them, an entry's keys and JSON types in the order the kind's builder
 # takes them (after the team, for a team's records). The kind's row builder
 # runs its checks and makes a record for the raw loaders and load_corpus
-# alike; a column builder (_utterances, _scores) makes the records of valid
+# alike; a column builder (_utterances, _edits, _scores) makes the records of valid
 # rows a column at a time, and None if a row fails a check. A check's
 # InputError has no location; the caller adds it.
 _RECORDS = {
@@ -390,6 +390,18 @@ def _edit(team: int, network: Network, time: float, kind: str, u: int, v: int) -
     return EditEvent(team, _check_time(time, "time"), kind, network.edge(u, v))
 
 
+def _edits(team: Iterable[int], network: Iterable[Network], time: Sequence[float],
+           kind: Sequence[str], u: Sequence[int], v: Sequence[int]) -> list[EditEvent] | None:
+    """The edits a column at a time; `network` repeats the team's network. Each time
+    is the float that was parsed, not a copy, but 0.0 for -0.0 as _check_time reads it."""
+    edges = list(map(next(network).edge_of.get, zip(u, v)))  # None where Network.edge raises
+    if (min(time, default=0.0) >= 0 and max(time, default=0.0) <= MAX_TIME
+            and {ADD, REMOVE}.issuperset(kind) and None not in edges):
+        if 0.0 in time:  # -0.0 among them
+            time = [t or 0.0 for t in time]
+        return _named(EditEvent, team, time, kind, edges)
+
+
 def _check_cost(cost: int, name: str) -> int:
     """`cost`, if a float holds it: the success measures divide costs as floats."""
     if cost > sys.float_info.max:
@@ -403,7 +415,7 @@ def _submit(team: int, network: Network, time: float, cost: int) -> SubmitEvent:
     if _check_cost(cost, "submitted cost") < network.optimal_cost:
         raise InputError(f"submitted cost {reprlib.repr(cost)} below optimal "
                          f"{reprlib.repr(network.optimal_cost)} (a solution spans all nodes)")
-    return SubmitEvent(team=team, time=time, cost=cost)
+    return SubmitEvent(team, time, cost)
 
 
 def _score(team: int, speaker: str, pre: int, post: int) -> TestScores:
@@ -441,13 +453,10 @@ def number_utterances(team: int, rows: list[tuple[str, float, float, str]]) -> l
     Each utterance's global token offset is the number of tokens before it,
     which numbers every token of the team uniquely.
     """
-    utterances = []
-    offset = 0
-    for speaker, start, end, text in rows:
-        tokens = tuple(tokenize(text))
-        utterances.append(Utterance(team, speaker, start, end, text, tokens, offset))
-        offset += len(tokens)
-    return utterances
+    speakers, starts, ends, texts = zip(*rows) if rows else ((),) * 4
+    tokens = list(map(tuple, map(tokenize, texts)))
+    return _named(Utterance, repeat(team), speakers, starts, ends, texts, tokens,
+                  accumulate(map(len, tokens), initial=0))
 
 
 def load_event_log(path: str | Path, network: Network) -> list[EditEvent | SubmitEvent | tuple]:
@@ -517,26 +526,28 @@ def build_action_stream(
         raise ValueError(f"first_visual must be A or B, got {first_visual!r}")
 
     SAYS, EDIT, SUBMIT = 0, 1, 2
+    # (time, kind, index, record): each (kind, index) is unique, so the sort never compares records
     merged: list[tuple[float, int, int, object]] = []
-    merged += [(u.start, SAYS, i, u) for i, u in enumerate(utterances)]
-    merged += [(e.time, EDIT, i, e) for i, e in enumerate(edits)]
-    merged += [(s.time, SUBMIT, i, s) for i, s in enumerate(submits)]
-    merged.sort(key=lambda item: (item[0], item[1], item[2]))
+    for kind, records, time in ((SAYS, utterances, attrgetter("start")),
+                                (EDIT, edits, attrgetter("time")),
+                                (SUBMIT, submits, attrgetter("time"))):
+        merged += zip(map(time, records), repeat(kind), count(), records)
+    merged.sort()
 
     other = "A" if first_visual == "B" else "B"
+    action = partial(tuple.__new__, ActionEvent)
     stream: list[ActionEvent] = []
     turn = 1
     attempt = 1
     edits_in_turn = 0
     for time, kind, _, payload in merged:
         if kind == SAYS:
-            utterance = payload
-            subject = utterance.speaker if utterance.is_human else None
-            stream.append(ActionEvent(subject, "says", time, turn, attempt, utterance))
+            subject = payload.speaker if payload.speaker in HUMAN_SPEAKERS else None
+            stream.append(action((subject, "says", time, turn, attempt, payload, None)))
         elif kind == EDIT:
             actor = first_visual if turn % 2 == 1 else other
             verb = "adds" if payload.kind == ADD else "removes"
-            stream.append(ActionEvent(actor, verb, time, turn, attempt, None, payload.edge))
+            stream.append(action((actor, verb, time, turn, attempt, None, payload.edge)))
             edits_in_turn += 1
             if edits_in_turn == 2:
                 turn += 1
@@ -672,6 +683,15 @@ def _column(values: list):
         return map(_SCALARS[kind], values)
 
 
+@cache
+def _encoder(indent: str) -> Callable:
+    """The stdlib's C encoder of a container of scalars nested `indent` deep, as
+    json.dumps(indent=2, sort_keys=True, allow_nan=False) writes its items, but
+    with no line break after its opening bracket nor before its closing one."""
+    return c_make_encoder(None, None, encode_basestring_ascii, None, ": ", f",\n{indent}  ",
+                          True, False, False)
+
+
 def _json(value, indent: str) -> str:
     """`value` as json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
     writes it, nested `indent` deep; a dict's keys are strings."""
@@ -691,6 +711,14 @@ def _json(value, indent: str) -> str:
         if not value:
             return first + last
         inner = indent + "  "
+        items = value.values() if kind is dict else value
+        if _SCALARS.keys() >= set(map(type, items)) and (  # scalars, by the C encoder
+                kind is not dict or set(map(type, value)) == {str}):
+            try:
+                text = "".join(_encoder(indent)(value, 0))
+                return f"{first}\n{inner}{text[1:-1]}\n{indent}{last}"
+            except ValueError:  # its message does not name the non-finite float: see below
+                pass
         if kind is dict:
             items = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}"
                      for key, item in sorted(value.items())]
@@ -819,7 +847,7 @@ def _team_from_json(entry: dict, network: Network) -> TeamCorpus:
     return TeamCorpus(
         team=team,
         utterance_rows=tuple(sorted(rows, key=itemgetter(2, 3))),  # as load_transcript sorts
-        edits=tuple(_built(entry, "edits", _edit, team, network)),
+        edits=tuple(_built(entry, "edits", _edit, team, network, build=_edits)),
         submits=tuple(_built(entry, "submits", _submit, team, network)),
         stops=tuple(_check_time(_typed(time, float, "each of stops"), "stop time")
                     for time in _field(entry, "stops", list)),

@@ -9,7 +9,7 @@ instructions.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .corpus import ActionEvent, Network
@@ -45,6 +45,10 @@ class Instruction(NamedTuple):
         return f"{self.verb}({self.u},{self.v if self.v is not None else '?'})"
 
 
+# the records of the matcher, made with every field given and no Python call per record
+_instruction = partial(tuple.__new__, Instruction)
+
+
 @lru_cache(maxsize=16)
 def _labels(node_names: frozenset[str]) -> dict[str, str]:
     """The label of each recognised token: a node name before an add verb
@@ -77,18 +81,18 @@ def recognise_instructions(
         if labels[token] != NODE:
             if verb is not None:  # already inferring: flush and restart
                 if u is not None:
-                    out.append(Instruction(verb, u, None, agent, utterance_index))
+                    out.append(_instruction((verb, u, None, agent, utterance_index)))
                 u = None
             verb = labels[token]
         elif u is None:
             u = token
         elif token != u:
             verb = verb or (out[-1].verb if out else ADD)
-            out.append(Instruction(verb, u, token, agent, utterance_index))
+            out.append(_instruction((verb, u, token, agent, utterance_index)))
             verb = u = None
     if u is not None:
         verb = verb or (out[-1].verb if out else ADD)
-        out.append(Instruction(verb, u, None, agent, utterance_index))
+        out.append(_instruction((verb, u, None, agent, utterance_index)))
     return out
 
 
@@ -133,6 +137,10 @@ class AnnotatedAction(NamedTuple):
         return tuple(self.pending[:self.pending_size])
 
 
+_record = partial(tuple.__new__, MatchRecord)
+_annotated = partial(tuple.__new__, AnnotatedAction)
+
+
 def match_instructions_to_actions(
     stream: list[ActionEvent] | tuple[ActionEvent, ...],
     network: Network,
@@ -172,26 +180,26 @@ def match_instructions_to_actions(
                 inferred = tuple(recognise_instructions(action.utterance.tokens, network.node_names,
                                                         action.subject, index))
                 pending.extend(inferred)
-            annotated.append(AnnotatedAction(action, inferred, None, pending, len(pending)))
+            annotated.append(_annotated((action, inferred, None, pending, len(pending))))
             continue
 
         actor = action.subject
         others = [p for p in pending if p.agent != actor]
         if not others:
-            record = MatchRecord(NONMATCH, action, None)
+            record = _record((NONMATCH, action, None))
         else:
             satisfied = [check_match(p, action, network) for p in pending]
             matched = [p for p, hit in zip(pending, satisfied) if hit and p.agent != actor]
             if matched:  # later matches win
-                record = MatchRecord(MATCH, action, matched[-1])
+                record = _record((MATCH, action, matched[-1]))
             else:
-                record = MatchRecord(MISMATCH, action, others[-1])
+                record = _record((MISMATCH, action, others[-1]))
             if clear_on_verdict:
                 pending = []
             else:
                 pending = [p for p, hit in zip(pending, satisfied) if not hit]
         records.append(record)
-        annotated.append(AnnotatedAction(action, (), record, pending, len(pending)))
+        annotated.append(_annotated((action, (), record, pending, len(pending))))
 
     return records, annotated
 

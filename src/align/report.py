@@ -24,8 +24,8 @@ import math
 import re
 from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce, wraps
-from itertools import chain, compress, groupby, islice, repeat
-from operator import add, attrgetter
+from itertools import chain, groupby, islice, repeat
+from operator import add, attrgetter, not_
 from pathlib import Path
 from typing import NamedTuple
 
@@ -437,17 +437,17 @@ _BATCH = 256  # rows formatted and written at a time
 def _column_cells(column: list) -> list | None:
     """The column with None as "" and each str cell that holds a comma, a quote, CR
     or LF in double quotes, its quotes doubled (csv.writer quotes a character of
-    its line terminator, CR LF); None if "%s" writes every cell as it is."""
+    its line terminator, CR LF); None if "%s" writes every cell as it is. Each
+    distinct cell is checked and quoted once, and the column is mapped at once."""
     kinds = set(map(type, column))
     if kinds <= _PLAIN or kinds == {str} and not _SPECIAL("".join(column)):
         return None
     if not kinds <= _PLAIN | {str, type(None)}:
         raise TypeError(f"a CSV cell is a str, float, int, bool or None, not {kinds}")
-    if type(None) in kinds:
-        column = ["" if cell is None else cell for cell in column]
-    for index in compress(range(len(column)), map(_SPECIAL, map(str, column))):
-        column[index] = '"%s"' % column[index].replace('"', '""')
-    return column
+    cells = {cell: '"%s"' % cell.replace('"', '""') for cell in set(column)
+             if type(cell) is str and _SPECIAL(cell)}
+    cells[None] = ""
+    return list(map(cells.get, column, column))
 
 
 def _text(rows: list) -> str:
@@ -531,13 +531,21 @@ def emit(report: HypothesisReport, fmt: str, out_dir: str | Path) -> list[Path]:
 def routine_table(pipeline: Pipeline, path: str | Path, task_only: bool = False) -> _CsvTable:
     """Routine table CSV across all teams."""
     names = pipeline.corpus.network.node_names
+
+    def rows(tp: TeamPipeline):  # a column at a time, with no Python call per routine
+        routines = tp.task_routines if task_only else tp.routines
+        if not routines:
+            return ()
+        expression, initiator, priming, establishment, _ = zip(*routines)
+        _, priming_position, priming_time = zip(*priming)
+        _, establishment_position, establishment_time = zip(*establishment)
+        return zip(repeat(tp.corpus.team), map(" ".join, expression), initiator, priming_time,
+                   establishment_time, priming_position, establishment_position,
+                   map(not_, map(names.isdisjoint, expression)))
+
     return _CsvTable(path, ["team", "expression", "initiator", "priming_time",
                             "establishment_time", "priming_token_pos", "establishment_token_pos",
-                            "contains_referent"],
-                     lambda tp: ((tp.corpus.team, r.text, r.initiator, r.priming.time,
-                                  r.establishment.time, r.priming.token_position,
-                                  r.establishment.token_position, r.contains_referent(names))
-                                 for r in (tp.task_routines if task_only else tp.routines)))
+                            "contains_referent"], rows)
 
 
 def annotated_table(pipeline: Pipeline, path: str | Path) -> _CsvTable:
@@ -545,7 +553,7 @@ def annotated_table(pipeline: Pipeline, path: str | Path) -> _CsvTable:
     event. A says row's subject is its speaker, I for the robot, and its object
     the utterance text; an edit row's object is its edge's node names, `u-v`."""
     name = pipeline.corpus.network.id_to_name
-    edges = {edge: f"{name[edge[0]]}-{name[edge[1]]}" for edge in pipeline.corpus.network.edge_set}
+    edges = {(u, v): f"{name[u]}-{name[v]}" for u, v, _ in pipeline.corpus.network.edges}
 
     def rows(tp: TeamPipeline):
         team = tp.corpus.team

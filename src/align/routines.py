@@ -8,6 +8,7 @@ the other interlocutor.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from .corpus import Network, Utterance
@@ -30,13 +31,14 @@ class Routine(NamedTuple):
     # order; read by the benchmark's tracer, no output reads it
     all_occurrences: tuple[int, ...]
 
-    @property
-    def text(self) -> str:
-        return " ".join(self.expression)
-
     def contains_referent(self, names: frozenset[str]) -> bool:
         """True when the expression holds at least one node name of `names`."""
         return not names.isdisjoint(self.expression)
+
+
+# the miner's records, made with every field given and no Python call per record
+_event = partial(tuple.__new__, RoutineEvent)
+_routine = partial(tuple.__new__, Routine)
 
 
 def extract_routines(utterances: list[Utterance]) -> list[Routine]:
@@ -78,7 +80,7 @@ def extract_routines(utterances: list[Utterance]) -> list[Routine]:
                 if len(starts) > 1 and any(speaker[p] != speaker[starts[0]] for p in starts)}
 
     def event(p: int) -> RoutineEvent:
-        return RoutineEvent(owner[p], position[p], utterances[owner[p]].end)
+        return _event((owner[p], position[p], utterances[owner[p]].end))
 
     routines = []
     size = 1
@@ -96,8 +98,8 @@ def extract_routines(utterances: list[Utterance]) -> list[Routine]:
                 continue
             initiator = speaker[found[0]]
             establishment = next(p for p in found if speaker[p] != initiator)
-            routines.append(Routine(gram, initiator, event(found[0]), event(establishment),
-                                    tuple(map(position.__getitem__, found))))
+            routines.append(_routine((gram, initiator, event(found[0]), event(establishment),
+                                      tuple(map(position.__getitem__, found)))))
         size += 1
         level, starts = longer, longer_starts
 

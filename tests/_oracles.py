@@ -6,6 +6,7 @@ enumeration, routines from literal span-containment checks, instructions
 from the documented draft rules, matcher verdicts from a
 replay-from-scratch reconstruction of the pending cache, and the raw CSV
 loaders' records and first errors from reading and checking one row at a
+time, a corpus.json team's edits and submits from checking one entry at a
 time, and CSV tables from the stdlib's csv.writer.
 """
 
@@ -473,6 +474,61 @@ def oracle_load_test_scores(path):
         scores.append(TestScores(team, speaker, pre, post))
     _oracle_rows(path, ["team", "speaker", "pre", "post"], row)
     return sorted(scores, key=attrgetter("team", "speaker"))
+
+
+# --- corpus.json events -------------------------------------------------------
+
+_JSON_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _oracle_typed(value, kind, key: str):
+    """A corpus.json value of JSON type `kind`: a float is any number, integers
+    included, that a float holds, read as a float; a boolean is never a number."""
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind is not float and type(value) is kind:
+        return value
+    raise InputError(f"{key} must be {_JSON_KINDS[kind]}, got {reprlib.repr(value)}")
+
+
+def oracle_team_events(edits: list[dict], submits: list[dict], network, team: int):
+    """The EditEvents and SubmitEvents of one corpus.json team's `edits` and
+    `submits` entries, or the first error in load_corpus' order: all edits
+    before any submit; within each list, the JSON type of every value, a key at
+    a time in the order time, kind, u, v (time, cost), entry by entry; then each
+    entry's checks, one entry at a time."""
+    names = {node.id: node.name for node in network.nodes}
+    declared = {(u, v) for u, v, _ in network.edges}
+
+    def edit(time, kind, u, v):
+        if kind not in ("add", "remove"):
+            raise InputError(f"unknown edit kind {kind!r}")
+        time = _oracle_time(time, "time")
+        for node in (u, v):
+            if node not in names:
+                raise InputError(f"unknown node id {reprlib.repr(node)}")
+        edge = (min(u, v), max(u, v))
+        if u == v or edge not in declared:
+            raise InputError(f"({names[u]},{names[v]}) is not a network edge")
+        return EditEvent(team, time, kind, edge)
+
+    def submit(time, cost):
+        time = _oracle_time(time, "time")
+        if cost > sys.float_info.max:
+            raise InputError(f"submitted cost {reprlib.repr(cost)} is above the largest "
+                             f"float {sys.float_info.max!r}")
+        if cost < network.optimal_cost:
+            raise InputError(f"submitted cost {reprlib.repr(cost)} below optimal "
+                             f"{reprlib.repr(network.optimal_cost)} (a solution spans all nodes)")
+        return SubmitEvent(team, time, cost)
+
+    records = []
+    for entries, keys, check in ((edits, {"time": float, "kind": str, "u": int, "v": int}, edit),
+                                 (submits, {"time": float, "cost": int}, submit)):
+        values = [[_oracle_typed(entry[key], kind, key) for entry in entries]
+                  for key, kind in keys.items()]
+        records.append([check(*entry) for entry in zip(*values)])
+    return records
 
 
 # --- tables -------------------------------------------------------------------

@@ -50,7 +50,7 @@ from align.corpus import (
 from _builders import (DATA, make_edits, make_submits, make_team, network, strict_json,
                        times_mapped, valid_corpora, write_random_raw_files)
 from _oracles import (oracle_csv, oracle_load_event_log, oracle_load_test_scores,
-                      oracle_load_transcript)
+                      oracle_load_transcript, oracle_team_events)
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -121,11 +121,12 @@ def test_network_built_directly_rejects_bad_edges(edge, message):
 def test_network_is_checked_when_built_immutable_and_equal_by_value():
     nodes = tuple(NetworkNode(id=i, name=f"node{i}", label="", x=0.0, y=0.0) for i in (1, 2, 3))
     net = Network(nodes, ((1, 2, 4), (2, 3, 5)))
-    assert (net.optimal_cost, net.edge_set, net.id_to_name[3]) == (9, {(1, 2), (2, 3)}, "node3")
+    assert (net.optimal_cost, net.id_to_name[3]) == (9, "node3")
+    assert net.edge_of == {(1, 2): (1, 2), (2, 1): (1, 2), (2, 3): (2, 3), (3, 2): (2, 3)}
     assert net == Network(nodes=tuple(nodes), edges=((1, 2, 4), (2, 3, 5)))
     assert hash(net) == hash(Network(nodes, ((1, 2, 4), (2, 3, 5))))
     assert net != Network(nodes, ((1, 2, 4), (2, 3, 6))) and net != (nodes, net.edges)
-    for name in ("nodes", "edges", "optimal_cost", "edge_set", "extra"):
+    for name in ("nodes", "edges", "optimal_cost", "edge_of", "extra"):
         with pytest.raises(AttributeError):
             setattr(net, name, None)
         with pytest.raises(AttributeError):
@@ -500,6 +501,92 @@ def test_property_load_corpus_raises_the_first_error_of_the_row_at_a_time_oracle
             assert records(team) == tuple(expected)
 
 
+# per key of an edit or submit entry: values of another JSON type, or out of a float's range
+_WRONG_TYPES = {"time": ["12.5", True, None, [1.0], 10**400],
+                "kind": [1, None, ["add"]],
+                "u": [1.0, "1", True, None], "v": [2.0, "2", False],
+                "cost": [12.0, "12", True, None]}
+
+
+@st.composite
+def _faulty_team_events(draw) -> tuple[list[dict], list[dict]]:
+    """Valid corpus.json entries of one team's edits and (at least one) submits,
+    with zero to three faults: a time below 0, above the bound or -0.0, an unknown
+    kind, an unknown node id, a self-loop, a pair of nodes that is no network
+    edge, u > v, a cost below the optimum or above the float maximum, or a value
+    of the wrong JSON type. -0.0 and u > v are read, as 0.0 and as the edge u < v."""
+    net = network()
+    edges = [(u, v) for u, v, _ in net.edges]
+    times = st.floats(0, 100)
+    edits = [{"time": draw(times), "kind": draw(st.sampled_from(["add", "remove"])),
+              "u": u, "v": v} for u, v in draw(st.lists(st.sampled_from(edges), max_size=8))]
+    submits = [{"time": draw(times), "cost": draw(st.integers(net.optimal_cost, 40))}
+               for _ in range(draw(st.integers(1, 3)))]
+    non_edges = [(u, v) for u in range(1, 11) for v in range(u + 1, 11) if (u, v) not in edges]
+    faults = {"negative": st.floats(-100, -1e-3), "above": st.sampled_from(_ABOVE_BOUND),
+              "minus zero": st.just(-0.0), "kind": st.sampled_from(["Add", "stop", "", "adds"]),
+              "node": st.sampled_from([0, 11, -1, 10**30]), "self-loop": st.integers(1, 10),
+              "non-edge": st.sampled_from(non_edges), "u > v": st.just(None),
+              "below": st.sampled_from([-5, 0, net.optimal_cost - 1]),
+              "huge": st.sampled_from([_FLOAT_MAX + 2**971, 10**400]), "type": st.just(None)}
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(sorted(faults)))
+        if fault in ("below", "huge"):
+            entries = submits
+        elif fault in ("kind", "node", "self-loop", "non-edge", "u > v"):
+            entries = edits
+        else:
+            entries = draw(st.sampled_from([edits, submits]))
+        if not entries:
+            continue
+        entry = entries[draw(st.integers(0, len(entries) - 1))]
+        value = draw(faults[fault])
+        if fault in ("negative", "above", "minus zero"):
+            entry["time"] = value
+        elif fault == "kind":
+            entry["kind"] = value
+        elif fault == "node":
+            entry[draw(st.sampled_from("uv"))] = value
+        elif fault == "self-loop":
+            entry["u"] = entry["v"] = value
+        elif fault == "non-edge":
+            entry["u"], entry["v"] = value
+        elif fault == "u > v":
+            entry["u"], entry["v"] = entry["v"], entry["u"]
+        elif fault in ("below", "huge"):
+            entry["cost"] = value
+        else:  # a value of the wrong JSON type
+            key = draw(st.sampled_from(sorted(entry)))
+            entry[key] = draw(st.sampled_from(_WRONG_TYPES[key]))
+    return edits, submits
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_faulty_team_events())
+def test_property_load_corpus_reads_edits_and_submits_as_the_entry_at_a_time_oracle(events):
+    """A corpus.json team's edits and submits: load_corpus reads the oracle's records,
+    with -0.0 read as 0.0, or raises the oracle's first error naming the team."""
+    edits, submits = events
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_dir = Path(tmp) / "corpus"
+        data = json.loads(save_corpus(_load_fixture_corpus(), corpus_dir).read_text())
+        team = next(entry for entry in data["teams"] if entry["team"] == 10)
+        # a stop keeps the team's duration above the floor whatever its event times
+        team.update(edits=edits, submits=submits, stops=[60.0])
+        (corpus_dir / "corpus.json").write_text(json.dumps(data))
+        try:
+            expected = oracle_team_events(edits, submits, network(), 10)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                load_corpus(corpus_dir)
+            assert str(got.value) == f"{corpus_dir / 'corpus.json'}: team 10: {exc}"
+        else:
+            loaded = next(tc for tc in load_corpus(corpus_dir).teams if tc.team == 10)
+            assert [list(loaded.edits), list(loaded.submits)] == expected
+            assert [math.copysign(1, e.time) for e in (*loaded.edits, *loaded.submits)] == [
+                math.copysign(1, e.time) for e in (*expected[0], *expected[1])]
+
+
 # --- action stream ----------------------------------------------------------
 
 def test_four_edits_two_turns():
@@ -860,6 +947,42 @@ def test_write_json_refuses_non_finite_floats_with_the_stdlib_message(tmp_path, 
     assert str(excinfo.value) == f"{path}: {stdlib.value}"
     assert str(stdlib.value).endswith(repr(bad))
     assert not path.exists()
+
+
+@st.composite
+def _series_holding_non_finite_floats(draw) -> dict:
+    """{series: {team: values}}, as h*.json nests its series, whose values are
+    lists, tuples or dicts of scalars, with one or more of nan, inf and -inf
+    placed at random positions and under random keys."""
+    document = draw(st.dictionaries(_json_text, st.dictionaries(
+        _json_text, _containers(_json_scalars, 6), min_size=1, max_size=4), min_size=1,
+        max_size=4))
+    for _ in range(draw(st.integers(1, 4))):
+        by_team = document[draw(st.sampled_from(sorted(document)))]
+        team = draw(st.sampled_from(sorted(by_team)))
+        values, bad = by_team[team], draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        if type(values) is dict:
+            values[draw(_json_text)] = bad
+        else:
+            index = draw(st.integers(0, len(values)))
+            by_team[team] = type(values)([*values[:index], bad, *values[index:]])
+    return document
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_series_holding_non_finite_floats())
+def test_property_write_json_refuses_non_finite_floats_with_the_stdlib_message(document):
+    """write_json raises json.dumps' message, which names the first non-finite
+    value in sorted-key order, and writes no file."""
+    with pytest.raises(ValueError) as stdlib:
+        json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+    assert str(stdlib.value).endswith(("nan", "inf"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h11.json"
+        with pytest.raises(InputError) as excinfo:
+            write_json(path, document)
+        assert str(excinfo.value) == f"{path}: {stdlib.value}"
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("value", [{1, 2}, Path("corpus.json"), [0, {"a": frozenset()}]],

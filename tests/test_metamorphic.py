@@ -1,15 +1,20 @@
-"""Metamorphic relations of the four analyses: changes of the input corpus that
-must leave `h11.json` … `h22.json` as they were, or change them in one known way."""
+"""Metamorphic relations of the four analyses and the three tables: changes of
+the input corpus that must leave `h11.json` … `h22.json`, `routines.csv`,
+`annotated_corpus.csv` and `task_features.csv` as they were, or change them in
+one known way."""
 
 from __future__ import annotations
 
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from align.corpus import Corpus
-from align.report import ANALYSES, Pipeline
+from align.report import ANALYSES, Pipeline, annotated_table, measures_table, routine_table
 
 from _builders import times_mapped, valid_corpora
 
@@ -60,6 +65,35 @@ def _analyses(corpus: Corpus, window: float) -> dict[str, str]:
     return texts
 
 
+def _tables(corpus: Corpus) -> dict[str, list[list[str]]]:
+    """The rows of `routines.csv`, `annotated_corpus.csv` and `task_features.csv`,
+    header first, as `align all` writes them in one pass, by file name; the
+    annotated corpus also as `--clear-on-verdict` writes it."""
+    tables = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for clear_on_verdict in (False, True):
+            pipeline = Pipeline(corpus, clear_on_verdict=clear_on_verdict)
+            out = Path(tmp) / str(clear_on_verdict)
+            with routine_table(pipeline, out / "routines.csv") as routines, \
+                    annotated_table(pipeline, out / "annotated_corpus.csv") as annotated, \
+                    measures_table(pipeline, out / "task_features.csv") as measures:
+                pipeline.run(routines, annotated, measures)
+            for table in (routines, annotated, measures):
+                name = f"{table.path.name} clear_on_verdict={clear_on_verdict}"
+                with open(table.path, newline="", encoding="utf-8") as handle:
+                    tables[name] = list(csv.reader(handle))
+    return tables
+
+
+def _mapped_columns(tables: dict[str, list[list[str]]], cells: dict[str, object]) -> dict:
+    """The tables with each column named in `cells` mapped, a cell at a time, by its function."""
+    mapped = {}
+    for name, (header, *rows) in tables.items():
+        maps = [cells.get(column, str) for column in header]
+        mapped[name] = [header, *([f(cell) for f, cell in zip(maps, row)] for row in rows)]
+    return mapped
+
+
 def _doubled_times(document: dict) -> dict:
     """A `h*.json` document with every float under a time key doubled: the row
     cells, summary values and distribution series named `*_abs`, `*_common` and
@@ -91,6 +125,21 @@ def test_property_doubling_every_time_doubles_the_time_values_bit_for_bit(corpus
                 == json.dumps(json.loads(after), sort_keys=True)), run
 
 
+def _doubled(cell: str) -> str:
+    """A float cell doubled; the text of a float is its shortest repr, so equal texts are equal bits."""
+    return repr(2 * float(cell))
+
+
+@_examples
+@given(_corpora)
+def test_property_doubling_every_time_doubles_the_time_cells_of_the_tables_bit_for_bit(corpus):
+    """With every input time doubled, every priming, establishment, action and
+    duration time doubles, and every other cell stays as it was."""
+    doubled = _tables(times_mapped(corpus, lambda t: 2 * t, lambda t: 2 * t))
+    times = dict.fromkeys(["priming_time", "establishment_time", "time", "duration_sec"], _doubled)
+    assert doubled == _mapped_columns(_tables(corpus), times)
+
+
 _SWAPPED = {"A": "B", "B": "A", "I": "I"}
 
 
@@ -111,6 +160,30 @@ def test_property_swapping_the_interlocutors_keeps_every_analysis_byte_identical
     """Who is A and who is B is a label: the routines, instructions, verdicts,
     learning groups and so every value of every analysis stay as they were."""
     assert _analyses(_speakers_swapped(corpus), window) == _analyses(corpus, window)
+
+
+def _learning_swapped(tables: dict[str, list[list[str]]]) -> dict:
+    """The tables with the cells of the `learn_A` and `learn_B` columns swapped."""
+    swapped = {}
+    for name, (header, *rows) in tables.items():
+        order = list(range(len(header)))
+        if "learn_A" in header:
+            a, b = header.index("learn_A"), header.index("learn_B")
+            order[a], order[b] = b, a
+        swapped[name] = [header, *([row[i] for i in order] for row in rows)]
+    return swapped
+
+
+@_examples
+@given(_corpora)
+def test_property_swapping_the_interlocutors_swaps_only_their_cells_in_the_tables(corpus):
+    """Swapping A and B swaps the interlocutor of each routine's `initiator`, each
+    event's `subject` and each verdict's `matched_agent` (the robot I stays), and
+    the `learn_A` and `learn_B` cells; every other cell stays as it was."""
+    labels = dict.fromkeys(["initiator", "subject", "matched_agent"],
+                           lambda cell: _SWAPPED.get(cell, cell))  # "" where a verdict has none
+    expected = _learning_swapped(_mapped_columns(_tables(corpus), labels))
+    assert _tables(_speakers_swapped(corpus)) == expected
 
 
 def _teams_relabelled(corpus: Corpus, ids: dict[int, int]) -> Corpus:
