@@ -16,11 +16,9 @@ _EXPORTS = {
         match_instructions_to_actions match_mismatch_times recognise_instructions""",
     "measures": """TeamSuccess common_window learning_groups relative_learning_gain
         submission_error team_error team_learning team_success""",
-    "report": """HypothesisReport Pipeline collaborative_period emit run_h11 run_h12 run_h21
-        run_h22""",
+    "report": "ANALYSES HypothesisReport Pipeline collaborative_period emit",
     "routines": "Routine TokenEvents extract_routines filter_task_routines token_events",
-    "stats": """TestResult cliffs_delta interpret_rho kruskal_wallis mann_whitney_delta
-        mann_whitney_u spearman""",
+    "stats": "TestResult interpret_rho kruskal_wallis mann_whitney_delta spearman",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -801,9 +801,9 @@ def _field(entry: dict, key: str, kind: type):
 
 
 def _records(entry: dict, key: str) -> list[dict]:
-    items = _field(entry, key, list)
+    items, what = _field(entry, key, list), f"each of {key}"
     for item in items:
-        _typed(item, dict, f"each of {key}")
+        _typed(item, dict, what)
     return items
 
 

@@ -118,7 +118,6 @@ class MatchRecord(NamedTuple):
     verdict: str  # MATCH, MISMATCH, or NONMATCH
     action: ActionEvent
     instruction: Instruction | None
-    actor = property(lambda self: self.action.subject)  # the interlocutor who edited
     time = property(lambda self: self.action.time)
 
 

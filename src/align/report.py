@@ -422,7 +422,6 @@ def _runner(analysis):
 
 
 RUNNERS = {hypothesis: _runner(analysis) for hypothesis, analysis in ANALYSES.items()}
-run_h11, run_h12, run_h21, run_h22 = RUNNERS.values()
 
 
 # ---------------------------------------------------------------------------
@@ -611,19 +610,14 @@ def format_p(p: float | None) -> str:
 def summary_lines(report: HypothesisReport) -> list[str]:
     """Human-readable summary of a hypothesis report."""
     lines = [f"[{report.hypothesis}]"]
-    for key in report.summary:
-        value = report.summary[key]
-        if key.startswith("spearman"):
-            if value is None:
-                lines.append(f"  {key}: n/a")
-            else:
-                lines.append(f"  {key}: rho={value['rho']:.2f} p={format_p(value['p'])} "
-                             f"({value['magnitude']}, n={value['n']})")
+    for key, value in report.summary.items():
+        if value is None:  # a test or a mean with too few values
+            lines.append(f"  {key}: n/a")
+        elif key.startswith("spearman"):
+            lines.append(f"  {key}: rho={value['rho']:.2f} p={format_p(value['p'])} "
+                         f"({value['magnitude']}, n={value['n']})")
         elif key.startswith("kruskal"):
-            if value is None:
-                lines.append(f"  {key}: n/a")
-            else:
-                lines.append(f"  {key}: H={value['H']:.2f} p={format_p(value['p'])}")
+            lines.append(f"  {key}: H={value['H']:.2f} p={format_p(value['p'])}")
         elif isinstance(value, float):
             lines.append(f"  {key}: {value:.1f}")
         else:

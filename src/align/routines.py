@@ -31,10 +31,6 @@ class Routine(NamedTuple):
     # order; read by the benchmark's tracer, no output reads it
     all_occurrences: tuple[int, ...]
 
-    def contains_referent(self, names: frozenset[str]) -> bool:
-        """True when the expression holds at least one node name of `names`."""
-        return not names.isdisjoint(self.expression)
-
 
 # the miner's records, made with every field given and no Python call per record
 _event = partial(tuple.__new__, RoutineEvent)
@@ -109,9 +105,9 @@ def extract_routines(utterances: list[Utterance]) -> list[Routine]:
 
 
 def filter_task_routines(routines: list[Routine], network: Network) -> list[Routine]:
-    """Keep the routines that contain a referent: the task routines."""
+    """Keep the routines that contain a referent, a node name: the task routines."""
     names = network.node_names
-    return [r for r in routines if r.contains_referent(names)]
+    return [r for r in routines if not names.isdisjoint(r.expression)]
 
 
 class TokenEvents(NamedTuple):

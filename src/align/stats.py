@@ -12,8 +12,7 @@ same bits. They are loaded, and numpy with them, on the first p-value, from
 the compiled `scipy.special._ufuncs` alone: importing this module loads
 neither scipy nor numpy, and neither `scipy.stats` nor
 `scipy/special/__init__.py` runs, as each would take most of the start-up
-time of a command that computes a p-value. `align.stats.ndtr`, `.stdtr` and
-`.chdtrc` name the three tails, loading them on first access.
+time of a command that computes a p-value.
 
 Every rank is counted as an exact integer over Python floats, without numpy,
 by the one `_twice_ranks`: the samples are small, and a numpy array costs
@@ -44,8 +43,8 @@ def _ufuncs() -> ModuleType:
     already loaded. A later `import scipy.special` runs the real __init__, which
     reuses the loaded `_ufuncs`: its ndtr, stdtr and chdtrc are these objects.
     Until this returns, another thread's `import scipy.special` would get the
-    placeholder, so compute one p-value, or read `align.stats.ndtr`, before
-    starting threads that import `scipy.special`.
+    placeholder, so compute one p-value before starting threads that import
+    `scipy.special`.
     """
     import scipy
 
@@ -58,12 +57,6 @@ def _ufuncs() -> ModuleType:
         if sys.modules.get("scipy.special") is placeholder:
             del sys.modules["scipy.special"]
     return _ufuncs
-
-
-def __getattr__(name: str):
-    if name in ("chdtrc", "ndtr", "stdtr"):
-        return getattr(_ufuncs(), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class TestResult(NamedTuple):
@@ -121,40 +114,20 @@ def _tie_correction(pooled: list[float]) -> float:
     return 1.0 - float(ties) / (big_n**3 - big_n)
 
 
-def _twice_u(x: list[float], y: list[float]) -> int:
-    """2U for `x` as an exact integer: 2 #{x_i > y_j} + #{x_i = y_j}.
-
-    Each x_i's twice-rank in the sorted y sample is its share of that plus one.
-    """
-    if len(x) == 0 or len(y) == 0:
-        raise ValueError("both samples must be non-empty")
-    return sum(_twice_ranks(x, sorted(map(float, y)))) - len(x)
-
-
-def mann_whitney_u(x: list[float], y: list[float]) -> TestResult:
-    """Mann-Whitney U test reporting U for `x`, without continuity correction.
-
-    U = R_x - n_x(n_x+1)/2 on pooled average ranks; the normal approximation
-    uses the tie-corrected variance. When every pooled value is identical the
-    variance vanishes and p is 1 by convention.
-    """
-    return mann_whitney_delta(x, y)[0]
-
-
-def cliffs_delta(x: list[float], y: list[float]) -> float:
-    """Dominance effect size: (#{x_i > y_j} - #{x_i < y_j}) / (|x| * |y|).
-
-    The numerator equals 2U - mn, so delta comes from U without an |x| x |y|
-    comparison matrix.
-    """
-    pairs = len(x) * len(y)
-    return (_twice_u(x, y) - pairs) / pairs
-
-
 def mann_whitney_delta(x: list[float], y: list[float]) -> tuple[TestResult, float]:
-    """mann_whitney_u(x, y) and cliffs_delta(x, y), both from one exact count of 2U."""
+    """Mann-Whitney U test reporting U for `x`, and Cliff's delta, both from one
+    exact count of 2U = 2 #{x_i > y_j} + #{x_i = y_j}.
+
+    Each x_i's twice-rank in the sorted y sample is its share of 2U plus one.
+    U = R_x - n_x(n_x+1)/2 on pooled average ranks; the normal approximation,
+    without continuity correction, uses the tie-corrected variance. When every
+    pooled value is identical the variance vanishes and p is 1 by convention.
+    Delta = (#{x_i > y_j} - #{x_i < y_j}) / (|x| * |y|) = (2U - mn) / mn.
+    """
     m, n = len(x), len(y)
-    twice_u = _twice_u(x, y)
+    if m == 0 or n == 0:
+        raise ValueError("both samples must be non-empty")
+    twice_u = sum(_twice_ranks(x, sorted(map(float, y)))) - m
     u, p = twice_u / 2, 1.0
     sigma_sq = m * n * (m + n + 1) / 12.0 * _tie_correction([*map(float, x), *map(float, y)])
     if sigma_sq != 0.0:

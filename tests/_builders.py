@@ -22,6 +22,7 @@ from align.corpus import (
     load_network,
     number_utterances,
 )
+from align.report import ANALYSES, HypothesisReport, Pipeline
 
 DATA = Path(__file__).parent / "data"
 
@@ -35,6 +36,14 @@ def strict_json(path: Path):
 
 def network() -> Network:
     return load_network(DATA / "network.json")
+
+
+def analysis_report(pipeline: Pipeline, hypothesis: str, **options) -> HypothesisReport:
+    """One analysis's report after a pass of its own over the teams: the step that
+    `align all` runs, given `options` as `align analyze` passes them."""
+    step = ANALYSES[hypothesis](pipeline, **options)
+    pipeline.run(step)
+    return step.report()
 
 
 def make_edits(team: int, net: Network, rows: list[tuple[float, str, str, str]]) -> list[EditEvent]:

@@ -19,10 +19,11 @@ from align.corpus import assemble_corpus, build_action_stream, load_event_log, \
     load_network, load_test_scores, load_transcript, number_utterances
 from align.instructions import MATCH, MISMATCH, NONMATCH, match_instructions_to_actions
 from align.measures import relative_learning_gain, submission_error
-from align.report import Pipeline, run_h11, run_h12, run_h21, run_h22
+from align.report import Pipeline
 from align.routines import extract_routines
-from align.stats import cliffs_delta, kruskal_wallis, mann_whitney_u, spearman
-from _builders import make_edits, make_submits, network, random_micro_dialogue
+from align.stats import kruskal_wallis, mann_whitney_delta, spearman
+from _builders import analysis_report, make_edits, make_submits, network, \
+    random_micro_dialogue
 from _oracles import delta_direct, exact_kw_p, exact_mwu_p, exact_spearman_p, \
     h_direct, oracle_routines, oracle_verdicts, rho_direct, u_direct
 
@@ -86,13 +87,13 @@ def test_criterion_2_matcher_oracle():
     for trial in range(200):
         stream = _random_stream(rng)
         records, _ = match_instructions_to_actions(stream, NET)
-        got = [(r.verdict, r.actor,
+        got = [(r.verdict, r.action.subject,
                 (r.instruction.verb, r.instruction.u, r.instruction.v, r.instruction.agent)
                 if r.instruction else None) for r in records]
         assert got == oracle_verdicts(stream, NET), f"trial {trial}"
         n_edits = sum(1 for a in stream if a.verb != "says")
         assert len(records) == n_edits  # exactly one verdict per edit
-        assert all(r.instruction.agent != r.actor for r in records if r.instruction)
+        assert all(r.instruction.agent != r.action.subject for r in records if r.instruction)
     print("PASS criterion 2: matcher equals replay-from-scratch oracle on 200 streams")
 
 
@@ -117,8 +118,9 @@ def test_criterion_3_statistics_exact_and_p_tolerance():
             for _ in range(25):
                 x = [rng.randrange(5) for _ in range(m)]
                 y = [rng.randrange(5) for _ in range(n)]
-                assert mann_whitney_u(x, y).statistic == pytest.approx(u_direct(x, y))
-                assert cliffs_delta(x, y) == pytest.approx(delta_direct(x, y))
+                result, delta = mann_whitney_delta(x, y)
+                assert result.statistic == pytest.approx(u_direct(x, y))
+                assert delta == pytest.approx(delta_direct(x, y))
                 if m + n >= 3:
                     assert kruskal_wallis([x, y]).statistic == \
                         pytest.approx(h_direct([x, y]), abs=1e-10)
@@ -131,7 +133,7 @@ def test_criterion_3_statistics_exact_and_p_tolerance():
             assert spearman(x, y).statistic == pytest.approx(rho_direct(x, y))
 
     # worked example family: approximations within 0.05 of exhaustive mid-p
-    assert abs(mann_whitney_u([1, 2, 3], [4, 5, 6]).p_value
+    assert abs(mann_whitney_delta([1, 2, 3], [4, 5, 6])[0].p_value
                - exact_mwu_p([1, 2, 3], [4, 5, 6], convention="mid")) <= 0.05
     assert abs(kruskal_wallis([[1, 2, 3], [4, 5, 6]]).p_value
                - exact_kw_p([[1, 2, 3], [4, 5, 6]], convention="mid")) <= 0.05
@@ -149,7 +151,7 @@ def test_criterion_3_statistics_exact_and_p_tolerance():
                 taken = set(chosen)
                 x = [values[i] for i in chosen]
                 y = [values[i] for i in range(pooled_size) if i not in taken]
-                worst_u = max(worst_u, abs(mann_whitney_u(x, y).p_value
+                worst_u = max(worst_u, abs(mann_whitney_delta(x, y)[0].p_value
                                            - exact_mwu_p(x, y, convention="mid")))
                 worst_h = max(worst_h, abs(kruskal_wallis([x, y]).p_value
                                            - exact_kw_p([x, y], convention="mid")))
@@ -185,15 +187,17 @@ def test_criterion_3_properties_on_random_inputs():
         m, n = rng.randrange(1, 9), rng.randrange(1, 9)
         x = [float(rng.randrange(9)) for _ in range(m)]
         y = [float(rng.randrange(9)) for _ in range(n)]
-        d = cliffs_delta(x, y)
-        assert d == pytest.approx(-cliffs_delta(y, x))
-        assert mann_whitney_u(x, y).statistic + mann_whitney_u(y, x).statistic \
-            == pytest.approx(m * n)
+        (u, _, _), d = mann_whitney_delta(x, y)
+        (u_yx, _, _), d_yx = mann_whitney_delta(y, x)
+        assert d == pytest.approx(-d_yx)
+        assert u + u_yx == pytest.approx(m * n)
         fx, fy = [monotone(v) for v in x], [monotone(v) for v in y]
-        assert cliffs_delta(fx, fy) == pytest.approx(d)
-        assert mann_whitney_u(fx, fy).statistic == pytest.approx(mann_whitney_u(x, y).statistic)
+        (u_f, _, _), d_f = mann_whitney_delta(fx, fy)
+        assert d_f == pytest.approx(d)
+        assert u_f == pytest.approx(u)
         shift = rng.uniform(-100, 100)
-        assert cliffs_delta([v + shift for v in x], [v + shift for v in y]) == pytest.approx(d)
+        assert mann_whitney_delta([v + shift for v in x], [v + shift for v in y])[1] \
+            == pytest.approx(d)
     print("PASS criterion 3 (properties): antisymmetry and monotone invariance on 1000 inputs")
 
 
@@ -212,7 +216,7 @@ def test_criterion_4_team10_excerpt():
     inferred = [(i.agent, str(i)) for a in annotated for i in a.instructions]
     assert inferred == [("A", "Add(zermatt,?)"), ("B", "Add(davos,?)"), ("A", "Add(gallen,?)")]
     assert len(records) == 1
-    assert records[0].verdict == MATCH and records[0].actor == "B"
+    assert records[0].verdict == MATCH and records[0].action.subject == "B"
     assert records[0].instruction.agent == "A"
     assert str(records[0].instruction) == "Add(gallen,?)"
     print("PASS criterion 4: Team-10 excerpt reproduces the published annotations")
@@ -235,7 +239,7 @@ def test_criterion_4_team17_excerpt():
         ]),
         [], first_visual="B")
     records, _ = match_instructions_to_actions(stream, NET)
-    key = [(r.verdict, r.actor, str(r.instruction) if r.instruction else None)
+    key = [(r.verdict, r.action.subject, str(r.instruction) if r.instruction else None)
            for r in records]
     assert key[0] == (MATCH, "B", "Add(basel,?)")
     assert key[1] == (MATCH, "B", "Add(zurich,?)")
@@ -257,9 +261,9 @@ def test_criterion_4_team20_excerpt():
         ]),
         [], first_visual="A")
     records, _ = match_instructions_to_actions(stream, NET)
-    assert (records[1].verdict, records[1].actor) == (NONMATCH, "A")
+    assert (records[1].verdict, records[1].action.subject) == (NONMATCH, "A")
     assert records[1].instruction is None
-    assert (records[2].verdict, records[2].actor) == (MISMATCH, "B")
+    assert (records[2].verdict, records[2].action.subject) == (MISMATCH, "B")
     assert str(records[2].instruction) == "Add(gallen,?)"
     print("PASS criterion 4: Team-20 excerpt reproduces the published annotations")
 
@@ -304,7 +308,7 @@ def _row(report, team):
 
 @needs_dataset
 def test_criterion_6_h11_summary(dataset_pipeline):
-    report = run_h11(dataset_pipeline)
+    report = analysis_report(dataset_pipeline, "h1.1")
     summary = report.summary["spearman_median_abs_vs_error"]
     assert summary["rho"] == pytest.approx(0.69, abs=0.02)
     assert summary["p"] < 0.05
@@ -314,7 +318,7 @@ def test_criterion_6_h11_summary(dataset_pipeline):
 
 @needs_dataset
 def test_criterion_7_h12_spot_rows(dataset_pipeline):
-    report = run_h12(dataset_pipeline)
+    report = analysis_report(dataset_pipeline, "h1.2")
     row = _row(report, 28)
     assert row["U_priming"] == 1600.5
     assert row["delta_priming"] == pytest.approx(0.45, abs=0.01)
@@ -326,7 +330,7 @@ def test_criterion_7_h12_spot_rows(dataset_pipeline):
 
 @needs_dataset
 def test_criterion_8_h21_summary(dataset_pipeline):
-    report = run_h21(dataset_pipeline)
+    report = analysis_report(dataset_pipeline, "h2.1")
     assert report.summary["spearman_median_match_abs_vs_error"]["rho"] == \
         pytest.approx(0.59, abs=0.02)
     assert report.summary["spearman_median_mismatch_abs_vs_error"]["rho"] == \
@@ -342,7 +346,8 @@ def test_criterion_9_h22_spot_rows(dataset_pipeline):
     # counts, so the toggled conventions (oh_events/mm_events = "utterance")
     # are the ones under test; the design-decision defaults are per-token and
     # per-action (see the annotated-corpus outputs for both).
-    report = run_h22(dataset_pipeline, oh_events="utterance", mm_events="utterance")
+    report = analysis_report(dataset_pipeline, "h2.2", oh_events="utterance",
+                             mm_events="utterance")
     row = _row(report, 8)
     assert row["U"] == 522.0
     assert row["delta"] == pytest.approx(-0.54, abs=0.01)
@@ -357,7 +362,7 @@ def test_criterion_9_h22_spot_rows(dataset_pipeline):
 
 @needs_dataset
 def test_criterion_10_h11_kruskal_summaries(dataset_pipeline):
-    report = run_h11(dataset_pipeline)
+    report = analysis_report(dataset_pipeline, "h1.1")
     assert report.summary["kruskal_learning_median_abs"]["H"] == pytest.approx(0.88, abs=0.02)
     assert report.summary["kruskal_learning_median_norm"]["H"] == pytest.approx(0.10, abs=0.02)
     print("PASS criterion 10: H1.1 Kruskal-Wallis learning-split statistics reproduced")

@@ -22,8 +22,8 @@ import pytest
 
 from align.cli import main
 from align.corpus import load_corpus
-from align.report import RUNNERS, Pipeline, emit
-from _builders import DATA, network, write_fixture_inputs
+from align.report import ANALYSES, Pipeline, emit
+from _builders import DATA, analysis_report, network, write_fixture_inputs
 
 GOLDEN = DATA / "golden_digests.json"
 
@@ -240,8 +240,8 @@ def test_rows_hold_the_csv_columns_in_order(tmp_path):
     _, ingest = _runs(paths, tmp_path)[0]  # into tmp_path / "corpus"
     assert main(ingest) == 0
     pipeline = Pipeline(load_corpus(tmp_path / "corpus"))
-    for hypothesis, runner in RUNNERS.items():
-        report = runner(pipeline)
+    for hypothesis in ANALYSES:
+        report = analysis_report(pipeline, hypothesis)
         assert len(report.per_team_rows) == 8
         for row in report.per_team_rows:
             assert list(row) == HEADERS[hypothesis], hypothesis

@@ -214,7 +214,7 @@ def test_team10_trace_partial_instructions_then_match():
     assert len(records) == 1
     record = records[0]
     assert record.verdict == MATCH
-    assert record.actor == "B"
+    assert record.action.subject == "B"
     assert record.instruction.agent == "A"
     assert str(record.instruction) == "Add(gallen,?)"
     # the satisfied instructions leave the cache; Add(zermatt,?) stays
@@ -246,7 +246,7 @@ def test_team17_trace_matches_then_mismatch():
         first_visual="B",
     )
     records, _ = match_instructions_to_actions(stream, NET)
-    key = [(r.verdict, r.actor, str(r.instruction) if r.instruction else None)
+    key = [(r.verdict, r.action.subject, str(r.instruction) if r.instruction else None)
            for r in records]
     assert key[0] == (MATCH, "B", "Add(basel,?)")
     assert key[1] == (MATCH, "B", "Add(zurich,?)")
@@ -272,9 +272,9 @@ def test_team20_trace_nonmatch_and_mismatch():
         first_visual="A",
     )
     records, _ = match_instructions_to_actions(stream, NET)
-    assert (records[1].verdict, records[1].actor) == (NONMATCH, "A")
+    assert (records[1].verdict, records[1].action.subject) == (NONMATCH, "A")
     assert records[1].instruction is None
-    assert (records[2].verdict, records[2].actor) == (MISMATCH, "B")
+    assert (records[2].verdict, records[2].action.subject) == (MISMATCH, "B")
     assert str(records[2].instruction) == "Add(gallen,?)"
     assert records[2].instruction.agent == "A"
 
@@ -318,7 +318,7 @@ def test_mismatch_example_trace():
         first_visual="A",
     )
     records, _ = match_instructions_to_actions(stream, NET)
-    assert [(r.verdict, r.actor, str(r.instruction)) for r in records] == \
+    assert [(r.verdict, r.action.subject, str(r.instruction)) for r in records] == \
         [(MISMATCH, "A", "Add(basel,?)")]
 
 
@@ -338,7 +338,7 @@ def test_negotiated_partial_instructions_both_cached():
     cached = [str(i) for a in annotated if a.action.verb == "says" for i in a.instructions]
     assert "Add(davos,?)" in cached and "Add(gallen,?)" in cached
     assert records[-1].verdict == MATCH
-    assert records[-1].actor == "A"
+    assert records[-1].action.subject == "A"
 
 
 def test_instruction_cached_after_simultaneous_swap_and_submit_survives():
@@ -432,7 +432,7 @@ def test_matcher_equals_replay_oracle(clear_on_verdict):
         records, _ = match_instructions_to_actions(stream, NET, clear_on_verdict)
         expected = oracle_verdicts(stream, NET, clear_on_verdict)
         got = [
-            (r.verdict, r.actor,
+            (r.verdict, r.action.subject,
              (r.instruction.verb, r.instruction.u, r.instruction.v, r.instruction.agent)
              if r.instruction else None)
             for r in records
@@ -441,7 +441,7 @@ def test_matcher_equals_replay_oracle(clear_on_verdict):
         # every edit yields exactly one record
         assert len(records) == sum(1 for a in stream if a.verb != "says")
         # never against one's own instruction
-        assert all(r.instruction.agent != r.actor for r in records if r.instruction)
+        assert all(r.instruction.agent != r.action.subject for r in records if r.instruction)
         # no stale instructions across turn/attempt boundaries
         for r in records:
             says = stream[r.instruction.utterance_index] if r.instruction else None
@@ -495,8 +495,8 @@ def test_property_matcher_equals_replay_oracle_on_large_pending_caches(stream, c
     # the cache after every event, read back once the whole stream is matched
     assert [tuple((i.verb, i.u, i.v, i.agent, i.utterance_index) for i in ann.pending_after)
             for ann in annotated] == oracle_pending(stream, NET, clear_on_verdict)
-    got = [(r.verdict, r.actor, (r.instruction.verb, r.instruction.u, r.instruction.v,
-                                 r.instruction.agent) if r.instruction else None)
+    got = [(r.verdict, r.action.subject, (r.instruction.verb, r.instruction.u, r.instruction.v,
+                                          r.instruction.agent) if r.instruction else None)
            for r in records]
     assert got == oracle_verdicts(stream, NET, clear_on_verdict)
     for index, (action, ann) in enumerate(zip(stream, annotated)):

@@ -35,12 +35,10 @@ EXPORTS = {
                      "recognise_instructions"],
     "measures": ["TeamSuccess", "common_window", "learning_groups", "relative_learning_gain",
                  "submission_error", "team_error", "team_learning", "team_success"],
-    "report": ["HypothesisReport", "Pipeline", "collaborative_period", "emit", "run_h11",
-               "run_h12", "run_h21", "run_h22"],
+    "report": ["ANALYSES", "HypothesisReport", "Pipeline", "collaborative_period", "emit"],
     "routines": ["Routine", "TokenEvents", "extract_routines", "filter_task_routines",
                  "token_events"],
-    "stats": ["TestResult", "cliffs_delta", "interpret_rho", "kruskal_wallis",
-              "mann_whitney_delta", "mann_whitney_u", "spearman"],
+    "stats": ["TestResult", "interpret_rho", "kruskal_wallis", "mann_whitney_delta", "spearman"],
 }
 
 INGEST = ["ingest", "--transcripts", str(DATA / "transcripts.csv"),
@@ -80,12 +78,20 @@ def test_package_root_names_resolve_to_their_owners():
     assert result.returncode == 0, result.stderr.decode()
 
 
-def test_readme_library_example_runs():
+def test_readme_library_example_runs(tmp_path, capsys):
+    # the block as written, from the repository root: it prints the summary of h1.1
+    # that `align all` writes for the fixture corpus
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Library use\n+```python\n(.*?)```", readme, re.DOTALL)
     assert block is not None
     result = _python(block.group(1))
     assert result.returncode == 0, result.stderr.decode()
+    from align.cli import main
+
+    assert main([*INGEST, "--out", str(tmp_path)]) == 0
+    assert main(["all", "--corpus", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "h11_summary.json").read_text(encoding="utf-8"))
+    assert ast.literal_eval(result.stdout.decode()) == summary
 
 
 # every record kind, per item or per corpus, team or report, by the module that owns it
@@ -174,7 +180,7 @@ def test_all_loads_scipys_tails_without_scipy_special_init(tmp_path):
 def test_stats_loads_scipys_tails_without_scipy_special_init():
     loaded = _loaded("import align.stats, sys\n"
                      "assert 'scipy' not in sys.modules\n"
-                     "align.stats.mann_whitney_u([1.0, 2.0], [3.0])\n"
+                     "align.stats.mann_whitney_delta([1.0, 2.0], [3.0])\n"
                      "assert 'scipy.special' not in sys.modules")
     assert "scipy.special._ufuncs" in loaded
     assert "scipy._lib._array_api" not in loaded
@@ -188,13 +194,13 @@ import math, sys
 if sys.argv[1] == "before":
     import scipy.special
 import align.stats
-from align.stats import kruskal_wallis, mann_whitney_u, spearman
+from align.stats import kruskal_wallis, mann_whitney_delta, spearman
 
 # tie-heavy samples: low lies far below high (|z| > 5), x and y overlap
 low, high = [v % 7 for v in range(60)], [v % 5 + 6 for v in range(50)]
 x, y = [v % 9 for v in range(40)], [v % 11 for v in range(45)]
 ranks, thirds = list(range(30)), [v // 3 for v in range(30)]  # |t| > 5
-mwu = [mann_whitney_u(low, high), mann_whitney_u(x, y)]
+mwu = [mann_whitney_delta(low, high)[0], mann_whitney_delta(x, y)[0]]
 rho = [spearman(ranks, thirds), spearman(x, y[:40])]
 kw = [kruskal_wallis([low, high, x]), kruskal_wallis([x, y])]
 print(mwu, rho, kw)
@@ -202,7 +208,7 @@ print(mwu, rho, kw)
 import scipy.special, scipy.stats
 assert sys.modules["scipy.special"].__file__.endswith("__init__.py")
 for name in ("ndtr", "stdtr", "chdtrc"):
-    assert getattr(align.stats, name) is getattr(scipy.special, name), name
+    assert getattr(align.stats._ufuncs(), name) is getattr(scipy.special, name), name
 zs = []
 for (a, b), result in zip([(low, high), (x, y)], mwu):
     theirs = scipy.stats.mannwhitneyu(a, b, use_continuity=False, method="asymptotic")

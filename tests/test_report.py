@@ -1,4 +1,4 @@
-"""Hypothesis runners, emission, determinism, and the CLI end to end."""
+"""Hypothesis analyses, emission, determinism, and the CLI end to end."""
 
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from align.cli import main
 from align.corpus import Corpus, InputError, load_corpus, save_corpus
 from align.report import (
+    ANALYSES,
     HypothesisReport,
     Pipeline,
     _mean_of,
@@ -35,12 +36,8 @@ from align.report import (
     _write_csv,
     collaborative_period,
     emit,
-    run_h11,
-    run_h12,
-    run_h21,
-    run_h22,
 )
-from _builders import DATA, make_team, network, write_fixture_inputs
+from _builders import DATA, analysis_report, make_team, network, write_fixture_inputs
 from _oracles import oracle_csv
 
 NET = network()
@@ -71,7 +68,7 @@ def _team_with_establishments(team, error_cost, fractions, duration=100.0,
 # --- h1.1 -----------------------------------------------------------------------
 
 def test_h11_fixed_fraction_establishments():
-    report = run_h11(_pipeline([_team_with_establishments(1, 12, [0.25, 0.75])]))
+    report = analysis_report(_pipeline([_team_with_establishments(1, 12, [0.25, 0.75])]), "h1.1")
     row = report.per_team_rows[0]
     assert row["n_routine"] == 2
     assert row["median_norm"] == pytest.approx(50.0)
@@ -88,7 +85,7 @@ def test_h11_perfect_rank_correlation():
         _team_with_establishments(3, 18, [0.60], scores=(("A", 5, 5), ("B", 5, 5))),
         _team_with_establishments(4, 24, [0.80], scores=(("A", 5, 4), ("B", 5, 4))),
     ]
-    report = run_h11(_pipeline(teams))
+    report = analysis_report(_pipeline(teams), "h1.1")
     summary = report.summary["spearman_median_abs_vs_error"]
     assert summary["rho"] == pytest.approx(1.0)
     assert summary["n"] == 4
@@ -105,7 +102,7 @@ def test_h11_team_without_routines_excluded_from_correlation():
         _team_with_establishments(3, 18, [0.6]),
         silent,
     ]
-    report = run_h11(_pipeline(teams))
+    report = analysis_report(_pipeline(teams), "h1.1")
     row = next(r for r in report.per_team_rows if r["team"] == 5)
     assert row["n_routine"] == 0
     assert row["median_abs"] is None
@@ -118,7 +115,7 @@ def test_h11_common_window_is_quickest_team():
         _team_with_establishments(1, 12, [0.5], duration=50.0),
         _team_with_establishments(2, 15, [0.5], duration=100.0),
     ]
-    report = run_h11(_pipeline(teams))
+    report = analysis_report(_pipeline(teams), "h1.1")
     assert report.summary["common_window_sec"] == 50.0
     # team 2's establishment at t=50 is inside; anything later would drop
     assert report.per_team_rows[1]["n_common"] == 1
@@ -130,7 +127,7 @@ def test_h11_rows_sorted_by_error_then_duration():
         _team_with_establishments(2, 12, [0.5], duration=200.0),
         _team_with_establishments(3, 12, [0.5], duration=100.0),
     ]
-    report = run_h11(_pipeline(teams))
+    report = analysis_report(_pipeline(teams), "h1.1")
     assert [r["team"] for r in report.per_team_rows] == [3, 2, 1]
 
 
@@ -147,7 +144,7 @@ def test_h12_separation_gives_delta_one():
         ],
         submit_rows=[(10.0, 12)],
     )
-    report = run_h12(_pipeline([team]))
+    report = analysis_report(_pipeline([team]), "h1.2")
     row = report.per_team_rows[0]
     assert row["n_filler"] == 3
     assert row["n_routine"] == 1
@@ -162,7 +159,7 @@ def test_h12_no_fillers_gives_na_row():
         [("A", 1.0, 2.0, "mount bern"), ("B", 3.0, 4.0, "mount bern")],
         submit_rows=[(10.0, 12)],
     )
-    report = run_h12(_pipeline([team]))
+    report = analysis_report(_pipeline([team]), "h1.2")
     row = report.per_team_rows[0]
     assert row["n_filler"] == 0
     assert row["U_priming"] is None and row["delta_priming"] is None
@@ -174,7 +171,7 @@ def test_h12_custom_markers():
         [("A", 1.0, 2.0, "oh mount bern"), ("B", 3.0, 4.0, "mount bern")],
         submit_rows=[(10.0, 12)],
     )
-    report = run_h12(_pipeline([team]), markers=frozenset({"oh"}))
+    report = analysis_report(_pipeline([team]), "h1.2", markers=frozenset({"oh"}))
     assert report.per_team_rows[0]["n_filler"] == 1
 
 
@@ -198,7 +195,7 @@ def _matching_team(team, error_cost, match_fractions, duration=100.0,
 
 
 def test_h21_matches_at_quarter_and_three_quarters():
-    report = run_h21(_pipeline([_matching_team(1, 12, [0.25, 0.75])]))
+    report = analysis_report(_pipeline([_matching_team(1, 12, [0.25, 0.75])]), "h2.1")
     row = report.per_team_rows[0]
     assert row["n_match_actions"] == 2
     assert row["median_match_norm"] == pytest.approx(50.0)
@@ -219,20 +216,20 @@ def test_h21_grouped_counts_and_ratio():
         submit_rows=[(20.0, 12)],
         first_visual="B",
     )
-    report = run_h21(_pipeline([team]))
+    report = analysis_report(_pipeline([team]), "h2.1")
     row = report.per_team_rows[0]
     assert row["n_mismatch_actions"] == 2
     assert row["n_mismatch"] == 1  # both mismatches trace to one utterance
     assert row["n_match_actions"] == 1 and row["n_match"] == 1
     assert row["ratio"] == 1.0
-    grouped = run_h21(_pipeline([team]), grouped=True)
+    grouped = analysis_report(_pipeline([team]), "h2.1", grouped=True)
     assert grouped.per_team_rows[0]["median_mismatch_abs"] == 3.0  # first action time
 
 
 def test_h21_correlation_same_recipe_as_h11():
     teams = [_matching_team(k, cost, [0.1 * k + 0.2])
              for k, cost in ((1, 12), (2, 15), (3, 18))]
-    report = run_h21(_pipeline(teams))
+    report = analysis_report(_pipeline(teams), "h2.1")
     assert report.summary["spearman_median_match_abs_vs_error"]["rho"] == pytest.approx(1.0)
 
 
@@ -247,7 +244,7 @@ def test_h22_identical_times_give_zero_delta():
         submit_rows=[(100.0, 12)],
         first_visual="B",
     )
-    report = run_h22(_pipeline([team]))
+    report = analysis_report(_pipeline([team]), "h2.2")
     row = report.per_team_rows[0]
     assert row["n_oh"] == 1 and row["n_oh_tokens"] == 1
     assert row["delta"] == 0.0
@@ -264,8 +261,8 @@ def test_h22_oh_event_granularity():
         submit_rows=[(100.0, 12)],
         first_visual="B",
     )
-    per_token = run_h22(_pipeline([team]), oh_events="token")
-    per_utterance = run_h22(_pipeline([team]), oh_events="utterance")
+    per_token = analysis_report(_pipeline([team]), "h2.2", oh_events="token")
+    per_utterance = analysis_report(_pipeline([team]), "h2.2", oh_events="utterance")
     row_tok = per_token.per_team_rows[0]
     row_utt = per_utterance.per_team_rows[0]
     assert row_tok["n_oh_tokens"] == 3 and row_tok["n_oh"] == 2
@@ -279,7 +276,7 @@ def test_h22_rejects_an_unknown_option_value(option):
     # a value that is not one of the option's two would otherwise pick one of them silently
     team = make_team(1, NET, [("B", 3.0, 4.0, "oh")], submit_rows=[(100.0, 12)])
     with pytest.raises(KeyError):
-        run_h22(_pipeline([team]), **option)
+        analysis_report(_pipeline([team]), "h2.2", **option)
 
 
 def test_u_delta_relation_in_reports():
@@ -295,7 +292,7 @@ def test_u_delta_relation_in_reports():
         ],
         submit_rows=[(10.0, 12)],
     )
-    report = run_h12(_pipeline([team]))
+    report = analysis_report(_pipeline([team]), "h1.2")
     row = report.per_team_rows[0]
     m, n = row["n_filler"], row["n_routine"]
     assert row["U_priming"] == pytest.approx(m * n * (1 + row["delta_priming"]) / 2)
@@ -305,7 +302,7 @@ def test_u_delta_relation_in_reports():
 def test_h22_counts_equal_matcher_records():
     team = _matching_team(1, 12, [0.25, 0.75])
     corpus = _corpus([team])
-    report = run_h22(Pipeline(corpus))
+    report = analysis_report(Pipeline(corpus), "h2.2")
     from align.instructions import MATCH, grouped_records
     from align.report import TeamPipeline
 
@@ -445,7 +442,7 @@ def test_property_write_csv_writes_what_csv_writer_writes(table):
 def test_emit_h12_csv_schema(tmp_path):
     team = make_team(1, NET, [("A", 1.0, 2.0, "mount bern"), ("B", 3.0, 4.0, "mount bern")],
                      submit_rows=[(10.0, 12)])
-    report = run_h12(_pipeline([team]))
+    report = analysis_report(_pipeline([team]), "h1.2")
     files = emit(report, "csv", tmp_path)
     per_team = next(p for p in files if p.name == "h12_per_team.csv")
     header = per_team.read_text().splitlines()[0]
@@ -455,8 +452,8 @@ def test_emit_h12_csv_schema(tmp_path):
 
 
 def test_emit_json_round_trips(tmp_path):
-    report = run_h11(_pipeline([_team_with_establishments(1, 12, [0.25, 0.75]),
-                                _team_with_establishments(2, 15, [0.5])]))
+    report = analysis_report(_pipeline([_team_with_establishments(1, 12, [0.25, 0.75]),
+                                        _team_with_establishments(2, 15, [0.5])]), "h1.1")
     (path,) = emit(report, "json", tmp_path)
     assert json.loads(path.read_text()) == report.to_dict()
 
@@ -465,16 +462,18 @@ def test_emit_deterministic_bytes(tmp_path):
     first = tmp_path / "a"
     second = tmp_path / "b"
     for out in (first, second):
-        for runner in (run_h11, run_h12, run_h21, run_h22):
-            emit(runner(_pipeline([_team_with_establishments(1, 12, [0.25, 0.75]),
-                                   _matching_team(2, 15, [0.5])])), "csv", out)
+        for hypothesis in ANALYSES:
+            emit(analysis_report(_pipeline([_team_with_establishments(1, 12, [0.25, 0.75]),
+                                            _matching_team(2, 15, [0.5])]), hypothesis),
+                 "csv", out)
     for path in sorted(first.iterdir()):
         assert path.read_bytes() == (second / path.name).read_bytes(), path.name
 
 
 def test_report_determinism():
     corpus = _corpus([_team_with_establishments(1, 12, [0.25, 0.75])])
-    assert run_h11(Pipeline(corpus)).to_dict() == run_h11(Pipeline(corpus)).to_dict()
+    first, second = (analysis_report(Pipeline(corpus), "h1.1") for _ in range(2))
+    assert first.to_dict() == second.to_dict()
 
 
 def test_h11_medians_agree_with_routine_table(tmp_path):
@@ -486,7 +485,7 @@ def test_h11_medians_agree_with_routine_table(tmp_path):
     corpus = _corpus([_team_with_establishments(1, 12, [0.2, 0.6, 0.9]),
                       _team_with_establishments(2, 15, [0.5])])
     pipeline = Pipeline(corpus)
-    report = run_h11(pipeline)
+    report = analysis_report(pipeline, "h1.1")
     path = emit_routine_table(pipeline, tmp_path / "routines.csv", task_only=True)
     with open(path, newline="") as handle:
         rows = list(csv.DictReader(handle))
@@ -551,6 +550,20 @@ def test_cli_ingest_and_all(tmp_path, capsys):
         assert (corpus_dir / name).exists(), name
     out = capsys.readouterr().out
     assert "[h1.1]" in out and "[h2.2]" in out
+
+
+def test_cli_summary_prints_n_a_for_every_none(tmp_path, capsys):
+    # no team has an edit, so none has a Match: h2.1's match tests and means are None
+    teams = [_team_with_establishments(team, 12 + team, [0.5]) for team in range(1, 4)]
+    save_corpus(_corpus(teams), tmp_path)
+    assert main(["analyze", "--hypothesis", "h2.1", "--corpus", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  mean_of_medians_match_norm: n/a" in lines
+    printed = dict(line.strip().split(": ", 1) for line in lines if line.startswith("  "))
+    summary = json.loads((tmp_path / "h21_summary.json").read_text())
+    assert printed.keys() == summary.keys()
+    assert {key for key, value in printed.items() if value == "n/a"} == \
+        {key for key, value in summary.items() if value is None}
 
 
 def test_cli_analyze_json(tmp_path):

@@ -13,11 +13,9 @@ import scipy.stats
 
 from align.stats import (
     _twice_ranks,
-    cliffs_delta,
     interpret_rho,
     kruskal_wallis,
     mann_whitney_delta,
-    mann_whitney_u,
     spearman,
 )
 from _oracles import (
@@ -80,21 +78,21 @@ def test_spearman_matches_scipy():
 # --- mann-whitney ---------------------------------------------------------------
 
 def test_mwu_complete_separation():
-    result = mann_whitney_u([1, 2, 3], [4, 5, 6])
+    result, _ = mann_whitney_delta([1, 2, 3], [4, 5, 6])
     assert result.statistic == 0.0
     assert result.p_value == pytest.approx(2 * scipy.stats.norm.sf(4.5 / math.sqrt(5.25)))
     assert result.p_value == pytest.approx(0.0495, abs=0.0005)
 
 
 def test_mwu_single_tied_pair():
-    result = mann_whitney_u([5], [5])
+    result, _ = mann_whitney_delta([5], [5])
     assert result.statistic == 0.5
     assert result.p_value == 1.0  # zero-variance pool: no evidence either way
 
 
 def test_mwu_u_convention_is_first_sample():
     # U_x = rank-sum formula; for x entirely above y, U_x = m*n
-    assert mann_whitney_u([4, 5, 6], [1, 2, 3]).statistic == 9.0
+    assert mann_whitney_delta([4, 5, 6], [1, 2, 3])[0].statistic == 9.0
 
 
 def test_mwu_u_sums_to_mn():
@@ -103,14 +101,16 @@ def test_mwu_u_sums_to_mn():
         m, n = rng.randrange(1, 8), rng.randrange(1, 8)
         x = [rng.randrange(6) for _ in range(m)]
         y = [rng.randrange(6) for _ in range(n)]
-        ux = mann_whitney_u(x, y).statistic
-        uy = mann_whitney_u(y, x).statistic
+        (ux, _, _), _ = mann_whitney_delta(x, y)
+        (uy, _, _), _ = mann_whitney_delta(y, x)
         assert ux + uy == pytest.approx(m * n)
 
 
 def test_mwu_empty_sample_errors():
     with pytest.raises(ValueError):
-        mann_whitney_u([], [1])
+        mann_whitney_delta([], [1])
+    with pytest.raises(ValueError):
+        mann_whitney_delta([1], [])
 
 
 def test_mwu_matches_scipy_without_continuity():
@@ -121,7 +121,7 @@ def test_mwu_matches_scipy_without_continuity():
         y = [rng.randrange(8) for _ in range(n)]
         if len(set(x + y)) < 2:
             continue  # zero variance: our convention is p = 1
-        ours = mann_whitney_u(x, y)
+        ours, _ = mann_whitney_delta(x, y)
         theirs = scipy.stats.mannwhitneyu(x, y, use_continuity=False,
                                           alternative="two-sided", method="asymptotic")
         assert ours.statistic == pytest.approx(theirs.statistic)
@@ -134,7 +134,7 @@ def test_mwu_statistic_equals_pair_count_definition():
         m, n = rng.randrange(1, 9), rng.randrange(1, 9)
         x = [rng.randrange(5) for _ in range(m)]
         y = [rng.randrange(5) for _ in range(n)]
-        assert mann_whitney_u(x, y).statistic == pytest.approx(u_direct(x, y))
+        assert mann_whitney_delta(x, y)[0].statistic == pytest.approx(u_direct(x, y))
 
 
 def test_mwu_p_close_to_exact_permutation():
@@ -156,13 +156,14 @@ def test_mwu_p_close_to_exact_permutation():
                 taken = set(chosen)
                 x = [values[i] for i in chosen]
                 y = [values[i] for i in range(pooled_size) if i not in taken]
-                gap = abs(mann_whitney_u(x, y).p_value - exact_mwu_p(x, y, convention="mid"))
+                gap = abs(mann_whitney_delta(x, y)[0].p_value
+                          - exact_mwu_p(x, y, convention="mid"))
                 worst = max(worst, gap)
     assert worst <= 0.072
 
 
 def test_mwu_separation_example_against_both_conventions():
-    approx = mann_whitney_u([1, 2, 3], [4, 5, 6]).p_value
+    approx = mann_whitney_delta([1, 2, 3], [4, 5, 6])[0].p_value
     assert abs(approx - exact_mwu_p([1, 2, 3], [4, 5, 6], convention="mid")) <= 0.05
     # the ordinary exact p (0.1) sits just past the 0.05 band: 0.0505
     assert abs(approx - exact_mwu_p([1, 2, 3], [4, 5, 6])) == pytest.approx(0.0505, abs=0.0005)
@@ -171,11 +172,11 @@ def test_mwu_separation_example_against_both_conventions():
 # --- cliff's delta --------------------------------------------------------------
 
 def test_delta_complete_separation():
-    assert cliffs_delta([3, 4], [1, 2]) == 1.0
+    assert mann_whitney_delta([3, 4], [1, 2])[1] == 1.0
 
 
 def test_delta_identical_samples():
-    assert cliffs_delta([1, 2, 3], [1, 2, 3]) == 0.0
+    assert mann_whitney_delta([1, 2, 3], [1, 2, 3])[1] == 0.0
 
 
 def test_delta_pair_count_definition_and_antisymmetry():
@@ -184,9 +185,10 @@ def test_delta_pair_count_definition_and_antisymmetry():
         m, n = rng.randrange(1, 9), rng.randrange(1, 9)
         x = [rng.randrange(5) for _ in range(m)]
         y = [rng.randrange(5) for _ in range(n)]
-        d = cliffs_delta(x, y)
+        _, d = mann_whitney_delta(x, y)
+        _, d_yx = mann_whitney_delta(y, x)
         assert d == pytest.approx(delta_direct(x, y))
-        assert d == pytest.approx(-cliffs_delta(y, x))
+        assert d == pytest.approx(-d_yx)
         assert -1.0 <= d <= 1.0
 
 
@@ -198,38 +200,41 @@ def test_u_and_delta_equal_pair_counts_exactly():
         levels = rng.choice([2, 5, 20, 1000])
         x = [rng.randrange(levels) / 4 for _ in range(m)]
         y = [rng.randrange(levels) / 4 for _ in range(n)]
-        assert mann_whitney_u(x, y).statistic == u_direct(x, y)
-        assert cliffs_delta(x, y) == delta_direct(x, y)
+        (u, _, _), delta = mann_whitney_delta(x, y)
+        assert (u, delta) == (u_direct(x, y), delta_direct(x, y))
     for _ in range(60):  # -0.0 tied with 0.0, ints mixed with floats, up to 300 values
         x = _mixed_samples(rng, rng.randrange(1, 301))
         y = _mixed_samples(rng, rng.randrange(1, 301))
-        assert mann_whitney_u(x, y).statistic == u_direct(x, y)
-        assert cliffs_delta(x, y) == delta_direct(x, y)
+        (u, _, _), delta = mann_whitney_delta(x, y)
+        assert (u, delta) == (u_direct(x, y), delta_direct(x, y))
     # an int above 2**53 is compared as the float it converts to
     x, y = [2**53 + 1], [2.0**53]
-    assert mann_whitney_u(x, y).statistic == u_direct(x, y) == 0.5
-    assert cliffs_delta(x, y) == delta_direct(x, y) == 0.0
+    (u, _, _), delta = mann_whitney_delta(x, y)
+    assert (u, delta) == (u_direct(x, y), delta_direct(x, y)) == (0.5, 0.0)
 
 
-def test_mann_whitney_delta_keeps_the_bits_of_both_functions():
+def test_mann_whitney_delta_keeps_the_bits_of_the_pair_counts_and_scipys_tail():
     # one count of 2U gives the test and delta; p = 1 where every pooled value is one value
     rng = random.Random(29)
     for _ in range(300):
         levels = rng.choice([1, 2, 5, 1000])
         x = [rng.randrange(levels) / 4 for _ in range(rng.randrange(1, 41))]
         y = [rng.randrange(levels) / 4 for _ in range(rng.randrange(1, 41))]
-        assert mann_whitney_delta(x, y) == (mann_whitney_u(x, y), cliffs_delta(x, y))
+        u = u_direct(x, y)
+        assert mann_whitney_delta(x, y) == \
+            ((u, _mwu_p(u, x, y), (len(x), len(y))), delta_direct(x, y))
     for _ in range(30):
         x, y = _mixed_samples(rng, rng.randrange(1, 101)), _mixed_samples(rng, rng.randrange(1, 101))
-        assert mann_whitney_delta(x, y) == (mann_whitney_u(x, y), cliffs_delta(x, y))
+        u = u_direct(x, y)
+        assert mann_whitney_delta(x, y) == \
+            ((u, _mwu_p(u, x, y), (len(x), len(y))), delta_direct(x, y))
     assert mann_whitney_delta([1.0, 1.0], [1]) == ((1.0, 1.0, (2, 1)), 0.0)
 
 
 def test_delta_u_relation_without_ties():
     # with no ties, U = mn(1+delta)/2 ties U and delta together
     x, y = [1, 4, 6], [2, 3, 5]
-    u = mann_whitney_u(x, y).statistic
-    d = cliffs_delta(x, y)
+    (u, _, _), d = mann_whitney_delta(x, y)
     assert u == pytest.approx(len(x) * len(y) * (1 + d) / 2)
 
 
@@ -376,7 +381,7 @@ def test_p_values_equal_scipy_stats_tails():
             assert result.p_value == _spearman_p(result.statistic, n)
 
         x, y = _random_samples(rng, rng.randrange(1, 31)), _random_samples(rng, rng.randrange(1, 31))
-        result = mann_whitney_u(x, y)
+        result, _ = mann_whitney_delta(x, y)
         assert result.p_value == _mwu_p(result.statistic, x, y)
 
         groups = [_random_samples(rng, rng.randrange(1, 11)) for _ in range(rng.randrange(2, 5))]
@@ -386,7 +391,7 @@ def test_p_values_equal_scipy_stats_tails():
     for _ in range(60):  # -0.0 tied with 0.0, ints mixed with floats, up to 300 values
         x = _mixed_samples(rng, rng.randrange(1, 301))
         y = _mixed_samples(rng, rng.randrange(1, 301))
-        result = mann_whitney_u(x, y)
+        result, _ = mann_whitney_delta(x, y)
         assert result.statistic == u_direct(x, y)
         assert result.p_value == _mwu_p(result.statistic, x, y)
 
@@ -398,11 +403,11 @@ def test_p_values_equal_scipy_stats_tails_at_the_edges():
         assert result.statistic == 0.0
         assert result.p_value == float(scipy.stats.chi2.sf(0.0, len(groups) - 1)) == 1.0
     # z == 0
-    result = mann_whitney_u([1, 4], [2, 3])
+    result, _ = mann_whitney_delta([1, 4], [2, 3])
     assert result.statistic == 2.0
     assert result.p_value == 2.0 * float(scipy.stats.norm.sf(0.0)) == 1.0
     # every pooled value tied: sigma_sq == 0 and p is 1 by convention
-    assert mann_whitney_u([5, 5], [5]).p_value == 1.0
+    assert mann_whitney_delta([5, 5], [5])[0].p_value == 1.0
     # |t| large: one adjacent swap in a long ranking leaves |rho| just below 1
     for n in (12, 50, 400):
         x = list(range(n))
@@ -430,16 +435,18 @@ def test_shift_and_monotone_invariance():
             continue
         shift = rng.uniform(-50, 50)
 
-        assert mann_whitney_u([v + shift for v in x], [v + shift for v in y]).statistic \
-            == pytest.approx(mann_whitney_u(x, y).statistic)
-        assert cliffs_delta([v + shift for v in x], [v + shift for v in y]) \
-            == pytest.approx(cliffs_delta(x, y))
+        (u, _, _), d = mann_whitney_delta(x, y)
+        (u_shifted, _, _), d_shifted = mann_whitney_delta([v + shift for v in x],
+                                                          [v + shift for v in y])
+        assert u_shifted == pytest.approx(u)
+        assert d_shifted == pytest.approx(d)
         assert kruskal_wallis([[v + shift for v in x], [v + shift for v in y]]).statistic \
             == pytest.approx(kruskal_wallis([x, y]).statistic)
 
         fx, fy = [monotone(v) for v in x], [monotone(v) for v in y]
-        assert mann_whitney_u(fx, fy).statistic == pytest.approx(mann_whitney_u(x, y).statistic)
-        assert cliffs_delta(fx, fy) == pytest.approx(cliffs_delta(x, y))
+        (u_f, _, _), d_f = mann_whitney_delta(fx, fy)
+        assert u_f == pytest.approx(u)
+        assert d_f == pytest.approx(d)
         if len(x) == len(y):
             assert spearman(fx, fy).statistic == pytest.approx(spearman(x, y).statistic)
             assert spearman([v + shift for v in x], [v + shift for v in y]).statistic \
