@@ -29,7 +29,7 @@ from operator import add, attrgetter, not_
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Corpus, TeamCorpus, Utterance, relative_time, write_json
+from .corpus import HUMAN_SPEAKERS, Corpus, TeamCorpus, Utterance, relative_time, write_json
 from .instructions import (
     MATCH,
     MISMATCH,
@@ -386,7 +386,7 @@ def _h22(pipeline: Pipeline, oh_events: str = "token", mm_events: str = "action"
     def team(tp: TeamPipeline):
         duration = tp.success.duration
         oh_counts = [(utt.end, utt.tokens.count(OH)) for utt in tp.utterances
-                     if utt.is_human and OH in utt.tokens]
+                     if OH in utt.tokens and utt.speaker in HUMAN_SPEAKERS]
         oh_times = [end for end, count in oh_counts
                     for _ in range(count if per_token else 1)]
         match_times = tp.verdict_times(MATCH, mm_per_utterance)
@@ -433,18 +433,22 @@ _PLAIN = frozenset({float, int, bool})  # the types "%s" writes as csv.writer do
 _BATCH = 256  # rows formatted and written at a time
 
 
+def _quoted(cell: str) -> str:
+    """The str cell as csv.writer writes it: in double quotes, its quotes doubled, if it holds
+    a comma, a quote, CR or LF (csv.writer quotes a character of its line terminator, CR LF)."""
+    return '"%s"' % cell.replace('"', '""') if _SPECIAL(cell) else cell
+
+
 def _column_cells(column: list) -> list | None:
-    """The column with None as "" and each str cell that holds a comma, a quote, CR
-    or LF in double quotes, its quotes doubled (csv.writer quotes a character of
-    its line terminator, CR LF); None if "%s" writes every cell as it is. Each
-    distinct cell is checked and quoted once, and the column is mapped at once."""
+    """The column with None as "" and each str cell as `_quoted` writes it; None if
+    "%s" writes every cell as it is. Each distinct cell is checked and quoted once,
+    and the column is mapped at once."""
     kinds = set(map(type, column))
     if kinds <= _PLAIN or kinds == {str} and not _SPECIAL("".join(column)):
         return None
     if not kinds <= _PLAIN | {str, type(None)}:
         raise TypeError(f"a CSV cell is a str, float, int, bool or None, not {kinds}")
-    cells = {cell: '"%s"' % cell.replace('"', '""') for cell in set(column)
-             if type(cell) is str and _SPECIAL(cell)}
+    cells = {cell: _quoted(cell) for cell in set(column) if type(cell) is str}
     cells[None] = ""
     return list(map(cells.get, column, column))
 
@@ -466,8 +470,8 @@ def _text(rows: list) -> str:
 class _CsvTable:
     """A CSV table, byte for byte as csv.writer with the line terminator CR LF writes
     it but with LF for each row's CR LF: "%s" writes a float and an int by repr and a
-    bool as True or False. `write` takes rows as they come and writes them a batch at
-    a time, batches running across calls; the last rows go out when the table closes.
+    bool as True or False. `write` takes rows as they come and writes them _BATCH at a
+    time, batches running across calls and teams; the last go out when the table closes.
 
     As a step of a pass, the table writes `rows(tp)` for each team. Entering the
     table opens its file and writes the header.
@@ -496,6 +500,13 @@ class _CsvTable:
         with self.handle:
             if kind is None:
                 self.handle.write(_text(self.batch))
+
+
+class _TextTable(_CsvTable):
+    """A _CsvTable whose `rows(tp)` returns the team's rows formatted, written at once."""
+
+    def __call__(self, tp: TeamPipeline) -> None:
+        self.handle.write(self.rows(tp))
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
@@ -547,29 +558,35 @@ def routine_table(pipeline: Pipeline, path: str | Path, task_only: bool = False)
                             "contains_referent"], rows)
 
 
-def annotated_table(pipeline: Pipeline, path: str | Path) -> _CsvTable:
+def annotated_table(pipeline: Pipeline, path: str | Path) -> _TextTable:
     """Annotated corpus CSV: the stream with instructions and verdicts, a row per
     event. A says row's subject is its speaker, I for the robot, and its object
-    the utterance text; an edit row's object is its edge's node names, `u-v`."""
+    the utterance text; an edit row's object is its edge's node names, `u-v`.
+    A team's rows are formatted at once, each by the `%` template of its kind,
+    which holds the team and the constant cells; `_quoted` quotes the str cells."""
     name = pipeline.corpus.network.id_to_name
-    edges = {(u, v): f"{name[u]}-{name[v]}" for u, v, _ in pipeline.corpus.network.edges}
+    edges = {(u, v): _quoted(f"{name[u]}-{name[v]}") for u, v, _ in pipeline.corpus.network.edges}
 
-    def rows(tp: TeamPipeline):
-        team = tp.corpus.team
-        for action, instructions, record, *_ in tp.annotated:
+    def rows(tp: TeamPipeline) -> str:
+        says = f"{tp.corpus.team},%s,says,%s,%s,%s,%s,%s,-,,\n"
+        edit = f"{tp.corpus.team},%s,%s,%s,%s,%s,%s,,%s,%s,%s\n"
+        lines = []
+        for action, instructions, record, _, _ in tp.annotated:
             subject, verb, time, turn, attempt, utterance, edge = action
-            if record is None:  # a says event
-                yield (team, utterance.speaker, verb, utterance.text, time, turn, attempt,
-                       " ".join(map(str, instructions)) if instructions else "", "-", "", "")
+            if record is None:
+                spelled = _quoted(" ".join(map(str, instructions))) if instructions else ""
+                lines.append(says % (utterance.speaker, _quoted(utterance.text), time, turn,
+                                     attempt, spelled))
             else:
-                instruction = record.instruction
-                yield (team, subject, verb, edges[edge], time, turn, attempt, "",
-                       record.verdict, instruction and str(instruction),
-                       instruction and instruction.agent)
+                verdict, _, given = record  # given: the matched instruction, or None
+                matched = (_quoted(str(given)), given.agent) if given else ("", "")
+                lines.append(edit % (subject, verb, edges[edge], time, turn, attempt, verdict,
+                                     *matched))
+        return "".join(lines)
 
-    return _CsvTable(path, ["team", "subject", "verb", "object", "time", "turn", "attempt",
-                            "instructions", "verdict", "matched_instruction", "matched_agent"],
-                     rows)
+    return _TextTable(path, ["team", "subject", "verb", "object", "time", "turn", "attempt",
+                             "instructions", "verdict", "matched_instruction", "matched_agent"],
+                      rows)
 
 
 # task_features.csv column names that differ from the TeamSuccess field names

@@ -9,9 +9,10 @@ the other interlocutor.
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
 from typing import NamedTuple
 
-from .corpus import Network, Utterance
+from .corpus import HUMAN_SPEAKERS, Network, Utterance
 
 
 class RoutineEvent(NamedTuple):
@@ -47,46 +48,51 @@ def extract_routines(utterances: list[Utterance]) -> list[Routine]:
     its occurrences; no per-occurrence object is built. Output is sorted by
     establishment time.
 
-    Mining is level-wise (Apriori): an (n+1)-gram can be shared only if the
-    n-grams starting at its first and second token are both shared, so
-    level n+1 extends only those positions. The work grows with the number
-    of shared-gram occurrences, not with all O(L^2) spans of an utterance.
+    Mining is level-wise (Apriori): level 1 groups the positions by token, and
+    an (n+1)-gram can be shared only if the n-grams starting at its first and
+    second token are both shared, so level n+1's frontier is the positions p
+    of level n's shared grams where p + 1 starts one too. The work grows with
+    the number of shared-gram occurrences, not with all O(L^2) spans of an
+    utterance, and after level 1 no step visits a position of an unshared gram.
     """
     # Every human token in one sequence, in document order; the None after
     # each utterance is never shared, so no gram spans two utterances.
     tokens: list[str | None] = []
     owner: list[int] = []  # utterance index of each sequence position
+    speaker: list[str] = []
     position: list[int | None] = []  # global token position
     for ui, utt in enumerate(utterances):
-        if utt.is_human and utt.tokens:
+        if utt.tokens and utt.speaker in HUMAN_SPEAKERS:
             tokens += utt.tokens
             tokens.append(None)
             owner += [ui] * (len(utt.tokens) + 1)
+            speaker += [utt.speaker] * (len(utt.tokens) + 1)
             position += range(utt.global_token_offset, utt.global_token_offset + len(utt.tokens))
             position.append(None)
     sequence = tuple(tokens)
-    speaker = [utterances[ui].speaker for ui in owner]
 
-    def shared_grams(frontier: list[int], size: int) -> dict[tuple[str, ...], list[int]]:
-        """Group the frontier's start positions by gram; keep grams both speakers produce."""
-        grams: dict[tuple[str, ...], list[int]] = {}
-        for p in frontier:
-            grams.setdefault(sequence[p:p + size], []).append(p)
-        return {gram: starts for gram, starts in grams.items()
-                if len(starts) > 1 and any(speaker[p] != speaker[starts[0]] for p in starts)}
+    def shared(starts, grams) -> dict:
+        """The start positions grouped by the gram at each, for the grams both speakers
+        produce: one whose first and last start differ in speaker needs no scan."""
+        by_gram: dict = {}
+        for p, gram in zip(starts, grams):
+            by_gram.setdefault(gram, []).append(p)
+        return {gram: found for gram, found in by_gram.items() if len(found) > 1 and (
+            speaker[found[0]] != speaker[found[-1]]
+            or any(speaker[p] != speaker[found[0]] for p in found))}
 
     def event(p: int) -> RoutineEvent:
         return _event((owner[p], position[p], utterances[owner[p]].end))
 
+    level = {(token,): found for token, found in shared(range(len(sequence)), sequence).items()
+             if token is not None}
+    starts = set(chain.from_iterable(level.values()))
     routines = []
     size = 1
-    frontier = [p for p, tok in enumerate(sequence) if tok is not None]
-    level = shared_grams(frontier, size)
-    starts = {p for found in level.values() for p in found}
     while level:
-        frontier = [p for p in frontier if p in starts and p + 1 in starts]
-        longer = shared_grams(frontier, size + 1)
-        longer_starts = {p for found in longer.values() for p in found}
+        frontier = sorted(p for p in starts if p + 1 in starts)
+        longer = shared(frontier, (sequence[p:p + size + 1] for p in frontier))
+        longer_starts = set(chain.from_iterable(longer.values()))
         for gram, found in level.items():
             # an occurrence is inside a longer shared occurrence iff a
             # one-token extension of it is shared; a routine needs one free
@@ -128,13 +134,9 @@ def token_events(
     One priming and one establishment position per routine; one marker
     position per marker token in the two interlocutors' speech.
     """
-    marker_positions = []
-    for utt in utterances:
-        if not utt.is_human:
-            continue
-        for i, tok in enumerate(utt.tokens):
-            if tok in markers:
-                marker_positions.append(utt.global_token_offset + i)
+    marker_positions = [utt.global_token_offset + i for utt in utterances
+                        if not markers.isdisjoint(utt.tokens) and utt.speaker in HUMAN_SPEAKERS
+                        for i, tok in enumerate(utt.tokens) if tok in markers]
     return TokenEvents(
         priming_positions=tuple(sorted(r.priming.token_position for r in routines)),
         establishment_positions=tuple(sorted(r.establishment.token_position for r in routines)),

@@ -7,7 +7,8 @@ from the documented draft rules, matcher verdicts from a
 replay-from-scratch reconstruction of the pending cache, and the raw CSV
 loaders' records and first errors from reading and checking one row at a
 time, a corpus.json team's edits and submits from checking one entry at a
-time, and CSV tables from the stdlib's csv.writer.
+time, CSV tables from the stdlib's csv.writer, and the annotated corpus's
+cells from the instruction and verdict oracles by the README's cell rules.
 """
 
 from __future__ import annotations
@@ -545,3 +546,43 @@ def oracle_csv(rows) -> bytes:
         buffer.seek(0)
         buffer.truncate()
     return "".join(lines).encode()
+
+
+def _oracle_spelled(verb, u, v) -> str:
+    """An instruction as the annotated corpus spells it: `Add(u,v)`, `?` for no v."""
+    return f"{verb}({u},{'?' if v is None else v})"
+
+
+def oracle_annotated_rows(stream, network, clear_on_verdict=False):
+    """The cells after `team` of each `annotated_corpus.csv` row of one team's
+    action `stream`, as csv.reader reads them back, one row per event.
+
+    By the README's rules: a says row holds its speaker (I for the robot),
+    `says`, the utterance text, its time, turn and attempt, the instructions
+    that `oracle_instructions` recognizes in an interlocutor's utterance (none
+    in the robot's), spelled and joined by spaces, then `-` and two empty
+    cells. An edit row holds its actor, `adds` or `removes`, its edge's node
+    names as network.json spells them, `u-v`, its time, turn and attempt, an
+    empty instructions cell, then `oracle_verdicts`' verdict, the matched
+    instruction spelled and the interlocutor who gave it, both empty for
+    Nonmatch. Times are written by repr, counters as integers.
+    """
+    name = {node.id: node.name for node in network.nodes}
+    verdicts = iter(oracle_verdicts(stream, network, clear_on_verdict))
+    rows = []
+    for action in stream:
+        cells = [repr(action.time), str(action.turn), str(action.attempt)]
+        if action.verb == "says":
+            utterance = action.utterance
+            instructions = [] if action.subject is None else oracle_instructions(
+                utterance.tokens, network.node_names)
+            rows.append([utterance.speaker, "says", utterance.text, *cells,
+                         " ".join(_oracle_spelled(*i) for i in instructions), "-", "", ""])
+        else:
+            verdict, actor, instruction = next(verdicts)
+            u, v = action.edge
+            matched = ["", ""] if instruction is None else [_oracle_spelled(*instruction[:3]),
+                                                            instruction[3]]
+            rows.append([actor, action.verb, f"{name[u]}-{name[v]}", *cells, "", verdict,
+                         *matched])
+    return rows

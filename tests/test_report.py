@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from align.cli import main
@@ -37,8 +37,9 @@ from align.report import (
     collaborative_period,
     emit,
 )
-from _builders import DATA, analysis_report, make_team, network, write_fixture_inputs
-from _oracles import oracle_csv
+from _builders import (DATA, analysis_report, make_team, network, valid_corpora,
+                       write_fixture_inputs)
+from _oracles import oracle_annotated_rows, oracle_csv
 
 NET = network()
 
@@ -1385,6 +1386,88 @@ def test_cli_annotated_corpus_quotes_a_bare_carriage_return(tmp_path):
     says = [row[3] for row in rows[1:] if row[2] == "says"]
     assert says == [u.text for tc in corpus.teams for u in tc.utterances]
     assert "okay\roh" in says
+
+
+def _annotated_rows(corpus_dir: Path, *options: str) -> list[list[str]]:
+    """`align annotate`'s annotated_corpus.csv as csv.reader reads it back; its bytes
+    are the ones that csv.writer writes for those rows."""
+    assert main(["annotate", "--corpus", str(corpus_dir), *options]) == 0
+    path = corpus_dir / "annotated_corpus.csv"
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert path.read_bytes() == oracle_csv(rows)
+    return rows
+
+
+_ANNOTATED_HEADER = ["team", "subject", "verb", "object", "time", "turn", "attempt",
+                     "instructions", "verdict", "matched_instruction", "matched_agent"]
+
+
+def test_cli_annotated_corpus_quotes_node_names_instructions_and_texts(tmp_path):
+    """Node names holding a comma and a double quote, each still one token, and
+    utterances holding quotes, commas, CR and LF: every such cell of the edit rows'
+    `u-v` objects, the instructions and the matched instructions is quoted as
+    csv.writer quotes it, and the file reads back as one 11-field row per event,
+    with and without --clear-on-verdict."""
+    nodes = [("Bern", 1), ('Zu"rich', 2), ("Sankt,Gallen", 3)]
+    (tmp_path / "network.json").write_text(json.dumps({
+        "nodes": [{"id": i, "name": name, "label": name, "x": 0.0, "y": 0.0} for name, i in nodes],
+        "edges": [{"u": u, "v": v, "cost": 1} for u, v in ((1, 2), (1, 3), (2, 3))]}))
+    tables = {
+        "transcripts": [["team", "speaker", "start_sec", "end_sec", "utterance"],
+                        [7, "I", 0.0, 0.5, 'a "robot", line\r\n'],
+                        [7, "A", 1.0, 2.0, 'connect Zu"rich to Sankt,Gallen, and bern to zu"rich'],
+                        [7, "B", 3.0, 4.0, 'yes, bern\r\n"and", then\rsome\nmore']],
+        "events": [["team", "time_sec", "event", "u", "v", "cost"],
+                   [7, 5.0, "add", 'Zu"rich', "Sankt,Gallen", ""],
+                   [7, 6.0, "add", "Bern", 'Zu"rich', ""], [7, 7.0, "submit", "", "", 2]],
+        "tests": [["team", "speaker", "pre", "post"], [7, "A", 4, 6], [7, "B", 5, 5]]}
+    paths = {"network": tmp_path / "network.json"}
+    for name, table in tables.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        with open(paths[name], "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(table)
+    corpus_dir = tmp_path / "corpus"
+    assert _ingest_rc(paths, corpus_dir) == 0
+    says = [["7", "I", "says", 'a "robot", line\r\n', "0.0", "1", "1", "", "-", "", ""],
+            ["7", "A", "says", 'connect Zu"rich to Sankt,Gallen, and bern to zu"rich', "1.0",
+             "1", "1", 'Add(zu"rich,sankt,gallen) Add(bern,zu"rich)', "-", "", ""],
+            ["7", "B", "says", 'yes, bern\r\n"and", then\rsome\nmore', "3.0", "1", "1",
+             "Add(bern,?)", "-", "", ""]]
+    first = ["7", "B", "adds", 'Zu"rich-Sankt,Gallen', "5.0", "1", "1", "", "Match",
+             'Add(zu"rich,sankt,gallen)', "A"]
+    second = ["7", "B", "adds", 'Bern-Zu"rich', "6.0", "1", "1", ""]
+    assert _annotated_rows(corpus_dir) == [_ANNOTATED_HEADER, *says, first,
+                                           second + ["Match", 'Add(bern,zu"rich)', "A"]]
+    assert _annotated_rows(corpus_dir, "--clear-on-verdict") == [
+        _ANNOTATED_HEADER, *says, first, second + ["Nonmatch", "", ""]]
+    text = (corpus_dir / "annotated_corpus.csv").read_text(encoding="utf-8")
+    assert ',"Zu""rich-Sankt,Gallen",5.0,1,1,,Match,"Add(zu""rich,sankt,gallen)",A\n' in text
+    assert ',"Add(zu""rich,sankt,gallen) Add(bern,zu""rich)",-,,\n' in text
+
+
+# mostly instructions on the first nodes of the drawn network, among quotes, commas,
+# CR and LF, in sessions of a minute, so that most edits meet pending instructions
+_instructing = st.lists(st.sampled_from(["connect node1 to node2", "node2", "cut node2",
+                                         "remove node3 node2", 'say "so",', "a\rb\nc"]),
+                       min_size=1, max_size=3).map(" ".join)
+_annotated_texts = st.one_of(_instructing, _instructing, st.text(max_size=30))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, phases=[Phase.explicit, Phase.generate])
+@given(valid_corpora(texts=_annotated_texts, utterances=(4, 12), max_time=60.0))
+def test_property_annotated_corpus_rows_equal_the_oracle(corpus):
+    """Every row of annotated_corpus.csv, as csv.reader reads it back, holds the
+    cells that `oracle_annotated_rows` gives for its team's stream, in team order,
+    with and without --clear-on-verdict."""
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_dir = save_corpus(corpus, tmp).parent
+        loaded = load_corpus(corpus_dir)
+        for options in ((), ("--clear-on-verdict",)):
+            expected = [[str(tc.team), *cells] for tc in sorted(loaded.teams, key=lambda tc: tc.team)
+                        for cells in oracle_annotated_rows(tc.stream(tc.utterances), loaded.network,
+                                                           bool(options))]
+            assert _annotated_rows(corpus_dir, *options) == [_ANNOTATED_HEADER, *expected], options
 
 
 def test_cli_routines_task_only(tmp_path):
