@@ -16,7 +16,7 @@ import sys
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from functools import cache, partial
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import add, attrgetter, gt, itemgetter
 from pathlib import Path
@@ -30,6 +30,7 @@ MAX_SCORE = 10  # top mark of the pre- and post-tests
 # 1e14, and no statistic overflows
 MAX_TIME = 1e9  # seconds: the latest input time
 MIN_DURATION = 1e-3  # seconds: the shortest team duration
+_BLOCK = 4096  # the rows of a raw CSV file that _read_csv parses at a time
 
 ADD = "add"
 REMOVE = "remove"
@@ -265,16 +266,14 @@ def _field_value(field: str, kind: Callable, column: str):
     return value
 
 
-def _parsed(fields: Sequence[str], kind: Callable) -> Sequence | None:
-    """_field_value of each field, a column at a time; None if any field fails."""
+def _parsed(fields: Sequence[str], kind: Callable) -> Sequence:
+    """_field_value of each field, a column at a time; a ValueError if any field fails."""
     if kind is str:
         return fields
-    try:
-        values = list(map(kind, fields))
-    except ValueError:
-        return None
-    if kind is not float or all(map(math.isfinite, values)):
-        return values
+    values = list(map(kind, fields))
+    if kind is float and not all(map(math.isfinite, values)):
+        raise ValueError("not a finite number")
+    return values
 
 
 def _read_csv(path: str | Path, columns: dict[str, Callable], row: Callable,
@@ -283,13 +282,30 @@ def _read_csv(path: str | Path, columns: dict[str, Callable], row: Callable,
 
     Each column is read as the kind that `columns` gives it (see _field_value).
     A byte order mark may open the file, and blank lines are skipped. A valid
-    file is read a column at a time: build(*columns) makes its records, or
-    returns None or raises an InputError if a row fails a check. Then the file
-    is read again a row at a time, row(*values) making each row's record, up
-    to its first error, whatever its kind: a line that the csv module cannot
-    parse, a wrong number of fields, a field of the wrong kind or a failed
-    check. That error is raised, naming the file and line.
+    file is read from the open file _BLOCK rows at a time, each block's fields
+    parsed a column at a time onto the columns; build(*columns) makes its
+    records, or returns None or raises a ValueError if a row fails a check.
+    If any of that fails, the file's bytes are decoded whole and read again a
+    row at a time, row(*values) making each row's record, up to its first
+    error, whatever its kind: a byte that is not UTF-8, a line that the csv
+    module cannot parse, a wrong header or number of fields, a field of the
+    wrong kind or a failed check. That error is raised, naming the file and line.
     """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            if [f.strip() for f in next(reader, [])] != list(columns):
+                raise ValueError("not the header")
+            values, rows = [[] for _ in columns], filter(None, reader)
+            while block := list(islice(rows, _BLOCK)):
+                if set(map(len, block)) != {len(columns)}:
+                    raise ValueError("a row of another length")
+                for column, fields, kind in zip(values, zip(*block), columns.values()):
+                    column += _parsed(fields, kind)
+        if (built := build(*values)) is not None:
+            return built
+    except (ValueError, csv.Error):  # not UTF-8 (a ValueError), a bad line, field or check
+        pass
     try:
         text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # its positions count in the bytes after a BOM
@@ -302,22 +318,6 @@ def _read_csv(path: str | Path, columns: dict[str, Callable], row: Callable,
         raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
     if [f.strip() for f in header] != list(columns):
         raise InputError(f"{path}: expected header {','.join(columns)}, got {','.join(header)}")
-    try:
-        records = list(filter(None, reader))
-    except csv.Error:
-        records = None
-    del reader  # and its copy of the text, before the columns are built
-    if records is not None and set(map(len, records)) <= {len(columns)}:
-        raw = list(zip(*records)) or [()] * len(columns)
-        del records  # each field is now held by its column alone
-        values = list(map(_parsed, raw, columns.values()))
-        try:
-            if None not in values and (built := build(*values)) is not None:
-                return built
-        except InputError:
-            pass
-    reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader)  # the header, which parsed once already
     built = []
     try:
         for fields in filter(None, reader):
@@ -459,13 +459,43 @@ def number_utterances(team: int, rows: list[tuple[str, float, float, str]]) -> l
                   accumulate(map(len, tokens), initial=0))
 
 
+def _events(team: Sequence[int], time: Sequence[float], kind: Sequence[str], u: Sequence[str],
+            v: Sequence[str], cost: Sequence[str], *, network: Network) -> list | None:
+    """load_event_log's records a column at a time, in file order: edits by _edits,
+    submits (a few per team) by _submit and stops as (team, time) pairs. None, or
+    a ValueError, if a row fails a check."""
+    kind = list(map(sys.intern, map(str.lower, kind)))  # an edit's kind is ADD or REMOVE itself
+    edit = list(map({ADD, REMOVE}.__contains__, kind))
+    # every other row leaves u and v empty, and every row but a submit its cost: no node
+    # name is empty, and int refuses an empty cost below
+    if not ({ADD, REMOVE, "submit", "stop"}.issuperset(kind)
+            and min(time, default=0.0) >= 0 and max(time, default=0.0) <= MAX_TIME
+            and cost.count("") == len(kind) - kind.count("submit")
+            and u.count("") == v.count("") == edit.count(False)):
+        return None
+    if 0.0 in time:  # -0.0 among them, which _check_time reads as 0.0
+        time = [t or 0.0 for t in time]
+    edits = _edits(compress(team, edit), repeat(network), list(compress(time, edit)),
+                   list(compress(kind, edit)), *(  # each node name resolved as resolve_node does
+                       list(map(network.name_to_id.get, map(str.lower, compress(names, edit))))
+                       for names in (u, v)))
+    if edits is not None:
+        stop, submit = (list(map(name.__eq__, kind)) for name in ("stop", "submit"))
+        records = {ADD: iter(edits), "stop": zip(compress(team, stop), compress(time, stop)),
+                   "submit": map(_submit, compress(team, submit), repeat(network),
+                                 compress(time, submit), map(int, compress(cost, submit)))}
+        records[REMOVE] = records[ADD]
+        return list(map(next, map(records.__getitem__, kind)))
+
+
 def load_event_log(path: str | Path, network: Network) -> list[EditEvent | SubmitEvent | tuple]:
     """Load an events CSV (team,time_sec,event,u,v,cost): its edits, submits
     and stops, sorted by (team, time), records of equal (team, time) in file order.
 
     Edges are resolved against the network's node names and canonicalized
     u < v. An optional `stop` event marks the experimenter ending the task;
-    its record is the pair (team, time).
+    its record is the pair (team, time). _events checks a valid file a column
+    at a time; `event` checks a file with an error a row at a time.
     """
     unused = {ADD: ("cost",), REMOVE: ("cost",), "submit": ("u", "v"), "stop": ("u", "v", "cost")}
 
@@ -489,7 +519,7 @@ def load_event_log(path: str | Path, network: Network) -> list[EditEvent | Submi
     # and an event leaves the fields it does not use empty
     columns = {"team": int, "time_sec": float, "event": str.strip, "u": str.strip,
                "v": str.strip, "cost": str.strip}
-    records = _read_csv(path, columns, event, lambda *values: list(map(event, *values)))
+    records = _read_csv(path, columns, event, partial(_events, network=network))
     records.sort(key=itemgetter(0, 1))
     return records
 

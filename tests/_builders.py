@@ -102,16 +102,33 @@ def make_team(
 _coordinates = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
+def _instructions_before(draw, rows: list[tuple], edits: tuple[EditEvent, ...],
+                         first_visual: str) -> list:
+    """`rows` with an utterance moved to up to a second before each of some `edits`
+    and given to the interlocutor who does not perform that edit, so that the
+    instructions it holds are pending when the edit comes."""
+    rows = list(rows)
+    ranked = sorted(range(len(edits)), key=lambda i: (edits[i].time, i))  # the stream's order
+    for rank, i in enumerate(ranked):
+        if draw(st.booleans()):  # in turn 1 + rank // 2; first_visual edits in odd turns
+            speaker = "B" if (first_visual == "A") == (rank // 2 % 2 == 0) else "A"
+            j = draw(st.integers(0, len(rows) - 1))
+            start = max(0.0, edits[i].time - draw(st.floats(0, 1)))
+            rows[j] = (speaker, start, min(start + (rows[j][2] - rows[j][1]), MAX_TIME), rows[j][3])
+    return rows
+
+
 @st.composite
 def valid_corpora(draw, texts=st.text(max_size=30), teams: tuple[int, int] = (1, 3),
                   utterances: tuple[int, int] = (0, 6), max_time: float = 1e6,
-                  subnormal: bool = True):
+                  subnormal: bool = True, instructed_edits: bool = False):
     """A random corpus that passes every load_corpus check. It has `teams[0]` to
     `teams[1]` teams, each with `utterances[0]` to `utterances[1]` utterances
     drawn from `texts`. Utterances start, and events happen, at most `max_time`
     seconds in, and utterances last up to 100 s but end by MAX_TIME; submits come
     from MIN_DURATION on. The times include subnormal floats unless `subnormal`
-    is false."""
+    is false. With `instructed_edits`, some edits come up to a second after an
+    utterance of the interlocutor who does not perform them (see _instructions_before)."""
     from align.corpus import TestScores  # imported here so pytest does not collect it
     times = st.floats(min_value=0, max_value=max_time, allow_subnormal=subnormal)
     size = draw(st.integers(2, 5))
@@ -130,7 +147,7 @@ def valid_corpora(draw, texts=st.text(max_size=30), teams: tuple[int, int] = (1,
                               min_size=utterances[0], max_size=utterances[1]))
         rows = [(speaker, start, min(start + length, MAX_TIME), text)
                 for speaker, start, length, text in drawn]
-        team_corpora.append(TeamCorpus(
+        team_corpus = TeamCorpus(
             team=team,
             utterance_rows=utterance_rows_of(team, rows),
             edits=tuple(EditEvent(team, time, kind, (u, v)) for time, kind, (u, v, _) in draw(
@@ -144,7 +161,11 @@ def valid_corpora(draw, texts=st.text(max_size=30), teams: tuple[int, int] = (1,
             scores=tuple(TestScores(team, speaker, draw(st.integers(0, 10)),
                                     draw(st.integers(0, 10))) for speaker in ("B", "A")),
             first_visual=draw(st.sampled_from("AB")),
-        ))
+        )
+        if instructed_edits and rows:
+            rows = _instructions_before(draw, rows, team_corpus.edits, team_corpus.first_visual)
+            team_corpus = team_corpus._replace(utterance_rows=utterance_rows_of(team, rows))
+        team_corpora.append(team_corpus)
     return Corpus(network=network, teams=tuple(team_corpora))
 
 

@@ -1455,7 +1455,8 @@ _annotated_texts = st.one_of(_instructing, _instructing, st.text(max_size=30))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, phases=[Phase.explicit, Phase.generate])
-@given(valid_corpora(texts=_annotated_texts, utterances=(4, 12), max_time=60.0))
+@given(valid_corpora(texts=_annotated_texts, utterances=(4, 12), max_time=60.0,
+                     instructed_edits=True))
 def test_property_annotated_corpus_rows_equal_the_oracle(corpus):
     """Every row of annotated_corpus.csv, as csv.reader reads it back, holds the
     cells that `oracle_annotated_rows` gives for its team's stream, in team order,
