@@ -11,6 +11,7 @@ import functools
 import gc
 import math
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from .corpus import (
@@ -31,14 +32,19 @@ from .corpus import (
 # nor imports it. (`report` imports neither numpy nor scipy: only a p-value loads
 # scipy's tails, and numpy with them.) A name already set on this module, such
 # as a wrapper patched in by a tracer, wins over the one in .report; a name
-# deleted after the binding stays deleted.
+# deleted after the binding stays deleted. RUNNERS and emit_* are bound for bench/ alone.
 _REPORT_NAMES = ("ANALYSES", "RUNNERS", "Pipeline", "annotated_table", "emit",
                  "emit_annotated_corpus", "emit_measures", "emit_routine_table", "measures_table",
                  "routine_table", "summary_lines")
 
-# each `align analyze` hypothesis, with the options its runner takes as keyword arguments
-HYPOTHESES = {"h1.1": ("window",), "h1.2": ("markers",), "h2.1": ("window", "grouped"),
-              "h2.2": ("oh_events", "mm_events")}
+# each command that reads a corpus, as the steps of its one pass over the teams: the tables it
+# writes, as (report factory, file name), and the analyses it runs, by their keys in ANALYSES
+# (stated here, as `align ingest` binds no report); `analyze` runs the one --hypothesis names
+STEPS = {"routines": ([("routine_table", "routines.csv")], []),
+         "annotate": ([("annotated_table", "annotated_corpus.csv")], []),
+         "measures": ([("measures_table", "task_features.csv")], []),
+         "analyze": ([], ["h1.1", "h1.2", "h2.1", "h2.2"])}
+STEPS["all"] = tuple(sum(steps, []) for steps in zip(*STEPS.values()))  # the other four's steps
 
 
 @functools.cache
@@ -54,6 +60,17 @@ def __getattr__(name: str):
         if name in globals():
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _options(factory, given: int = 1) -> tuple[str, ...]:
+    """A step factory's options: the names of its arguments after the `given` ones."""
+    return factory.__code__.co_varnames[given:factory.__code__.co_argcount]
+
+
+def _step(factory, args: argparse.Namespace, *given):
+    """The step `factory(*given)`, passed by name each option of `args` that it takes."""
+    taken = _options(factory, len(given))
+    return factory(*given, **{name: value for name, value in vars(args).items() if name in taken})
 
 
 def _markers(text: str) -> frozenset[str]:
@@ -91,55 +108,50 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ingest = sub.add_parser("ingest", help="load raw files and write a corpus directory")
-    ingest.add_argument("--transcripts", required=True)
-    ingest.add_argument("--events", required=True)
-    ingest.add_argument("--network", required=True)
-    ingest.add_argument("--tests", required=True)
-    ingest.add_argument("--out", required=True)
+    for flag in ("--transcripts", "--events", "--network", "--tests", "--out"):
+        ingest.add_argument(flag, required=True)
     ingest.add_argument("--first-visual", choices=HUMAN_SPEAKERS, default="B",
                         help="interlocutor in the visual view during turn 1")
 
-    routines = sub.add_parser("routines", help="mine routine expressions")
-    routines.add_argument("--corpus", required=True)
-    routines.add_argument("--task-only", action="store_true",
-                          help="keep only routines containing a node name")
-    routines.add_argument("--out")
+    # the options of the commands that read a corpus, each declared once
+    options = {"--hypothesis": {"required": True, "choices": STEPS["analyze"][1],
+                                "help": "the analysis to run"},
+               "--corpus": {"required": True},
+               "--task-only": {"action": "store_true",
+                               "help": "keep only routines containing a node name"},
+               "--format": {"choices": ["csv", "json"], "default": "csv"}, "--out": {},
+               "--clear-on-verdict": {"action": "store_true"}}
 
+    def add(command: argparse.ArgumentParser, *flags: str, **kwargs) -> None:
+        for flag in flags:
+            command.add_argument(flag, **options[flag], **kwargs)
+
+    add(sub.add_parser("routines", help="mine routine expressions"),
+        "--corpus", "--task-only", "--out")
     annotate = sub.add_parser("annotate", help="write the instruction-annotated corpus")
-    annotate.add_argument("--corpus", required=True)
-    annotate.add_argument("--clear-on-verdict", action="store_true",
-                          help="empty the pending cache after any match or mismatch")
-    annotate.add_argument("--out")
-
-    measures = sub.add_parser("measures", help="write task-level success measures")
-    measures.add_argument("--corpus", required=True)
-    measures.add_argument("--out")
+    add(annotate, "--corpus")
+    add(annotate, "--clear-on-verdict", help="empty the pending cache after any match or mismatch")
+    add(annotate, "--out")
+    add(sub.add_parser("measures", help="write task-level success measures"), "--corpus", "--out")
 
     analyze = sub.add_parser("analyze", help="run one hypothesis analysis")
-    analyze.add_argument("--hypothesis", required=True, choices=HYPOTHESES,
-                         help="the analysis to run")
-    analyze.add_argument("--corpus", required=True)
-    analyze.add_argument("--format", choices=["csv", "json"], default="csv")
-    analyze.add_argument("--out")
-    # an option left out is not passed: the runner's signature holds its default
-    options = analyze.add_argument_group("analysis options", argument_default=argparse.SUPPRESS)
-    options.add_argument("--window", type=_seconds,
-                         help="common analysis window in seconds (default: quickest team)")
-    options.add_argument("--markers", type=_markers,
-                         help="comma-separated marker tokens for h1.2 (default: uh,um)")
-    options.add_argument("--grouped", action="store_true",
-                         help="h2.1: one event per instructing utterance instead of per action")
-    options.add_argument("--oh-events", choices=["token", "utterance"],
-                         help="h2.2: one oh event per occurrence (default) or per utterance")
-    options.add_argument("--mm-events", choices=["action", "utterance"],
-                         help="h2.2: pool per-action (default) or per-utterance (mis)match times")
-    analyze.add_argument("--clear-on-verdict", action="store_true")
+    add(analyze, "--hypothesis", "--corpus", "--format", "--out")
+    # an option left out is not passed: the analysis's signature holds its default
+    group = analyze.add_argument_group("analysis options", argument_default=argparse.SUPPRESS)
+    group.add_argument("--window", type=_seconds,
+                       help="common analysis window in seconds (default: quickest team)")
+    group.add_argument("--markers", type=_markers,
+                       help="comma-separated marker tokens for h1.2 (default: uh,um)")
+    group.add_argument("--grouped", action="store_true",
+                       help="h2.1: one event per instructing utterance instead of per action")
+    group.add_argument("--oh-events", choices=["token", "utterance"],
+                       help="h2.2: one oh event per occurrence (default) or per utterance")
+    group.add_argument("--mm-events", choices=["action", "utterance"],
+                       help="h2.2: pool per-action (default) or per-utterance (mis)match times")
+    add(analyze, "--clear-on-verdict")
 
-    run_all = sub.add_parser("all", help="run every stage and all four analyses")
-    run_all.add_argument("--corpus", required=True)
-    run_all.add_argument("--format", choices=["csv", "json"], default="csv")
-    run_all.add_argument("--out")
-    run_all.add_argument("--clear-on-verdict", action="store_true")
+    add(sub.add_parser("all", help="run every stage and all four analyses"),
+        "--corpus", "--format", "--out", "--clear-on-verdict")
 
     return parser, analyze
 
@@ -152,15 +164,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         parser, analyze = _build_parser()
         args = parser.parse_args(argv)
-        if args.command != "ingest":
-            _bind_report()
-        if args.command == "analyze":
-            # each analysis option is some runner's; one that this runner does not take is refused
-            taken = HYPOTHESES[args.hypothesis]
-            refused = sorted(vars(args).keys() & set().union(*HYPOTHESES.values()) - set(taken))
-            if refused:
-                analyze.error(f"argument {_flag(refused[0])}: {args.hypothesis} does not take it "
-                              f"(it takes {', '.join(map(_flag, taken))})")
         if args.command == "ingest":
             network = load_network(args.network)
             corpus = assemble_corpus(
@@ -176,37 +179,33 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {path} ({len(corpus.teams)} teams)")
             return 0
 
-        corpus = load_corpus(args.corpus)
+        _bind_report()
+        if args.command == "analyze":
+            # each analysis option is some analysis's; one that this one does not take is refused
+            taken, every = _options(ANALYSES[args.hypothesis]), map(_options, ANALYSES.values())
+            if refused := sorted(vars(args).keys() & set().union(*every) - set(taken)):
+                analyze.error(f"argument {_flag(refused[0])}: {args.hypothesis} does not take it "
+                              f"(it takes {', '.join(map(_flag, taken))})")
+
         out = Path(args.out or args.corpus)
         # routines and measures take no --clear-on-verdict: the matcher's default
-        pipeline = Pipeline(corpus, clear_on_verdict=getattr(args, "clear_on_verdict", False))
-        if args.command == "routines":
-            path = emit_routine_table(pipeline, out / "routines.csv", task_only=args.task_only)
-            print(f"wrote {path}")
-        elif args.command == "annotate":
-            path = emit_annotated_corpus(pipeline, out / "annotated_corpus.csv")
-            print(f"wrote {path}")
-        elif args.command == "measures":
-            path = emit_measures(pipeline, out / "task_features.csv")
-            print(f"wrote {path}")
-        elif args.command == "analyze":
-            options = {name: value for name, value in vars(args).items()
-                       if name in HYPOTHESES[args.hypothesis]}
-            report = RUNNERS[args.hypothesis](pipeline, **options)
-            for path in emit(report, args.format, out):
-                print(f"wrote {path}")
-            print("\n".join(summary_lines(report)))
-        elif args.command == "all":
-            # one pass over the teams writes the three tables and keeps the analyses' rows
-            analyses = [analysis(pipeline) for analysis in ANALYSES.values()]
-            with routine_table(pipeline, out / "routines.csv") as routines, \
-                    annotated_table(pipeline, out / "annotated_corpus.csv") as annotated, \
-                    measures_table(pipeline, out / "task_features.csv") as measures:
-                pipeline.run(routines, annotated, measures, *analyses)
-            for analysis in analyses:
-                report = analysis.report()
-                emit(report, args.format, out)
-                print("\n".join(summary_lines(report)))
+        pipeline = Pipeline(load_corpus(args.corpus),
+                            clear_on_verdict=getattr(args, "clear_on_verdict", False))
+        tables, hypotheses = STEPS[args.command]
+        analyses = [_step(ANALYSES[hypothesis], args, pipeline) for hypothesis in hypotheses
+                    if getattr(args, "hypothesis", hypothesis) == hypothesis]
+        with ExitStack() as stack:  # one pass: the tables write rows, the analyses keep theirs
+            written = [stack.enter_context(_step(globals()[factory], args, pipeline, out / name))
+                       for factory, name in tables]
+            pipeline.run(*written, *analyses)
+        each = args.command != "all"  # `all` names its output directory, not each file
+        for table in written if each else ():
+            print(f"wrote {table.path}")
+        for analysis in analyses:
+            report = analysis.report()
+            paths = emit(report, args.format, out)
+            print("\n".join([f"wrote {path}" for path in paths if each] + summary_lines(report)))
+        if not each:
             print(f"wrote outputs to {out}")
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

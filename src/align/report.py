@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable, Sequence
-from functools import cached_property, reduce, wraps
+from functools import cached_property, reduce
 from itertools import chain, groupby, islice, repeat
 from operator import add, attrgetter, not_
 from pathlib import Path
@@ -407,13 +407,14 @@ def _h22(pipeline: Pipeline, oh_events: str = "token", mm_events: str = "action"
     }, {"oh_events": oh_events, "mm_events": mm_events})
 
 
-# each hypothesis's analysis, a step of a pass; `align all` runs the four in one pass
+# each hypothesis's analysis, a step of a pass; `align all` runs the four in one pass. Its
+# options are its arguments after the pipeline, which `align analyze` reads from its code.
 ANALYSES = {"h1.1": _h11, "h1.2": _h12, "h2.1": _h21, "h2.2": _h22}
 
 
+# RUNNERS and the emit_* names are for bench/'s tracer alone (to go with ROADMAP items 0, 5)
 def _runner(analysis):
     """The runner of an analysis: its report after a pass of its own over the teams."""
-    @wraps(analysis)  # so the runner's signature names the analysis's options
     def run(pipeline: Pipeline, **options) -> HypothesisReport:
         step = analysis(pipeline, **options)
         pipeline.run(step)
@@ -601,8 +602,7 @@ def measures_table(pipeline: Pipeline, path: str | Path) -> _CsvTable:
 
 
 def _emitter(table):
-    """The emitter of a table: the table, written by a pass of its own over the teams."""
-    @wraps(table)  # the table's signature and docstring
+    """The emitter of a table, for bench/ alone: the table, written by a pass of its own."""
     def emit_table(pipeline: Pipeline, *args, **kwargs) -> Path:
         with table(pipeline, *args, **kwargs) as step:
             pipeline.run(step)

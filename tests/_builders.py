@@ -22,6 +22,7 @@ from align.corpus import (
     load_network,
     number_utterances,
 )
+from align.instructions import ADD_VERBS, REMOVE_VERBS
 from align.report import ANALYSES, HypothesisReport, Pipeline
 
 DATA = Path(__file__).parent / "data"
@@ -103,10 +104,12 @@ _coordinates = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 def _instructions_before(draw, rows: list[tuple], edits: tuple[EditEvent, ...],
-                         first_visual: str) -> list:
+                         first_visual: str, network: Network) -> list:
     """`rows` with an utterance moved to up to a second before each of some `edits`
     and given to the interlocutor who does not perform that edit, so that the
-    instructions it holds are pending when the edit comes."""
+    instructions it holds are pending when the edit comes. The moved utterance
+    names the edit's edge by its two node names, in either order, after a verb
+    of the edit's kind (a Match) or, one time in three, of the other (a Mismatch)."""
     rows = list(rows)
     ranked = sorted(range(len(edits)), key=lambda i: (edits[i].time, i))  # the stream's order
     for rank, i in enumerate(ranked):
@@ -114,7 +117,12 @@ def _instructions_before(draw, rows: list[tuple], edits: tuple[EditEvent, ...],
             speaker = "B" if (first_visual == "A") == (rank // 2 % 2 == 0) else "A"
             j = draw(st.integers(0, len(rows) - 1))
             start = max(0.0, edits[i].time - draw(st.floats(0, 1)))
-            rows[j] = (speaker, start, min(start + (rows[j][2] - rows[j][1]), MAX_TIME), rows[j][3])
+            # a verb of the edit's kind two times in three, else one of the other kind
+            add = (edits[i].kind == "add") != (draw(st.integers(0, 2)) == 0)
+            verb = draw(st.sampled_from(sorted(ADD_VERBS if add else REMOVE_VERBS)))
+            u, v = draw(st.permutations([network.id_to_name[n] for n in edits[i].edge]))
+            rows[j] = (speaker, start, min(start + (rows[j][2] - rows[j][1]), MAX_TIME),
+                       f"{verb} {u} to {v}")
     return rows
 
 
@@ -163,7 +171,8 @@ def valid_corpora(draw, texts=st.text(max_size=30), teams: tuple[int, int] = (1,
             first_visual=draw(st.sampled_from("AB")),
         )
         if instructed_edits and rows:
-            rows = _instructions_before(draw, rows, team_corpus.edits, team_corpus.first_visual)
+            rows = _instructions_before(draw, rows, team_corpus.edits, team_corpus.first_visual,
+                                        network)
             team_corpus = team_corpus._replace(utterance_rows=utterance_rows_of(team, rows))
         team_corpora.append(team_corpus)
     return Corpus(network=network, teams=tuple(team_corpora))

@@ -443,17 +443,33 @@ _RAW_FILES = {
 }
 
 
+def _row_kind(kind: str, fields: list[str]) -> str:
+    """A valid row's kind: utterance, score, or an event's edit, submit or stop."""
+    if kind != "events":
+        return {"transcripts": "utterance", "tests": "score"}[kind]
+    event = fields[2].strip().lower()
+    return "edit" if event in ("add", "remove") else event
+
+
 @st.composite
 def _raw_csv(draw, kind: str) -> str:
     """A raw CSV file of `kind` with zero to three corrupted fields or lines,
-    blank lines, quoted newlines and either line ending."""
+    blank lines, quoted newlines and either line ending. A fault's row is drawn
+    by its kind first (an events file's edits, submits and stops), so that a kind
+    with few rows, such as a stop, is faulted as often as the others. Half the
+    files have one fault: a lone fault must be caught by the column-at-a-time
+    checks themselves, where a second one may send the file to the row-at-a-time
+    path."""
     header, row, bad = _RAW_FILES[kind]
     rows = draw(st.lists(row, max_size=8))
+    by_kind = {}  # row kind -> the indices of its rows
+    for i, fields in enumerate(rows):
+        by_kind.setdefault(_row_kind(kind, fields), []).append(i)
     raw = {}  # row index -> a line written as it is
     i = 0
-    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2, 3])) if rows else 0):
         if draw(st.booleans()):  # else a second error in the same row
-            i = draw(st.integers(0, len(rows) - 1))
+            i = draw(st.sampled_from(by_kind[draw(st.sampled_from(sorted(by_kind)))]))
         column = draw(st.integers(0, min(len(rows[i]), len(header)) - 1))
         how = draw(st.sampled_from(["value"] * 4 + ["drop", "add", "limit", "cr", "nul"]))
         if how == "value" and bad[column]:
@@ -872,8 +888,10 @@ def _write_raw_files(corpus: Corpus, tmp: Path) -> dict[str, Path]:
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-# Python 3.10's csv reader refuses a NUL character (ingest exits 2 naming the line)
-@given(valid_corpora(texts=st.text(st.characters(exclude_characters="\x00"), max_size=30)))
+# Python 3.10's csv reader refuses a NUL character (ingest exits 2 naming the line), and a
+# lone surrogate has no UTF-8 encoding, so no raw file holds one
+@given(valid_corpora(texts=st.text(st.characters(exclude_characters="\x00",
+                                                 exclude_categories=("Cs",)), max_size=30)))
 def test_property_valid_raw_files_run_end_to_end(corpus):
     """`align ingest` reads the raw files of every valid corpus back as that
     corpus, and `align all` exits 0 on it in both formats, writing no NaN or

@@ -1,7 +1,8 @@
 """Golden outputs: the SHA-256 of every file the CLI writes is pinned.
 
 Each corpus is ingested (with the default and with `--first-visual A`), then
-run through `all` (csv, json, `--clear-on-verdict`) and through `analyze`
+run through `all` (csv, json, `--clear-on-verdict`), through `routines` (with
+and without `--task-only`), `annotate` and `measures`, and through `analyze`
 for every hypothesis with every non-default option. The fixtures have only
 two teams, so none of their Spearman or Kruskal-Wallis entries carries a
 value; the seeded corpus gives every team both score rows and a submission,
@@ -123,6 +124,11 @@ def _runs(paths: dict[str, Path], out: Path) -> list[tuple[str, list[str]]]:
                                   "--out", str(out / "all-clear-on-verdict")]),
         ("all-first-visual-A", ["all", "--corpus", corpus_a,
                                 "--out", str(out / "all-first-visual-A")]),
+        ("routines", ["routines", "--corpus", corpus, "--out", str(out / "routines")]),
+        ("routines-task-only", ["routines", "--corpus", corpus, "--task-only",
+                                "--out", str(out / "routines-task-only")]),
+        ("annotate", ["annotate", "--corpus", corpus, "--out", str(out / "annotate")]),
+        ("measures", ["measures", "--corpus", corpus, "--out", str(out / "measures")]),
     ]
     for fmt in ("csv", "json"):
         for hypothesis, options in ANALYZE_OPTIONS.items():

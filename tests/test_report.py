@@ -481,14 +481,15 @@ def test_h11_medians_agree_with_routine_table(tmp_path):
     import csv
     import statistics
 
-    from align.report import emit_routine_table
+    from align.report import routine_table
 
     corpus = _corpus([_team_with_establishments(1, 12, [0.2, 0.6, 0.9]),
                       _team_with_establishments(2, 15, [0.5])])
     pipeline = Pipeline(corpus)
     report = analysis_report(pipeline, "h1.1")
-    path = emit_routine_table(pipeline, tmp_path / "routines.csv", task_only=True)
-    with open(path, newline="") as handle:
+    with routine_table(pipeline, tmp_path / "routines.csv", task_only=True) as table:
+        pipeline.run(table)
+    with open(table.path, newline="") as handle:
         rows = list(csv.DictReader(handle))
     for row in report.per_team_rows:
         table_times = [float(r["establishment_time"]) for r in rows
@@ -1505,12 +1506,33 @@ def test_cli_analyze_flags(tmp_path):
     assert team10["n_filler"] == 2  # two utterances with one "oh" each
 
 
-def test_cli_hypotheses_take_the_options_of_their_runners():
-    from align import cli, report
+def test_cli_analysis_options_are_the_keyword_options_of_the_analyses(tmp_path, capsys):
+    """--hypothesis offers the keys of ANALYSES; the `analysis options` group has a flag for
+    each keyword option of some analysis factory, and no other; and each analysis refuses an
+    option that it does not take, naming the ones that it takes."""
+    from align import cli
 
-    assert list(cli.HYPOTHESES.items()) == [
-        (hypothesis, tuple(inspect.signature(runner).parameters)[1:])
-        for hypothesis, runner in report.RUNNERS.items()]
+    taken = {hypothesis: tuple(inspect.signature(factory).parameters)[1:]
+             for hypothesis, factory in ANALYSES.items()}
+    every = sorted(set().union(*taken.values()))
+    _, analyze = cli._build_parser()
+    assert tuple(analyze._option_string_actions["--hypothesis"].choices) == tuple(ANALYSES)
+    [group] = [group for group in analyze._action_groups if group.title == "analysis options"]
+    assert sorted(action.dest for action in group._group_actions) == every
+
+    def flag(option: str) -> str:
+        return "--" + option.replace("_", "-")
+
+    values = {"window": ["5"], "markers": ["oh"], "grouped": [], "oh_events": ["utterance"],
+              "mm_events": ["utterance"]}
+    for hypothesis, options in taken.items():
+        refused = next(option for option in every if option not in options)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--hypothesis", hypothesis, "--corpus", str(tmp_path / "none"),
+                  flag(refused), *values[refused]])
+        assert excinfo.value.code == 2
+        assert (f"argument {flag(refused)}: {hypothesis} does not take it "
+                f"(it takes {', '.join(map(flag, options))})") in capsys.readouterr().err
 
 
 # every option each hypothesis takes, with a value
